@@ -21,9 +21,7 @@ from .analytic import (
 )
 from .bloch import (
     DephasingFit,
-    ExperimentGeometry,
     PhysicsParams,
-    collective_rabi,
     conversion_probability,
     fit_dephasing,
     ground_rydberg_linewidth,
@@ -35,7 +33,6 @@ from .bloch import (
 )
 from .config import RunConfig, load_config, paper_defaults
 from .detector import (
-    ClickRecord,
     DetectorConfig,
     detect_ions,
     detect_pulse,

@@ -13,11 +13,12 @@ test suite checks the equivalence against a literal per-photon reference.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar
 
 import numpy as np
 
+from ._checks import check_unit_interval
 from .pulses import BinnedCounts, PulseSpec, expected_bin_means
 
 MAX_EXCITATIONS = 2
@@ -32,10 +33,7 @@ class AbsorberParams:
     t: float = 0.99
 
     def __post_init__(self) -> None:
-        for name in ("p_ryd", "p_ryd2", "t"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        check_unit_interval(p_ryd=self.p_ryd, p_ryd2=self.p_ryd2, t=self.t)
         if self.p_ryd2 > self.p_ryd:
             warnings.warn(
                 "p_ryd2 exceeds p_ryd: second absorption more likely than first",
@@ -105,13 +103,22 @@ def _grow_to(hist: np.ndarray, size: int) -> np.ndarray:
     return grown
 
 
+def _counts(size: int | None = None) -> Any:
+    """An int64 array field, zero-filled with ``size`` entries or one per time bin."""
+    return field(default=None, metadata={"size": size})
+
+
 @dataclass
 class EnsembleResult:
     """Mergeable accumulator of per-shot absorber statistics.
 
-    Sums are kept rather than means so that two results can be merged exactly;
-    ``ion_hist`` and ``g2`` stay None unless the detection pipeline fills them.
+    Every field after the bin structure is a sum over shots, listed in
+    ``SUMMED``; ``merge`` and ``equals`` walk that list, so two results merge
+    exactly.  ``ion_hist`` and ``g2`` stay None unless the detection pipeline
+    fills them.
     """
+
+    SUMMED: ClassVar[tuple[str, ...]]
 
     n_bins: int
     bin_width_us: float
@@ -120,36 +127,22 @@ class EnsembleResult:
     in_total_sq_sum: int = 0
     out_total_sum: int = 0
     out_total_sq_sum: int = 0
-    in_bin_sums: np.ndarray = field(default=None)  # type: ignore[assignment]
-    out_bin_sums: np.ndarray = field(default=None)  # type: ignore[assignment]
-    in_bin_sq_sums: np.ndarray = field(default=None)  # type: ignore[assignment]
-    out_bin_sq_sums: np.ndarray = field(default=None)  # type: ignore[assignment]
-    inout_bin_sums: np.ndarray = field(default=None)  # type: ignore[assignment]
-    absorbed_hist: np.ndarray = field(default=None)  # type: ignore[assignment]
-    out_total_hist: np.ndarray = field(default=None)  # type: ignore[assignment]
+    in_bin_sums: np.ndarray = _counts()
+    out_bin_sums: np.ndarray = _counts()
+    in_bin_sq_sums: np.ndarray = _counts()
+    out_bin_sq_sums: np.ndarray = _counts()
+    inout_bin_sums: np.ndarray = _counts()
+    absorbed_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
+    out_total_hist: np.ndarray = _counts(1)
     ion_hist: np.ndarray | None = None
     g2: Any | None = None
 
     def __post_init__(self) -> None:
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        for name in (
-            "in_bin_sums",
-            "out_bin_sums",
-            "in_bin_sq_sums",
-            "out_bin_sq_sums",
-            "inout_bin_sums",
-        ):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.n_bins, dtype=np.int64))
-        if self.absorbed_hist is None:
-            self.absorbed_hist = np.zeros(MAX_EXCITATIONS + 1, dtype=np.int64)
-        if self.out_total_hist is None:
-            self.out_total_hist = np.zeros(1, dtype=np.int64)
-
-    @classmethod
-    def empty(cls, n_bins: int, bin_width_us: float) -> "EnsembleResult":
-        return cls(n_bins=n_bins, bin_width_us=bin_width_us)
+        for f in fields(self):
+            if "size" in f.metadata and getattr(self, f.name) is None:
+                setattr(self, f.name, np.zeros(f.metadata["size"] or self.n_bins, dtype=np.int64))
 
     def add_shot(self, rec: ShotRecord) -> None:
         inp = rec.input_bins
@@ -196,69 +189,50 @@ class EnsembleResult:
         return float(np.sqrt(self.var_out / self.shots))
 
     def equals(self, other: "EnsembleResult") -> bool:
-        if (self.n_bins, self.bin_width_us, self.shots) != (
-            other.n_bins,
-            other.bin_width_us,
-            other.shots,
-        ):
-            return False
-        scalars = ("in_total_sum", "in_total_sq_sum", "out_total_sum", "out_total_sq_sum")
-        if any(getattr(self, k) != getattr(other, k) for k in scalars):
-            return False
-        arrays = (
-            "in_bin_sums",
-            "out_bin_sums",
-            "in_bin_sq_sums",
-            "out_bin_sq_sums",
-            "inout_bin_sums",
-            "absorbed_hist",
-            "out_total_hist",
+        return (self.n_bins, self.bin_width_us) == (other.n_bins, other.bin_width_us) and all(
+            field_equal(getattr(self, name), getattr(other, name)) for name in self.SUMMED
         )
-        if not all(np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays):
-            return False
-        if (self.ion_hist is None) != (other.ion_hist is None):
-            return False
-        if self.ion_hist is not None and not _hists_equal(self.ion_hist, other.ion_hist):
-            return False
-        return True
 
 
-def _hists_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    size = max(a.size, b.size)
-    return np.array_equal(_grow_to(a.copy(), size), _grow_to(b.copy(), size))
+EnsembleResult.SUMMED = tuple(f.name for f in fields(EnsembleResult))[2:]
 
 
-def _add_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    size = max(a.size, b.size)
-    return _grow_to(a.copy(), size) + _grow_to(b.copy(), size)
+def merge_field(name: str, a: Any, b: Any) -> Any:
+    """Sum of one accumulator field over two disjoint sets of shots.
+
+    Arrays of unequal length are growable histograms and get zero-padded; a
+    part the pipeline did not fill (None) must be missing on both sides.
+    """
+    if (a is None) != (b is None):
+        raise ValueError(f"cannot merge: {name} present on only one side")
+    if a is None:
+        return None
+    if hasattr(a, "merged"):
+        return a.merged(b)
+    if isinstance(a, np.ndarray):
+        size = max(a.size, b.size)
+        return _grow_to(a, size) + _grow_to(b, size)
+    return a + b
+
+
+def field_equal(a: Any, b: Any) -> bool:
+    """Exact equality of one accumulator field, histograms up to zero padding."""
+    if a is None or b is None:
+        return a is b
+    if hasattr(a, "equals"):
+        return a.equals(b)
+    if isinstance(a, np.ndarray):
+        size = max(a.size, b.size)
+        return np.array_equal(_grow_to(a, size), _grow_to(b, size))
+    return a == b
 
 
 def merge(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
     """Combine two ensembles shot-for-shot; associative and commutative."""
     if a.n_bins != b.n_bins or a.bin_width_us != b.bin_width_us:
         raise ValueError("cannot merge ensembles with different bin structure")
-    if (a.ion_hist is None) != (b.ion_hist is None):
-        raise ValueError("cannot merge: ion histogram present on only one side")
-    if (a.g2 is None) != (b.g2 is None):
-        raise ValueError("cannot merge: correlation accumulator present on only one side")
-    out = EnsembleResult.empty(a.n_bins, a.bin_width_us)
-    out.shots = a.shots + b.shots
-    out.in_total_sum = a.in_total_sum + b.in_total_sum
-    out.in_total_sq_sum = a.in_total_sq_sum + b.in_total_sq_sum
-    out.out_total_sum = a.out_total_sum + b.out_total_sum
-    out.out_total_sq_sum = a.out_total_sq_sum + b.out_total_sq_sum
-    out.in_bin_sums = a.in_bin_sums + b.in_bin_sums
-    out.out_bin_sums = a.out_bin_sums + b.out_bin_sums
-    out.in_bin_sq_sums = a.in_bin_sq_sums + b.in_bin_sq_sums
-    out.out_bin_sq_sums = a.out_bin_sq_sums + b.out_bin_sq_sums
-    out.inout_bin_sums = a.inout_bin_sums + b.inout_bin_sums
-    out.absorbed_hist = _add_hists(a.absorbed_hist, b.absorbed_hist)
-    out.out_total_hist = _add_hists(a.out_total_hist, b.out_total_hist)
-    if a.ion_hist is not None:
-        out.ion_hist = _add_hists(a.ion_hist, b.ion_hist)
-    if a.g2 is not None:
-        out.g2 = a.g2.merged(b.g2)
-    return out
+    sums = {name: merge_field(name, getattr(a, name), getattr(b, name)) for name in a.SUMMED}
+    return EnsembleResult(a.n_bins, a.bin_width_us, **sums)
 
 
 def run_ensemble(
@@ -273,7 +247,7 @@ def run_ensemble(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     lam = expected_bin_means(spec)
-    ens = EnsembleResult.empty(spec.n_bins, spec.bin_width_us)
+    ens = EnsembleResult(spec.n_bins, spec.bin_width_us)
     for i in range(shots):
         rng = substream(seed, *stream_key, i)
         ens.add_shot(simulate_shot(params, rng.poisson(lam), rng))
@@ -324,7 +298,7 @@ def simulate_cascade(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     lam = expected_bin_means(spec)
-    per_stage = [EnsembleResult.empty(spec.n_bins, spec.bin_width_us) for _ in stages]
+    per_stage = [EnsembleResult(spec.n_bins, spec.bin_width_us) for _ in stages]
     joint = np.zeros((MAX_EXCITATIONS + 1,) * len(stages), dtype=np.int64)
     detected: dict[int, np.ndarray] = {}
     for i in range(shots):

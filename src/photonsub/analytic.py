@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _check_unit_interval(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+from ._checks import check_unit_interval
 
 
 def mean_out(n_in: float, t: float, p_ryd: float) -> float:
@@ -27,7 +23,7 @@ def mean_out(n_in: float, t: float, p_ryd: float) -> float:
     """
     if not n_in >= 0:
         raise ValueError(f"n_in must be >= 0, got {n_in}")
-    _check_unit_interval(t=t, p_ryd=p_ryd)
+    check_unit_interval(t=t, p_ryd=p_ryd)
     return t * n_in + math.exp(-t * n_in * p_ryd) - 1.0
 
 
@@ -35,7 +31,7 @@ def p_no_absorption(n_in: float, t: float, p_ryd: float) -> float:
     """Probability that a Poisson pulse of mean n_in creates no excitation."""
     if not n_in >= 0:
         raise ValueError(f"n_in must be >= 0, got {n_in}")
-    _check_unit_interval(t=t, p_ryd=p_ryd)
+    check_unit_interval(t=t, p_ryd=p_ryd)
     return math.exp(-t * n_in * p_ryd)
 
 
@@ -53,7 +49,7 @@ def ideal_ion_stats(n_in: float, t: float, p_ryd: float, eta: float) -> IdealIon
     with success probability eta * (1 - exp(-t*n_in*p_ryd)), hence
     Q = -mean and Q/mean = -1.
     """
-    _check_unit_interval(eta=eta)
+    check_unit_interval(eta=eta)
     p1 = 1.0 - p_no_absorption(n_in, t, p_ryd)
     mean = eta * p1
     if mean == 0.0:

@@ -13,20 +13,20 @@ enter the formulas, so the prefactor cancels throughout.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._checks import check_finite
 
 
 @dataclass(frozen=True)
 class PhysicsParams:
     """Spectroscopic parameters of the two-photon ladder system.
 
-    delta_e      intermediate-state detuning of both beams (MHz)
-    delta_2      two-photon detuning at which the experiment runs (MHz)
+    delta_e      intermediate-state detuning of both beams (MHz); may be
+                 +-inf, the far-detuned limit
     omega_c      control Rabi frequency (MHz)
-    omega_p      probe Rabi frequency per sqrt(photon/us) (MHz)
     gamma_e      intermediate-state decay rate (MHz)
     gamma_deph   ground-Rydberg dephasing rate (MHz)
     tau_ryd_us   Rydberg-state lifetime (us); may be inf
@@ -34,15 +34,18 @@ class PhysicsParams:
     """
 
     delta_e: float = 100.0
-    delta_2: float = 0.0
     omega_c: float = 10.0
-    omega_p: float = 0.033
     gamma_e: float = 6.05
     gamma_deph: float = 0.5
     tau_ryd_us: float = 530.0
     od_b: float = 12.5
 
     def __post_init__(self) -> None:
+        if math.isnan(self.delta_e):
+            raise ValueError("delta_e must not be NaN")
+        check_finite(
+            omega_c=self.omega_c, gamma_e=self.gamma_e, gamma_deph=self.gamma_deph, od_b=self.od_b
+        )
         if not self.gamma_e > 0:
             raise ValueError(f"gamma_e must be > 0, got {self.gamma_e}")
         if self.omega_c < 0:
@@ -55,50 +58,11 @@ class PhysicsParams:
             raise ValueError(f"od_b must be >= 0, got {self.od_b}")
 
 
-@dataclass(frozen=True)
-class ExperimentGeometry:
-    """Descriptive cloud and beam geometry; not used by the dynamics."""
-
-    n_atoms: int = 25000
-    sigma_z_um: float = 6.0
-    sigma_r_um: float = 10.0
-    waist_probe_um: float = 6.5
-    waist_control_um: float = 14.0
-    blockade_radius_um: float = 17.0
-    temperature_uk: float = 8.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "n_atoms",
-            "sigma_z_um",
-            "sigma_r_um",
-            "waist_probe_um",
-            "waist_control_um",
-            "blockade_radius_um",
-            "temperature_uk",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.blockade_radius_um <= max(self.sigma_z_um, self.sigma_r_um):
-            warnings.warn(
-                "blockade radius does not exceed the cloud size; "
-                "the single-excitation model is invalid",
-                stacklevel=2,
-            )
-
-
 def raman_decay_rate(omega_c: float, delta_e: float, gamma_e: float) -> float:
     """Control-induced decay of the Rydberg state: (omega_c / 2 delta_e)^2 * gamma_e."""
     if delta_e == 0:
         raise ValueError("raman decay rate diverges at zero intermediate detuning")
     return (omega_c / (2.0 * delta_e)) ** 2 * gamma_e
-
-
-def collective_rabi(omega_single: float, n_atoms: int) -> float:
-    """Collective coupling of n indistinguishable emitters: sqrt(n) enhancement."""
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    return math.sqrt(n_atoms) * omega_single
 
 
 def ground_rydberg_linewidth(phys: PhysicsParams) -> float:

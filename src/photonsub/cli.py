@@ -40,8 +40,13 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_summary(run_dir: Path, payload: dict) -> None:
-    (run_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+def _finish(run_dir: Path, summary: dict, *lines: str, code: int = 0) -> int:
+    """Write summary.json, print the report lines and the run directory, return ``code``."""
+    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    for line in lines:
+        print(line)
+    print(f"written to {run_dir}")
+    return code
 
 
 def _prepare_run_dir(cfg: RunConfig, command: str) -> Path:
@@ -118,9 +123,7 @@ def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
         ],
         rows,
     )
-    _write_summary(run_dir, {"command": "sweep", "shots": cfg.shots, "seed": cfg.seed, "points": points})
-    print(f"written to {run_dir}")
-    return 0
+    return _finish(run_dir, {"command": "sweep", "shots": cfg.shots, "seed": cfg.seed, "points": points})
 
 
 def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
@@ -162,13 +165,12 @@ def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
         "ideal_front_third_transmission": ideal_shape.band_transmission(0.0, 1.0 / 3.0),
         "ideal_rear_third_transmission": ideal_shape.band_transmission(2.0 / 3.0, 1.0),
     }
-    _write_summary(run_dir, summary)
-    print(
+    return _finish(
+        run_dir,
+        summary,
         f"n_in={n_in:g}: P(no absorption)={p_none:.4f}, "
-        f"rear-third transmission={summary['rear_third_transmission']:.4f}"
+        f"rear-third transmission={summary['rear_third_transmission']:.4f}",
     )
-    print(f"written to {run_dir}")
-    return 0
 
 
 def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
@@ -202,13 +204,12 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
         "rear_g2": mat.rear_g2,
         "rear_sigma": mat.rear_sigma,
     }
-    _write_summary(run_dir, summary)
-    print(
+    return _finish(
+        run_dir,
+        summary,
         f"n_in={n_in:g}: front-block g2={mat.front_g2:.4f}+-{mat.front_sigma:.4f}, "
-        f"rear-block g2={mat.rear_g2:.4f}+-{mat.rear_sigma:.4f}"
+        f"rear-block g2={mat.rear_g2:.4f}+-{mat.rear_sigma:.4f}",
     )
-    print(f"written to {run_dir}")
-    return 0
 
 
 def cmd_spectrum(cfg: RunConfig, args, run_dir: Path) -> int:
@@ -228,13 +229,12 @@ def cmd_spectrum(cfg: RunConfig, args, run_dir: Path) -> int:
         "conversion_probability": bloch.conversion_probability(cfg.physics),
         "min_transmission": float(spectrum[:, 1].min()),
     }
-    _write_summary(run_dir, summary)
-    print(
+    return _finish(
+        run_dir,
+        summary,
         f"p_scatt={summary['scattering_probability']:.4f}, "
-        f"line-center conversion={summary['conversion_probability']:.4f}"
+        f"line-center conversion={summary['conversion_probability']:.4f}",
     )
-    print(f"written to {run_dir}")
-    return 0
 
 
 def cmd_fit_gamma(cfg: RunConfig, args, run_dir: Path) -> int:
@@ -249,10 +249,9 @@ def cmd_fit_gamma(cfg: RunConfig, args, run_dir: Path) -> int:
         "residual": fit.residual,
         "iterations": fit.iterations,
     }
-    _write_summary(run_dir, summary)
-    print(f"gamma_deph = {fit.gamma_deph:.6g} MHz (residual {fit.residual:.3g})")
-    print(f"written to {run_dir}")
-    return 0
+    return _finish(
+        run_dir, summary, f"gamma_deph = {fit.gamma_deph:.6g} MHz (residual {fit.residual:.3g})"
+    )
 
 
 def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
@@ -320,13 +319,12 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         "p_all_stages_fired": all_fired,
         "count_accuracy": float(correct / total),
     }
-    _write_summary(run_dir, summary)
-    print(
+    return _finish(
+        run_dir,
+        summary,
         f"{len(stages)} stages, n_in={n_in:g}: P(all fired)={all_fired:.4f}, "
-        f"count accuracy={summary['count_accuracy']:.4f}"
+        f"count accuracy={summary['count_accuracy']:.4f}",
     )
-    print(f"written to {run_dir}")
-    return 0
 
 
 def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
@@ -396,21 +394,18 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
     rows = [(name, value, expected, tol, int(ok)) for name, value, expected, tol, ok in checks]
     _write_csv(run_dir / "validate_report.csv", ["check", "value", "expected", "tolerance", "passed"], rows)
     n_failed = sum(1 for *_, ok in checks if not ok)
-    for name, value, expected, tol, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: value={value:.6g} expected={expected:.6g} tol={tol:.3g}")
-    _write_summary(
-        run_dir,
-        {
-            "command": "validate",
-            "shots": cfg.shots,
-            "seed": cfg.seed,
-            "n_checks": len(checks),
-            "n_failed": n_failed,
-        },
-    )
-    print(f"written to {run_dir}")
-    return 0 if n_failed == 0 else 2
+    summary = {
+        "command": "validate",
+        "shots": cfg.shots,
+        "seed": cfg.seed,
+        "n_checks": len(checks),
+        "n_failed": n_failed,
+    }
+    report = [
+        f"{'PASS' if ok else 'FAIL'} {name}: value={value:.6g} expected={expected:.6g} tol={tol:.3g}"
+        for name, value, expected, tol, ok in checks
+    ]
+    return _finish(run_dir, summary, *report, code=0 if n_failed == 0 else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +479,7 @@ def main(argv=None) -> int:
         cfg = load_config(None if args.paper_defaults else args.config, overrides)
         run_dir = _prepare_run_dir(cfg, args.command)
         return args.func(cfg, args, run_dir)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RuntimeError as err:
+    except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

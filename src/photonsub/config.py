@@ -7,16 +7,22 @@ The config file format is a flat list of dotted keys, one per line::
     absorber.p_ryd = 0.35
     run.shots = 100000
 
-Defaults reproduce the reference experiment's parameter set exactly.
+Defaults reproduce the reference experiment's parameter set exactly.  The
+table ``KEYS`` lists every key; it drives both reading (``apply_keys``) and
+writing (``to_flat``).  Numbers must be finite, except that
+``physics.tau_ryd_us`` may be inf (no Rydberg decay).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
+from typing import Any, Callable
 
+from ._checks import check_finite
 from .absorber import AbsorberParams
-from .bloch import ExperimentGeometry, PhysicsParams
+from .bloch import PhysicsParams
 from .detector import DetectorConfig
 from .pulses import PulseSpec
 
@@ -29,7 +35,6 @@ class RunConfig:
     absorber: AbsorberParams = field(default_factory=AbsorberParams)
     cascade: tuple[AbsorberParams, ...] | None = None
     physics: PhysicsParams = field(default_factory=PhysicsParams)
-    geometry: ExperimentGeometry = field(default_factory=ExperimentGeometry)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     shots: int = 100000
     seed: int = 12345
@@ -44,6 +49,7 @@ class RunConfig:
             raise ValueError(f"run.seed must be an unsigned 64-bit value, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"run.workers must be >= 1, got {self.workers}")
+        check_finite(g2_cell_ns=self.g2_cell_ns)
         if self.g2_cell_ns <= 0:
             raise ValueError(f"g2.cell_ns must be > 0, got {self.g2_cell_ns}")
 
@@ -86,82 +92,92 @@ def parse_flat(text: str) -> dict[str, str]:
     return mapping
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    check_finite(value=value)
+    return value
+
+
+def _g(value: float) -> str:
+    return f"{value:.10g}"
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One flat config key: the ``RunConfig`` attribute path it sets and its text form.
+
+    ``path`` is a dotted attribute path into ``RunConfig`` and defaults to the
+    key itself; ``parse`` turns the text into the stored value and ``format``
+    turns the stored value back into text.
+    """
+
+    name: str
+    path: str = ""
+    parse: Callable[[str], Any] = float
+    format: Callable[[Any], str] = _g
+
+    @property
+    def _attrs(self) -> list[str]:
+        return (self.path or self.name).split(".")
+
+    def read(self, cfg: RunConfig) -> Any:
+        return reduce(getattr, self._attrs, cfg)
+
+    def apply(self, cfg: RunConfig, text: str) -> RunConfig:
+        return _replace_path(cfg, self._attrs, self.parse(text))
+
+
+def _replace_path(obj: Any, attrs: list[str], value: Any) -> Any:
+    head, *rest = attrs
+    return replace(obj, **{head: _replace_path(getattr(obj, head), rest, value) if rest else value})
+
+
+# Every config key, in the order of the snapshot that to_flat writes.
+KEYS = (
+    ConfigKey("pulse.mean_photons"),
+    ConfigKey("pulse.duration_us"),
+    ConfigKey("pulse.bin_ns", "pulse.bin_width_us", lambda t: float(t) / 1000.0, lambda v: _g(v * 1000.0)),
+    ConfigKey("pulse.taper"),
+    ConfigKey("absorber.p_ryd"),
+    ConfigKey("absorber.p_ryd2"),
+    ConfigKey("absorber.t"),
+    ConfigKey("cascade.stages", "cascade", parse_stages, format_stages),
+    # PhysicsParams takes an infinite detuning as the far-detuned limit; a run
+    # needs a finite one.
+    ConfigKey("physics.delta_e", parse=_finite),
+    ConfigKey("physics.omega_c"),
+    ConfigKey("physics.gamma_e"),
+    ConfigKey("physics.gamma_deph"),
+    ConfigKey("physics.tau_ryd_us"),
+    ConfigKey("physics.od_b"),
+    ConfigKey("detector.eta_probe"),
+    ConfigKey("detector.eta_ion"),
+    ConfigKey(
+        "detector.split",
+        parse=lambda t: tuple(map(float, t.split(","))),
+        format=lambda v: ",".join(map(_g, v)),
+    ),
+    ConfigKey("detector.dead_time_ns"),
+    ConfigKey("detector.dark_cps"),
+    ConfigKey("run.shots", "shots", int, str),
+    ConfigKey("run.seed", "seed", int, str),
+    ConfigKey("run.out_dir", "out_dir", str, str),
+    ConfigKey("run.workers", "workers", int, str),
+    ConfigKey("g2.cell_ns", "g2_cell_ns"),
+)
+_BY_NAME = {key.name: key for key in KEYS}
+
+
 def apply_keys(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
     """Return a new config with the given flat keys applied."""
-    pulse = cfg.pulse
-    absorber = cfg.absorber
-    cascade = cfg.cascade
-    physics = cfg.physics
-    geometry = cfg.geometry
-    detector = cfg.detector
-    run_fields = {
-        "shots": cfg.shots,
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "workers": cfg.workers,
-    }
-    g2_cell_ns = cfg.g2_cell_ns
-    for key, value in mapping.items():
+    for name, text in mapping.items():
         try:
-            if key == "pulse.mean_photons":
-                pulse = replace(pulse, mean_photons=float(value))
-            elif key == "pulse.duration_us":
-                pulse = replace(pulse, duration_us=float(value))
-            elif key == "pulse.bin_ns":
-                pulse = replace(pulse, bin_width_us=float(value) / 1000.0)
-            elif key == "pulse.taper":
-                pulse = replace(pulse, taper=float(value))
-            elif key == "absorber.p_ryd":
-                absorber = replace(absorber, p_ryd=float(value))
-            elif key == "absorber.p_ryd2":
-                absorber = replace(absorber, p_ryd2=float(value))
-            elif key == "absorber.t":
-                absorber = replace(absorber, t=float(value))
-            elif key == "cascade.stages":
-                cascade = parse_stages(value)
-            elif key.startswith("physics."):
-                physics = replace(physics, **{key.split(".", 1)[1]: float(value)})
-            elif key.startswith("geometry."):
-                name = key.split(".", 1)[1]
-                cast = int if name == "n_atoms" else float
-                geometry = replace(geometry, **{name: cast(value)})
-            elif key == "detector.eta_probe":
-                detector = replace(detector, eta_probe=float(value))
-            elif key == "detector.eta_ion":
-                detector = replace(detector, eta_ion=float(value))
-            elif key == "detector.split":
-                parts = tuple(float(p) for p in value.split(","))
-                detector = replace(detector, split=parts)  # type: ignore[arg-type]
-            elif key == "detector.dead_time_ns":
-                detector = replace(detector, dead_time_ns=float(value))
-            elif key == "detector.dark_cps":
-                detector = replace(detector, dark_cps=float(value))
-            elif key == "run.shots":
-                run_fields["shots"] = int(value)
-            elif key == "run.seed":
-                run_fields["seed"] = int(value)
-            elif key == "run.out_dir":
-                run_fields["out_dir"] = value
-            elif key == "run.workers":
-                run_fields["workers"] = int(value)
-            elif key == "g2.cell_ns":
-                g2_cell_ns = float(value)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
+            if name not in _BY_NAME:
+                raise ValueError(f"unknown config key {name!r}")
+            cfg = _BY_NAME[name].apply(cfg, text)
         except ValueError as err:
-            raise ValueError(f"config key {key!r}: {err}") from None
-        except TypeError as err:
-            raise ValueError(f"config key {key!r}: {err}") from None
-    return RunConfig(
-        pulse=pulse,
-        absorber=absorber,
-        cascade=cascade,
-        physics=physics,
-        geometry=geometry,
-        detector=detector,
-        g2_cell_ns=g2_cell_ns,
-        **run_fields,
-    )
+            raise ValueError(f"config key {name!r}: {err}") from None
+    return cfg
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -175,41 +191,9 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
 
 def to_flat(cfg: RunConfig) -> str:
     """Full flat-key snapshot of a config, parseable by load_config."""
-    lines = [
-        f"pulse.mean_photons = {cfg.pulse.mean_photons:.10g}",
-        f"pulse.duration_us = {cfg.pulse.duration_us:.10g}",
-        f"pulse.bin_ns = {cfg.pulse.bin_width_us * 1000.0:.10g}",
-        f"pulse.taper = {cfg.pulse.taper:.10g}",
-        f"absorber.p_ryd = {cfg.absorber.p_ryd:.10g}",
-        f"absorber.p_ryd2 = {cfg.absorber.p_ryd2:.10g}",
-        f"absorber.t = {cfg.absorber.t:.10g}",
-    ]
-    if cfg.cascade is not None:
-        lines.append(f"cascade.stages = {format_stages(cfg.cascade)}")
-    for name in ("delta_e", "delta_2", "omega_c", "omega_p", "gamma_e", "gamma_deph", "tau_ryd_us", "od_b"):
-        lines.append(f"physics.{name} = {getattr(cfg.physics, name):.10g}")
-    for name in (
-        "n_atoms",
-        "sigma_z_um",
-        "sigma_r_um",
-        "waist_probe_um",
-        "waist_control_um",
-        "blockade_radius_um",
-        "temperature_uk",
-    ):
-        lines.append(f"geometry.{name} = {getattr(cfg.geometry, name):.10g}")
-    lines.extend(
-        [
-            f"detector.eta_probe = {cfg.detector.eta_probe:.10g}",
-            f"detector.eta_ion = {cfg.detector.eta_ion:.10g}",
-            "detector.split = " + ",".join(f"{p:.10g}" for p in cfg.detector.split),
-            f"detector.dead_time_ns = {cfg.detector.dead_time_ns:.10g}",
-            f"detector.dark_cps = {cfg.detector.dark_cps:.10g}",
-            f"run.shots = {cfg.shots}",
-            f"run.seed = {cfg.seed}",
-            f"run.out_dir = {cfg.out_dir}",
-            f"run.workers = {cfg.workers}",
-            f"g2.cell_ns = {cfg.g2_cell_ns:.10g}",
-        ]
-    )
+    lines = []
+    for key in KEYS:
+        value = key.read(cfg)
+        if value is not None:
+            lines.append(f"{key.name} = {key.format(value)}")
     return "\n".join(lines) + "\n"

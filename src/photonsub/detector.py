@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_finite, check_unit_interval
 from .pulses import BinnedCounts
 
 N_DETECTORS = 4
@@ -28,10 +29,8 @@ class DetectorConfig:
     dark_cps: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("eta_probe", "eta_ion"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        check_unit_interval(eta_probe=self.eta_probe, eta_ion=self.eta_ion)
+        check_finite(dead_time_ns=self.dead_time_ns, dark_cps=self.dark_cps)
         if len(self.split) != N_DETECTORS:
             raise ValueError(f"split needs {N_DETECTORS} branch probabilities")
         if any(not 0.0 <= p <= 1.0 for p in self.split):
@@ -42,18 +41,9 @@ class DetectorConfig:
             raise ValueError("dead_time_ns and dark_cps must be >= 0")
 
 
-@dataclass
-class ClickRecord:
-    """Per-detector binned clicks of one shot plus the ion-counter result."""
-
-    detectors: np.ndarray  # shape (N_DETECTORS, n_bins)
-    ion_clicks: int = 0
-
-
 def thin_counts(counts: BinnedCounts, eta: float, rng: np.random.Generator) -> BinnedCounts:
     """Binomial thinning: each photon survives independently with probability eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_unit_interval(eta=eta)
     counts = np.asarray(counts, dtype=np.int64)
     if eta == 1.0:
         return counts.copy()

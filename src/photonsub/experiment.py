@@ -38,7 +38,7 @@ def default_cell_edges(n_bins: int, bins_per_cell: int) -> np.ndarray:
 def _run_batch(args) -> EnsembleResult:
     (pulse, absorber, detector, seed, stream_key, start, stop, collect_g2, cell_edges) = args
     lam = expected_bin_means(pulse)
-    ens = EnsembleResult.empty(pulse.n_bins, pulse.bin_width_us)
+    ens = EnsembleResult(pulse.n_bins, pulse.bin_width_us)
     acc = None
     if collect_g2:
         acc = G2Accumulator(pulse.n_bins, pulse.bin_width_us, cell_edges)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_finite
+
 # A binned photon record is a plain integer array, one entry per time bin.
 BinnedCounts = np.ndarray
 
@@ -25,6 +27,11 @@ class PulseSpec:
     taper: float = 0.3
 
     def __post_init__(self) -> None:
+        check_finite(
+            mean_photons=self.mean_photons,
+            duration_us=self.duration_us,
+            bin_width_us=self.bin_width_us,
+        )
         if not self.mean_photons >= 0:
             raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
         if not self.duration_us > 0:
@@ -39,12 +46,6 @@ class PulseSpec:
     @property
     def n_bins(self) -> int:
         return int(round(self.duration_us / self.bin_width_us))
-
-    def bin_starts_us(self) -> np.ndarray:
-        return np.arange(self.n_bins) * self.bin_width_us
-
-    def bin_centers_us(self) -> np.ndarray:
-        return (np.arange(self.n_bins) + 0.5) * self.bin_width_us
 
 
 def tukey_envelope(spec: PulseSpec) -> np.ndarray:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
-from .absorber import EnsembleResult
+from .absorber import EnsembleResult, field_equal, merge_field
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +151,26 @@ class G2Accumulator:
         self.n_det = n_det
         self.cell_edges = edges.astype(np.int64)
         self.pairs = [(a, b) for a in range(n_det) for b in range(a + 1, n_det)]
-        n_cells = edges.size - 1
-        self.shots = 0
-        self.marg_sums = np.zeros((n_det, n_cells))
-        self.pair_sums = np.zeros((len(self.pairs), n_cells, n_cells))
-        self.y_sum = np.zeros((n_cells, n_cells))
-        self.y_sq_sum = np.zeros((n_cells, n_cells))
         centers = (edges[:-1] + edges[1:]) / 2.0 * bin_width_us
         duration = n_bins * bin_width_us
         self._front = centers < duration / 3.0
         self._rear = centers >= 2.0 * duration / 3.0
-        self.front_sum = 0.0
-        self.front_sq_sum = 0.0
-        self.rear_sum = 0.0
-        self.rear_sq_sum = 0.0
+        vars(self).update(self.zero_sums())
+
+    def zero_sums(self) -> dict[str, Any]:
+        """Every summed field at zero; ``merged`` and ``equals`` walk the same names."""
+        c = self.n_cells
+        return {
+            "shots": 0,
+            "marg_sums": np.zeros((self.n_det, c)),
+            "pair_sums": np.zeros((len(self.pairs), c, c)),
+            "y_sum": np.zeros((c, c)),
+            "y_sq_sum": np.zeros((c, c)),
+            "front_sum": 0.0,
+            "front_sq_sum": 0.0,
+            "rear_sum": 0.0,
+            "rear_sq_sum": 0.0,
+        }
 
     @property
     def n_cells(self) -> int:
@@ -193,32 +199,20 @@ class G2Accumulator:
         self.rear_sum += y_rear
         self.rear_sq_sum += y_rear * y_rear
 
+    def _grid(self) -> tuple:
+        return (self.n_bins, self.bin_width_us, self.n_det, tuple(self.cell_edges))
+
     def merged(self, other: "G2Accumulator") -> "G2Accumulator":
-        if (
-            self.n_bins != other.n_bins
-            or self.n_det != other.n_det
-            or not np.array_equal(self.cell_edges, other.cell_edges)
-        ):
+        if self._grid() != other._grid():
             raise ValueError("cannot merge correlation accumulators with different grids")
         out = G2Accumulator(self.n_bins, self.bin_width_us, self.cell_edges, self.n_det)
-        out.shots = self.shots + other.shots
-        out.marg_sums = self.marg_sums + other.marg_sums
-        out.pair_sums = self.pair_sums + other.pair_sums
-        out.y_sum = self.y_sum + other.y_sum
-        out.y_sq_sum = self.y_sq_sum + other.y_sq_sum
-        out.front_sum = self.front_sum + other.front_sum
-        out.front_sq_sum = self.front_sq_sum + other.front_sq_sum
-        out.rear_sum = self.rear_sum + other.rear_sum
-        out.rear_sq_sum = self.rear_sq_sum + other.rear_sq_sum
+        for name in out.zero_sums():
+            setattr(out, name, merge_field(name, getattr(self, name), getattr(other, name)))
         return out
 
     def equals(self, other: "G2Accumulator") -> bool:
-        return (
-            self.shots == other.shots
-            and np.array_equal(self.cell_edges, other.cell_edges)
-            and np.array_equal(self.marg_sums, other.marg_sums)
-            and np.array_equal(self.pair_sums, other.pair_sums)
-            and np.array_equal(self.y_sum, other.y_sum)
+        return self._grid() == other._grid() and all(
+            field_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
         )
 
     def _pooled(self, mask: np.ndarray, y_total: float, y_sq_total: float, marg: np.ndarray):
@@ -295,26 +289,24 @@ def _symmetrize_sigma(sigma: np.ndarray) -> np.ndarray:
 
 
 def g2_matrix(
-    click_records: Iterable,
+    click_arrays: Iterable[np.ndarray],
     bin_width_us: float,
     cell_edges: np.ndarray | None = None,
 ) -> G2Matrix:
-    """Pair-averaged g2 map of an ensemble of click records.
+    """Pair-averaged g2 map of per-shot (n_det, n_bins) click arrays.
 
-    ``click_records`` yields ClickRecord objects or bare (n_det, n_bins)
-    arrays; the grid defaults to two bins per cell.
+    The grid defaults to two bins per cell.
     """
-    iterator = iter(click_records)
+    iterator = iter(click_arrays)
     try:
-        first = next(iterator)
+        first = np.asarray(next(iterator))
     except StopIteration:
-        raise ValueError("empty ensemble: no click records") from None
-    first_arr = np.asarray(getattr(first, "detectors", first))
-    n_det, n_bins = first_arr.shape
+        raise ValueError("empty ensemble: no click arrays") from None
+    n_det, n_bins = first.shape
     acc = G2Accumulator(n_bins, bin_width_us, cell_edges, n_det)
-    acc.add(first_arr)
-    for rec in iterator:
-        acc.add(np.asarray(getattr(rec, "detectors", rec)))
+    acc.add(first)
+    for det_bins in iterator:
+        acc.add(det_bins)
     return acc.finalize()
 
 

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from photonsub import (
     AbsorberParams,
+    DetectorConfig,
     EnsembleResult,
+    G2Accumulator,
     PulseSpec,
     cascade_shot,
     mean_out,
     merge,
     run_ensemble,
+    run_point,
     sample_input,
     simulate_cascade,
     simulate_shot,
@@ -140,7 +143,7 @@ def test_merge_identity_commutativity_associativity():
     a = run_ensemble(MEASURED, spec, 60, 1)
     b = run_ensemble(MEASURED, spec, 40, 2)
     c = run_ensemble(MEASURED, spec, 50, 3)
-    empty = EnsembleResult.empty(spec.n_bins, spec.bin_width_us)
+    empty = EnsembleResult(spec.n_bins, spec.bin_width_us)
     assert merge(a, empty).equals(a)
     assert merge(a, b).equals(merge(b, a))
     assert merge(merge(a, b), c).equals(merge(a, merge(b, c)))
@@ -151,7 +154,7 @@ def test_merge_equals_sequential_accumulation():
     lam = expected_bin_means(spec)
     a = run_ensemble(MEASURED, spec, 40, 5)
     b = run_ensemble(MEASURED, spec, 60, 6)
-    sequential = EnsembleResult.empty(spec.n_bins, spec.bin_width_us)
+    sequential = EnsembleResult(spec.n_bins, spec.bin_width_us)
     for seed, shots in ((5, 40), (6, 60)):
         for i in range(shots):
             rng = substream(seed, i)
@@ -218,3 +221,37 @@ def test_cascade_rejects_empty_stage_list():
         simulate_cascade([], PulseSpec(mean_photons=1.0), 10, 1)
     with pytest.raises(ValueError):
         cascade_shot([], np.array([1]), substream(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# field coverage of merge and equals
+
+def _padded_sum(x, y):
+    if isinstance(x, np.ndarray) and x.shape != y.shape:
+        size = max(x.size, y.size)
+        x, y = (np.concatenate([v, np.zeros(size - v.size, v.dtype)]) for v in (x, y))
+    return x + y
+
+
+def test_merge_sums_every_declared_field():
+    spec = PulseSpec(mean_photons=5.0)
+    a = run_point(spec, MEASURED, DetectorConfig(), 30, 1, collect_g2=True)
+    b = run_point(spec, MEASURED, DetectorConfig(), 20, 2, collect_g2=True)
+    merged = merge(a, b)
+    for name in EnsembleResult.SUMMED:
+        if name != "g2":
+            np.testing.assert_array_equal(
+                getattr(merged, name), _padded_sum(getattr(a, name), getattr(b, name))
+            )
+    for name in merged.g2.zero_sums():
+        np.testing.assert_array_equal(
+            getattr(merged.g2, name), getattr(a.g2, name) + getattr(b.g2, name)
+        )
+
+
+def test_equals_compares_the_g2_accumulator():
+    a = EnsembleResult(4, 0.05, g2=G2Accumulator(4, 0.05, n_det=2))
+    b = EnsembleResult(4, 0.05, g2=G2Accumulator(4, 0.05, n_det=2))
+    assert a.equals(b)
+    b.g2.add(np.array([[1, 0, 0, 1], [0, 1, 1, 0]]))
+    assert not a.equals(b)

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import (
-    ExperimentGeometry,
     PhysicsParams,
-    collective_rabi,
     conversion_probability,
     fit_dephasing,
     ground_rydberg_linewidth,
@@ -35,14 +33,6 @@ def test_raman_decay_limits_and_scaling():
     )
     with pytest.raises(ValueError):
         raman_decay_rate(10.0, 0.0, 6.05)
-
-
-def test_collective_rabi():
-    assert collective_rabi(0.7, 1) == 0.7
-    assert collective_rabi(0.7, 4) == pytest.approx(1.4, rel=1e-12)
-    assert collective_rabi(0.033, 25000) == pytest.approx(5.2178, abs=5e-4)
-    with pytest.raises(ValueError):
-        collective_rabi(0.7, 0)
 
 
 def test_ground_rydberg_linewidth_composition():
@@ -162,11 +152,3 @@ def test_conversion_probability_vanishes_in_dark_state_limit():
 def test_conversion_probability_monotone_in_optical_depth():
     values = [conversion_probability(replace(DEFAULTS, od_b=od)) for od in (1.0, 5.0, 12.5, 30.0)]
     assert (np.diff(values) > 0).all()
-
-
-def test_geometry_validates_blockade_radius():
-    with pytest.warns(UserWarning):
-        ExperimentGeometry(blockade_radius_um=5.0)
-    ExperimentGeometry()  # defaults are consistent, no warning
-    with pytest.raises(ValueError):
-        ExperimentGeometry(sigma_z_um=-1.0)

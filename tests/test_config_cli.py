@@ -1,10 +1,18 @@
 import json
+import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from photonsub import AbsorberParams, DetectorConfig, PulseSpec, run_point
 from photonsub.cli import main
 from photonsub.config import (
+    KEYS,
+    MAX_SEED,
     apply_keys,
     load_config,
     paper_defaults,
@@ -26,7 +34,6 @@ def test_defaults_hold_reference_parameter_table():
     assert cfg.physics.tau_ryd_us == 530.0
     assert cfg.physics.od_b == 12.5
     assert cfg.detector.eta_ion == 0.29
-    assert cfg.geometry.n_atoms == 25000
 
 
 def test_parse_flat_handles_comments_and_errors():
@@ -172,6 +179,10 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("absorber.p_ryd = 7\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path), "sweep"]) == 1
+    # rejected while reading the config, so no run directory is left behind
+    cfg.write_text("detector.dead_time_ns = inf\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "g2"]) == 1
+    assert not list(tmp_path.glob("*-001"))
 
 
 def test_cli_paper_defaults_ignores_config(tmp_path):
@@ -188,3 +199,89 @@ def test_cli_paper_defaults_ignores_config(tmp_path):
 
 def test_cli_missing_fit_data(tmp_path):
     assert main(["--out", str(tmp_path), "fit-gamma", str(tmp_path / "none.csv")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the key table
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(lambda x: f"{x:.10g}")
+
+
+def _stages():
+    stage = st.tuples(_number(0, 1), _number(0, 1), _number(0, 1)).map(
+        lambda s: f"{max(s[:2], key=float)},{min(s[:2], key=float)},{s[2]}"
+    )
+    return st.lists(stage, min_size=1, max_size=4).map("; ".join)
+
+
+def _split():
+    # dyadic fractions sum to exactly 1 and print exactly
+    cuts = st.lists(st.integers(0, 64), min_size=3, max_size=3).map(sorted)
+    return cuts.map(lambda c: ",".join(str(b / 64) for b in np.diff([0, *c, 64])))
+
+
+VALID_TEXT = {
+    "pulse.mean_photons": _number(0, 1e3),
+    "pulse.duration_us": _number(0.05, 100),
+    "pulse.bin_ns": _number(1, 2000),
+    "pulse.taper": _number(0, 1),
+    "absorber.p_ryd": _number(0.001, 1),
+    "absorber.p_ryd2": _number(0, 0.35),
+    "absorber.t": _number(0, 1),
+    "cascade.stages": _stages(),
+    "physics.delta_e": _number(-1e3, 1e3),
+    "physics.omega_c": _number(0, 100),
+    "physics.gamma_e": _number(1e-3, 100),
+    "physics.gamma_deph": _number(0, 100),
+    "physics.tau_ryd_us": _number(1e-3, 1e6) | st.just("inf"),
+    "physics.od_b": _number(0, 100),
+    "detector.eta_probe": _number(0, 1),
+    "detector.eta_ion": _number(0, 1),
+    "detector.split": _split(),
+    "detector.dead_time_ns": _number(0, 1e4),
+    "detector.dark_cps": _number(0, 1e7),
+    "run.shots": st.integers(1, 10**9).map(str),
+    "run.seed": st.integers(0, MAX_SEED).map(str),
+    "run.out_dir": st.text("abcXYZ019_-./", min_size=1, max_size=20),
+    "run.workers": st.integers(1, 64).map(str),
+    "g2.cell_ns": _number(1e-3, 1e4),
+}
+FLOAT_KEYS = [key.name for key in KEYS if isinstance(key.read(paper_defaults()), float)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_key_roundtrips_through_the_snapshot(data, tmp_path):
+    assert list(VALID_TEXT) == [key.name for key in KEYS]
+    key = data.draw(st.sampled_from(KEYS))
+    text = data.draw(VALID_TEXT[key.name])
+    cfg = apply_keys(paper_defaults(), {key.name: text})
+    assert key.read(cfg) == key.parse(text)
+    snapshot = tmp_path / "config.txt"
+    snapshot.write_text(to_flat(cfg))
+    assert load_config(snapshot) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(FLOAT_KEYS),
+    text=st.sampled_from(["nan", "NaN", "-nan", "inf", "+inf", "Infinity", "-inf", "-Infinity"]),
+)
+def test_float_keys_reject_non_finite_values(name, text):
+    assert len(FLOAT_KEYS) == 18
+    if name == "physics.tau_ryd_us" and float(text) == math.inf:
+        # an infinite Rydberg lifetime is the no-decay limit
+        assert apply_keys(paper_defaults(), {name: text}).physics.tau_ryd_us == math.inf
+        return
+    with pytest.raises(ValueError, match=re.escape(f"config key {name!r}")):
+        apply_keys(paper_defaults(), {name: text})
+
+
+def test_readme_configuration_block_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
+    mapping = parse_flat(block)
+    apply_keys(paper_defaults(), mapping)
+    assert set(mapping) == {key.name for key in KEYS}

@@ -15,7 +15,6 @@ from photonsub import (
     sem,
     substream,
 )
-from photonsub.detector import ClickRecord
 from photonsub.stats import (
     hist_mean,
     hist_mean_sem,
@@ -86,7 +85,7 @@ def test_sem_scaling_with_sample_size():
 def test_duplicated_stream_matches_brute_force():
     rng = substream(4, 0)
     shots = [rng.poisson(2.0, size=4) for _ in range(10)]
-    records = [ClickRecord(detectors=np.stack([s, s, np.zeros(4, np.int64), np.zeros(4, np.int64)])) for s in shots]
+    records = [np.stack([s, s, np.zeros(4, np.int64), np.zeros(4, np.int64)]) for s in shots]
     mat = g2_matrix(records, bin_width_us=0.05, cell_edges=np.arange(5))
     data = np.stack(shots).astype(float)
     marg = data.mean(axis=0)
@@ -105,10 +104,7 @@ def test_duplicated_stream_matches_brute_force():
 
 
 def test_g2_undefined_cells_are_nan():
-    records = [
-        ClickRecord(detectors=np.array([[1, 0], [1, 0], [0, 0], [0, 0]], dtype=np.int64))
-        for _ in range(5)
-    ]
+    records = [np.array([[1, 0], [1, 0], [0, 0], [0, 0]], dtype=np.int64) for _ in range(5)]
     mat = g2_matrix(records, bin_width_us=0.05, cell_edges=np.arange(3))
     assert np.isfinite(mat.values[0, 0])
     assert np.isnan(mat.values[1, 1])
@@ -178,3 +174,20 @@ def test_photon_deficit_network_bounds():
     deficit, err = photon_deficit(ens, MEASURED.t)
     second = ens.absorbed_hist[2] / ens.shots
     assert -3 * err <= deficit <= 1.0 + 2.0 * second + 3 * err
+
+
+def test_g2_equals_compares_every_summed_field():
+    from photonsub.stats import G2Accumulator
+
+    clicks = np.array([[1, 2, 0, 1], [0, 1, 1, 1]])
+    for name in (
+        "shots", "marg_sums", "pair_sums", "y_sum", "y_sq_sum",
+        "front_sum", "front_sq_sum", "rear_sum", "rear_sq_sum",
+    ):
+        a = G2Accumulator(n_bins=4, bin_width_us=0.05, n_det=2)
+        b = G2Accumulator(n_bins=4, bin_width_us=0.05, n_det=2)
+        a.add(clicks)
+        b.add(clicks)
+        assert a.equals(b)
+        setattr(b, name, getattr(b, name) + 1)
+        assert not a.equals(b), name
