@@ -2,13 +2,9 @@
 
 from .absorber import (
     AbsorberParams,
-    CascadeResult,
     EnsembleResult,
     ShotRecord,
-    cascade_shot,
     merge,
-    run_ensemble,
-    simulate_cascade,
     simulate_shot,
     substream,
 )
@@ -39,7 +35,13 @@ from .detector import (
     split_hbt,
     thin_counts,
 )
-from .experiment import default_cell_edges, run_point
+from .experiment import (
+    CascadeResult,
+    cascade_shot,
+    default_cell_edges,
+    run_point,
+    simulate_cascade,
+)
 from .pulses import BinnedCounts, PulseSpec, sample_input, tukey_envelope
 from .stats import (
     G2Accumulator,

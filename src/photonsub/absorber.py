@@ -8,6 +8,7 @@ one, and never once it holds two.  The sequential per-photon Bernoulli trials
 are realized through their run-length (geometric) form, which is identical in
 distribution and keeps the inner loop at a handful of vectorized draws; the
 test suite checks the equivalence against a literal per-photon reference.
+The shot loop, for one absorber and for a cascade alike, is in ``experiment``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from ._checks import check_unit_interval
-from .pulses import BinnedCounts, PulseSpec, expected_bin_means
+from .pulses import BinnedCounts
 
 MAX_EXCITATIONS = 2
 
@@ -47,6 +48,7 @@ class ShotRecord:
 
     input_bins: BinnedCounts
     output_bins: BinnedCounts
+    n_in: int
     absorbed: int
     background_lost: int
     absorption_bin: int | None
@@ -66,6 +68,7 @@ def simulate_shot(
 ) -> ShotRecord:
     """Propagate one binned pulse through the absorber."""
     counts = np.asarray(input_bins, dtype=np.int64)
+    n_in = int(counts.sum())
     survivors = rng.binomial(counts, params.t)
     cum = np.cumsum(survivors)
     n_surv = int(cum[-1]) if counts.size else 0
@@ -89,8 +92,9 @@ def simulate_shot(
     return ShotRecord(
         input_bins=counts,
         output_bins=output,
+        n_in=n_in,
         absorbed=absorbed,
-        background_lost=int(counts.sum()) - n_surv,
+        background_lost=n_in - n_surv,
         absorption_bin=absorption_bin,
     )
 
@@ -114,8 +118,8 @@ class EnsembleResult:
 
     Every field after the bin structure is a sum over shots, listed in
     ``SUMMED``; ``merge`` and ``equals`` walk that list, so two results merge
-    exactly.  ``ion_hist`` and ``g2`` stay None unless the detection pipeline
-    fills them.
+    exactly.  ``g2`` stays None unless the run collects intensity
+    correlations.
     """
 
     SUMMED: ClassVar[tuple[str, ...]]
@@ -134,7 +138,7 @@ class EnsembleResult:
     inout_bin_sums: np.ndarray = _counts()
     absorbed_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
     out_total_hist: np.ndarray = _counts(1)
-    ion_hist: np.ndarray | None = None
+    ion_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
     g2: Any | None = None
 
     def __post_init__(self) -> None:
@@ -147,7 +151,7 @@ class EnsembleResult:
     def add_shot(self, rec: ShotRecord) -> None:
         inp = rec.input_bins
         out = rec.output_bins
-        total_in = int(inp.sum())
+        total_in = rec.n_in
         total_out = int(out.sum())
         self.shots += 1
         self.in_total_sum += total_in
@@ -162,12 +166,6 @@ class EnsembleResult:
         self.absorbed_hist[rec.absorbed] += 1
         self.out_total_hist = _grow_to(self.out_total_hist, total_out + 1)
         self.out_total_hist[total_out] += 1
-
-    def add_ion_clicks(self, clicks: int) -> None:
-        if self.ion_hist is None:
-            self.ion_hist = np.zeros(MAX_EXCITATIONS + 1, dtype=np.int64)
-        self.ion_hist = _grow_to(self.ion_hist, clicks + 1)
-        self.ion_hist[clicks] += 1
 
     @property
     def mean_in(self) -> float:
@@ -200,8 +198,9 @@ EnsembleResult.SUMMED = tuple(f.name for f in fields(EnsembleResult))[2:]
 def merge_field(name: str, a: Any, b: Any) -> Any:
     """Sum of one accumulator field over two disjoint sets of shots.
 
-    Arrays of unequal length are growable histograms and get zero-padded; a
-    part the pipeline did not fill (None) must be missing on both sides.
+    Arrays of unequal length are growable histograms and get zero-padded; an
+    accumulator the run did not collect (None, such as ``g2``) must be
+    missing on both sides.
     """
     if (a is None) != (b is None):
         raise ValueError(f"cannot merge: {name} present on only one side")
@@ -233,84 +232,3 @@ def merge(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
         raise ValueError("cannot merge ensembles with different bin structure")
     sums = {name: merge_field(name, getattr(a, name), getattr(b, name)) for name in a.SUMMED}
     return EnsembleResult(a.n_bins, a.bin_width_us, **sums)
-
-
-def run_ensemble(
-    params: AbsorberParams,
-    spec: PulseSpec,
-    shots: int,
-    seed: int,
-    *,
-    stream_key: tuple[int, ...] = (),
-) -> EnsembleResult:
-    """Aggregate independent shots; deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    lam = expected_bin_means(spec)
-    ens = EnsembleResult(spec.n_bins, spec.bin_width_us)
-    for i in range(shots):
-        rng = substream(seed, *stream_key, i)
-        ens.add_shot(simulate_shot(params, rng.poisson(lam), rng))
-    return ens
-
-
-def cascade_shot(
-    stages: tuple[AbsorberParams, ...] | list[AbsorberParams],
-    input_bins: BinnedCounts,
-    rng: np.random.Generator,
-) -> list[ShotRecord]:
-    """Send one pulse through a chain of absorbers; stage k feeds stage k+1."""
-    if len(stages) == 0:
-        raise ValueError("cascade needs at least one stage")
-    records = []
-    bins = input_bins
-    for params in stages:
-        rec = simulate_shot(params, bins, rng)
-        records.append(rec)
-        bins = rec.output_bins
-    return records
-
-
-@dataclass
-class CascadeResult:
-    """Per-stage ensembles plus the joint excitation-count statistics."""
-
-    stages: list[EnsembleResult]
-    joint_hist: np.ndarray  # shape (MAX_EXCITATIONS+1,) * n_stages
-    detected_hist: dict[int, np.ndarray]  # true photon number -> counts of #stages fired
-
-    @property
-    def shots(self) -> int:
-        return self.stages[0].shots
-
-
-def simulate_cascade(
-    stages: tuple[AbsorberParams, ...] | list[AbsorberParams],
-    spec: PulseSpec,
-    shots: int,
-    seed: int,
-    *,
-    stream_key: tuple[int, ...] = (),
-) -> CascadeResult:
-    """Run a cascade ensemble with Poisson-sampled inputs."""
-    if len(stages) == 0:
-        raise ValueError("cascade needs at least one stage")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    lam = expected_bin_means(spec)
-    per_stage = [EnsembleResult(spec.n_bins, spec.bin_width_us) for _ in stages]
-    joint = np.zeros((MAX_EXCITATIONS + 1,) * len(stages), dtype=np.int64)
-    detected: dict[int, np.ndarray] = {}
-    for i in range(shots):
-        rng = substream(seed, *stream_key, i)
-        records = cascade_shot(stages, rng.poisson(lam), rng)
-        for ens, rec in zip(per_stage, records):
-            ens.add_shot(rec)
-        joint[tuple(rec.absorbed for rec in records)] += 1
-        true_n = int(records[0].input_bins.sum())
-        fired = sum(1 for rec in records if rec.absorbed > 0)
-        row = detected.get(true_n)
-        if row is None:
-            row = detected.setdefault(true_n, np.zeros(len(stages) + 1, dtype=np.int64))
-        row[fired] += 1
-    return CascadeResult(stages=per_stage, joint_hist=joint, detected_hist=detected)

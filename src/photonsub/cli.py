@@ -1,25 +1,32 @@
 """Command-line harness: sweep, pulse, g2, spectrum, fit-gamma, cascade, validate.
 
 Every invocation writes into a fresh subdirectory of the output directory,
-containing a config snapshot, the CSV data files and a summary.json.  With a
+containing a config snapshot, the CSV data files and a summary.json.  The run
+is written into a hidden temporary sibling first and renamed into place once
+the command finishes, so a failed run leaves no directory behind.  With a
 fixed config and seed the emitted files are byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, bloch, stats
-from .absorber import AbsorberParams, merge, run_ensemble, simulate_cascade, simulate_shot, substream
+from .absorber import AbsorberParams, merge, simulate_shot, substream
 from .config import RunConfig, load_config, parse_stages, to_flat
-from .experiment import default_cell_edges, run_point
+from .experiment import default_cell_edges, run_point, simulate_cascade
 from .pulses import sample_input
 
 DEFAULT_SWEEP = "1,3,5.65,10,15.76,20,35"
@@ -41,24 +48,34 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _finish(run_dir: Path, summary: dict, *lines: str, code: int = 0) -> int:
-    """Write summary.json, print the report lines and the run directory, return ``code``."""
+    """Write summary.json, print the report lines, return ``code``."""
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     for line in lines:
         print(line)
-    print(f"written to {run_dir}")
     return code
 
 
 def _prepare_run_dir(cfg: RunConfig, command: str) -> Path:
+    """A temporary directory in the output directory, holding the config snapshot."""
     base = Path(cfg.out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    index = 1
-    while (base / f"{command}-{index:03d}").exists():
-        index += 1
-    run_dir = base / f"{command}-{index:03d}"
-    run_dir.mkdir()
-    (run_dir / "config.txt").write_text(to_flat(cfg))
-    return run_dir
+    tmp = Path(tempfile.mkdtemp(prefix=f".{command}-", suffix=".tmp", dir=base))
+    (tmp / "config.txt").write_text(to_flat(cfg))
+    return tmp
+
+
+def _publish(tmp: Path, command: str) -> Path:
+    """Rename a finished run onto the first ``<command>-NNN`` name this call creates."""
+    for index in itertools.count(1):
+        run_dir = tmp.parent / f"{command}-{index:03d}"
+        try:
+            run_dir.mkdir()
+        except FileExistsError:
+            continue
+        # mkdtemp made tmp private; give it the mode a plain mkdir gets
+        os.chmod(tmp, run_dir.stat().st_mode)
+        os.replace(tmp, run_dir)
+        return run_dir
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -263,7 +280,7 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         stages = (cfg.absorber,)
     n_in = cfg.pulse.mean_photons if args.n_in is None else args.n_in
     pulse = replace(cfg.pulse, mean_photons=n_in)
-    result = simulate_cascade(stages, pulse, cfg.shots, cfg.seed)
+    result = simulate_cascade(stages, pulse, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
     stage_rows = []
     for k, (params, ens) in enumerate(zip(stages, result.stages)):
         fired = float(1.0 - ens.absorbed_hist[0] / ens.shots)
@@ -278,38 +295,27 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         ["stage", "p_ryd", "p_ryd2", "t", "mean_in", "mean_out", "p_fired", "mean_absorbed"],
         stage_rows,
     )
-    confusion_rows = []
-    for true_n in sorted(result.detected_hist):
-        counts = result.detected_hist[true_n]
-        total = counts.sum()
-        for inferred, count in enumerate(counts):
-            if count:
-                confusion_rows.append((true_n, inferred, int(count), float(count / total)))
+    # outcome keys are (n_in, absorbed per stage); the number of stages that
+    # fired is the inferred photon number
+    joint: Counter = Counter()
+    confusion: Counter = Counter()
+    per_n: Counter = Counter()
+    for (true_n, *absorbed), count in result.outcomes.items():
+        joint[tuple(absorbed)] += count
+        confusion[true_n, sum(a > 0 for a in absorbed)] += count
+        per_n[true_n] += count
     _write_csv(
         run_dir / "confusion.csv",
         ["true_n", "inferred_n", "count", "fraction"],
-        confusion_rows,
+        [(n, fired, count, count / per_n[n]) for (n, fired), count in sorted(confusion.items())],
     )
-    joint = result.joint_hist
-    joint_rows = []
-    for index in np.ndindex(joint.shape):
-        if joint[index]:
-            joint_rows.append(tuple(index) + (int(joint[index]),))
     _write_csv(
         run_dir / "joint_absorbed.csv",
         [f"absorbed_stage_{k}" for k in range(len(stages))] + ["count"],
-        joint_rows,
+        [absorbed + (count,) for absorbed, count in sorted(joint.items())],
     )
-    all_fired = float(
-        sum(int(joint[idx]) for idx in np.ndindex(joint.shape) if all(v > 0 for v in idx))
-        / result.shots
-    )
-    correct = 0
-    total = 0
-    for true_n, counts in result.detected_hist.items():
-        total += int(counts.sum())
-        expected = min(true_n, len(stages))
-        correct += int(counts[expected])
+    all_fired = sum(count for absorbed, count in joint.items() if all(absorbed)) / result.shots
+    correct = sum(count for (n, fired), count in confusion.items() if fired == min(n, len(stages)))
     summary = {
         "command": "cascade",
         "n_in": n_in,
@@ -317,7 +323,7 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         "seed": cfg.seed,
         "n_stages": len(stages),
         "p_all_stages_fired": all_fired,
-        "count_accuracy": float(correct / total),
+        "count_accuracy": correct / result.shots,
     }
     return _finish(
         run_dir,
@@ -378,9 +384,10 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
         conserved &= bool(total == rec.input_bins.sum())
     record("photon_conservation", float(conserved), 1.0, 0.0)
     # exact merge algebra and fixed-seed determinism
-    e1 = run_ensemble(cfg.absorber, pulse, 300, cfg.seed, stream_key=(11,))
-    e2 = run_ensemble(cfg.absorber, pulse, 300, cfg.seed, stream_key=(12,))
-    e3 = run_ensemble(cfg.absorber, pulse, 300, cfg.seed, stream_key=(13,))
+    e1, e2, e3 = (
+        run_point(pulse, cfg.absorber, cfg.detector, 300, cfg.seed, stream_key=(key,))
+        for key in (11, 12, 13)
+    )
     record("merge_commutative", float(merge(e1, e2).equals(merge(e2, e1))), 1.0, 0.0)
     record(
         "merge_associative",
@@ -388,7 +395,7 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
         1.0,
         0.0,
     )
-    rerun = run_ensemble(cfg.absorber, pulse, 300, cfg.seed, stream_key=(11,))
+    rerun = run_point(pulse, cfg.absorber, cfg.detector, 300, cfg.seed, stream_key=(11,))
     record("fixed_seed_determinism", float(e1.equals(rerun)), 1.0, 0.0)
 
     rows = [(name, value, expected, tol, int(ok)) for name, value, expected, tol, ok in checks]
@@ -477,8 +484,13 @@ def main(argv=None) -> int:
         overrides["run.workers"] = str(args.workers)
     try:
         cfg = load_config(None if args.paper_defaults else args.config, overrides)
-        run_dir = _prepare_run_dir(cfg, args.command)
-        return args.func(cfg, args, run_dir)
+        tmp = _prepare_run_dir(cfg, args.command)
+        try:
+            code = args.func(cfg, args, tmp)
+            print(f"written to {_publish(tmp, args.command)}")
+            return code
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
     except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -11,6 +11,9 @@ from ._checks import check_finite
 # A binned photon record is a plain integer array, one entry per time bin.
 BinnedCounts = np.ndarray
 
+# Every shot allocates arrays of one entry per bin; the reference pulse has 40.
+MAX_BINS = 100_000
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -40,6 +43,8 @@ class PulseSpec:
             raise ValueError(f"bin_width_us must be > 0, got {self.bin_width_us}")
         if not 0.0 <= self.taper <= 1.0:
             raise ValueError(f"taper must lie in [0, 1], got {self.taper}")
+        if not (ratio := self.duration_us / self.bin_width_us) < MAX_BINS + 0.5:
+            raise ValueError(f"duration_us / bin_width_us = {ratio:g} bins, more than {MAX_BINS}")
         if self.n_bins < 1:
             raise ValueError("duration is shorter than half a bin; no bins left")
 

@@ -10,9 +10,9 @@ from photonsub import (
     G2Accumulator,
     PulseSpec,
     cascade_shot,
+    detect_ions,
     mean_out,
     merge,
-    run_ensemble,
     run_point,
     sample_input,
     simulate_cascade,
@@ -24,6 +24,7 @@ from photonsub.pulses import expected_bin_means
 from _oracles import both_stages_fire_probability, per_photon_shot
 
 MEASURED = AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
+DET = DetectorConfig()
 
 
 def test_transparent_medium_passes_everything():
@@ -112,7 +113,7 @@ def test_matches_per_photon_reference_distribution():
 
 def test_ensemble_mean_matches_closed_form():
     params = AbsorberParams(p_ryd=0.35, p_ryd2=0.0, t=0.99)
-    ens = run_ensemble(params, PulseSpec(mean_photons=20.0), 30000, 31)
+    ens = run_point(PulseSpec(mean_photons=20.0), params, DET, 30000, 31)
     expected = mean_out(20.0, 0.99, 0.35)
     assert expected == pytest.approx(18.800978, abs=1e-6)
     assert abs(ens.mean_out - expected) < 3 * ens.sem_out
@@ -120,7 +121,7 @@ def test_ensemble_mean_matches_closed_form():
 
 def test_absorbed_count_is_bernoulli_without_leakage():
     params = AbsorberParams(p_ryd=0.35, p_ryd2=0.0, t=0.99)
-    ens = run_ensemble(params, PulseSpec(mean_photons=5.65), 20000, 32)
+    ens = run_point(PulseSpec(mean_photons=5.65), params, DET, 20000, 32)
     p1 = 1.0 - np.exp(-0.99 * 5.65 * 0.35)
     frac = ens.absorbed_hist[1] / ens.shots
     assert ens.absorbed_hist[2] == 0
@@ -128,21 +129,21 @@ def test_absorbed_count_is_bernoulli_without_leakage():
 
 
 def test_run_ensemble_is_deterministic():
-    a = run_ensemble(MEASURED, PulseSpec(mean_photons=4.0), 500, 77)
-    b = run_ensemble(MEASURED, PulseSpec(mean_photons=4.0), 500, 77)
+    a = run_point(PulseSpec(mean_photons=4.0), MEASURED, DET, 500, 77)
+    b = run_point(PulseSpec(mean_photons=4.0), MEASURED, DET, 500, 77)
     assert a.equals(b)
 
 
 def test_run_ensemble_rejects_zero_shots():
     with pytest.raises(ValueError):
-        run_ensemble(MEASURED, PulseSpec(mean_photons=4.0), 0, 1)
+        run_point(PulseSpec(mean_photons=4.0), MEASURED, DET, 0, 1)
 
 
 def test_merge_identity_commutativity_associativity():
     spec = PulseSpec(mean_photons=3.0)
-    a = run_ensemble(MEASURED, spec, 60, 1)
-    b = run_ensemble(MEASURED, spec, 40, 2)
-    c = run_ensemble(MEASURED, spec, 50, 3)
+    a = run_point(spec, MEASURED, DET, 60, 1)
+    b = run_point(spec, MEASURED, DET, 40, 2)
+    c = run_point(spec, MEASURED, DET, 50, 3)
     empty = EnsembleResult(spec.n_bins, spec.bin_width_us)
     assert merge(a, empty).equals(a)
     assert merge(a, b).equals(merge(b, a))
@@ -152,28 +153,29 @@ def test_merge_identity_commutativity_associativity():
 def test_merge_equals_sequential_accumulation():
     spec = PulseSpec(mean_photons=6.0)
     lam = expected_bin_means(spec)
-    a = run_ensemble(MEASURED, spec, 40, 5)
-    b = run_ensemble(MEASURED, spec, 60, 6)
+    a = run_point(spec, MEASURED, DET, 40, 5)
+    b = run_point(spec, MEASURED, DET, 60, 6)
     sequential = EnsembleResult(spec.n_bins, spec.bin_width_us)
     for seed, shots in ((5, 40), (6, 60)):
         for i in range(shots):
             rng = substream(seed, i)
-            sequential.add_shot(simulate_shot(MEASURED, rng.poisson(lam), rng))
+            rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
+            sequential.add_shot(rec)
+            sequential.ion_hist[detect_ions(rec.absorbed, DET.eta_ion, rng)] += 1
     assert merge(a, b).equals(sequential)
 
 
 def test_merge_rejects_mismatched_bin_structure():
-    a = run_ensemble(MEASURED, PulseSpec(mean_photons=1.0, duration_us=2.0), 5, 1)
-    b = run_ensemble(MEASURED, PulseSpec(mean_photons=1.0, duration_us=1.0), 5, 1)
+    a = run_point(PulseSpec(mean_photons=1.0, duration_us=2.0), MEASURED, DET, 5, 1)
+    b = run_point(PulseSpec(mean_photons=1.0, duration_us=1.0), MEASURED, DET, 5, 1)
     with pytest.raises(ValueError):
         merge(a, b)
 
 
-def test_merge_rejects_one_sided_ion_histogram():
+def test_merge_rejects_one_sided_g2():
     spec = PulseSpec(mean_photons=1.0)
-    a = run_ensemble(MEASURED, spec, 5, 1)
-    b = run_ensemble(MEASURED, spec, 5, 2)
-    b.add_ion_clicks(1)
+    a = run_point(spec, MEASURED, DET, 5, 1)
+    b = run_point(spec, MEASURED, DET, 5, 2, collect_g2=True)
     with pytest.raises(ValueError):
         merge(a, b)
 
@@ -197,28 +199,43 @@ def test_cascade_counts_three_photons_exactly():
     assert records[-1].output_bins.sum() == 0
 
 
-def test_single_stage_cascade_reduces_to_run_ensemble():
+def test_run_point_is_a_one_stage_cascade():
     spec = PulseSpec(mean_photons=4.0)
-    result = simulate_cascade([MEASURED], spec, 300, 13)
-    ens = run_ensemble(MEASURED, spec, 300, 13)
+    result = simulate_cascade((MEASURED,), spec, DET, 300, 13, collect_g2=True)
+    ens = run_point(spec, MEASURED, DET, 300, 13, collect_g2=True)
     assert result.stages[0].equals(ens)
+    absorbed = [sum(c for (_, a), c in result.outcomes.items() if a == k) for k in range(3)]
+    assert absorbed == list(ens.absorbed_hist)
 
 
 def test_two_ideal_stages_poisson_joint_probability():
     spec = PulseSpec(mean_photons=2.0)
     shots = 20000
-    result = simulate_cascade([IDEAL, IDEAL], spec, shots, 14)
-    p_both = result.joint_hist[1:, 1:].sum() / shots
+    result = simulate_cascade([IDEAL, IDEAL], spec, DET, shots, 14)
+    p_both = sum(count for key, count in result.outcomes.items() if all(key[1:])) / shots
     expected = both_stages_fire_probability(2.0)
     assert expected == pytest.approx(0.593994, abs=1e-6)
     assert abs(p_both - expected) < 3 * np.sqrt(expected * (1 - expected) / shots)
-    assert result.joint_hist.sum() == shots
-    assert sum(int(v.sum()) for v in result.detected_hist.values()) == shots
+    assert sum(result.outcomes.values()) == shots
+    n_in_total = sum(key[0] * count for key, count in result.outcomes.items())
+    assert n_in_total == result.stages[0].in_total_sum
+
+
+def test_cascade_workers_do_not_change_results():
+    spec = PulseSpec(mean_photons=5.0)
+    stages = (MEASURED, AbsorberParams(p_ryd=0.5, p_ryd2=0.05, t=0.9), IDEAL)
+    kwargs = dict(collect_g2=True, batch_shots=16)
+    serial = simulate_cascade(stages, spec, DET, 64, 9, workers=1, **kwargs)
+    parallel = simulate_cascade(stages, spec, DET, 64, 9, workers=2, **kwargs)
+    assert len(serial.stages) == len(parallel.stages) == 3
+    assert all(a.equals(b) for a, b in zip(serial.stages, parallel.stages))
+    assert serial.outcomes == parallel.outcomes
+    assert sum(serial.outcomes.values()) == 64
 
 
 def test_cascade_rejects_empty_stage_list():
     with pytest.raises(ValueError):
-        simulate_cascade([], PulseSpec(mean_photons=1.0), 10, 1)
+        simulate_cascade([], PulseSpec(mean_photons=1.0), DET, 10, 1)
     with pytest.raises(ValueError):
         cascade_shot([], np.array([1]), substream(1, 0))
 

@@ -22,7 +22,6 @@ from photonsub import (
     p_no_absorption,
     photon_deficit,
     pulse_shape,
-    run_ensemble,
     run_point,
     scattering_probability,
     simulate_cascade,
@@ -59,7 +58,7 @@ def test_criterion_01_closed_form_equivalence():
     worst = 0.0
     ok = True
     for k, n_in in enumerate((1.0, 3.0, 5.65, 10.0, 15.76, 20.0, 35.0)):
-        ens = run_ensemble(NO_LEAK, _pulse(n_in), shots, SEED, stream_key=(1, k))
+        ens = run_point(_pulse(n_in), NO_LEAK, DET, shots, SEED, stream_key=(1, k))
         expected = mean_out(n_in, NO_LEAK.t, NO_LEAK.p_ryd)
         z = abs(ens.mean_out - expected) / ens.sem_out
         worst = max(worst, z)
@@ -72,7 +71,7 @@ def test_criterion_02_single_photon_deficit():
     shots = 50000
     deficits = []
     for n_in in range(12, 36):
-        ens = run_ensemble(MEASURED, _pulse(float(n_in)), shots, SEED, stream_key=(2, n_in))
+        ens = run_point(_pulse(float(n_in)), MEASURED, DET, shots, SEED, stream_key=(2, n_in))
         deficits.append(photon_deficit(ens, MEASURED.t)[0])
     average = float(np.mean(deficits))
     ok = 0.85 <= average <= 1.11
@@ -112,7 +111,7 @@ def test_criterion_04_q_over_mean_drift():
 
 def test_criterion_05_no_absorption_probability():
     shots = 100000
-    ens = run_ensemble(MEASURED, _pulse(5.65), shots, SEED, stream_key=(5,))
+    ens = run_point(_pulse(5.65), MEASURED, DET, shots, SEED, stream_key=(5,))
     p0 = ens.absorbed_hist[0] / ens.shots
     expected = p_no_absorption(5.65, MEASURED.t, MEASURED.p_ryd)
     ok = abs(p0 - 0.141) <= 0.010
@@ -122,8 +121,8 @@ def test_criterion_05_no_absorption_probability():
 def test_criterion_06_pulse_distortion():
     shots = 100000
     ideal = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=MEASURED.t)
-    shape = pulse_shape(run_ensemble(MEASURED, PULSE, shots, SEED, stream_key=(6, 0)))
-    ideal_shape = pulse_shape(run_ensemble(ideal, PULSE, shots, SEED, stream_key=(6, 1)))
+    shape = pulse_shape(run_point(PULSE, MEASURED, DET, shots, SEED, stream_key=(6, 0)))
+    ideal_shape = pulse_shape(run_point(PULSE, ideal, DET, shots, SEED, stream_key=(6, 1)))
     rear = shape.band_transmission(2.0 / 3.0, 1.0)
     front = shape.band_transmission(0.0, 1.0 / 3.0)
     ideal_rear = ideal_shape.band_transmission(2.0 / 3.0, 1.0)
@@ -210,9 +209,9 @@ def test_criterion_09_statistical_laws(tmp_path):
     details.append(f"split conservation = {conserved}")
     # (d) ensemble merge is exactly associative
     spec = _pulse(6.0)
-    e1 = run_ensemble(MEASURED, spec, 400, SEED, stream_key=(9, 4))
-    e2 = run_ensemble(MEASURED, spec, 300, SEED, stream_key=(9, 5))
-    e3 = run_ensemble(MEASURED, spec, 200, SEED, stream_key=(9, 6))
+    e1 = run_point(spec, MEASURED, DET, 400, SEED, stream_key=(9, 4))
+    e2 = run_point(spec, MEASURED, DET, 300, SEED, stream_key=(9, 5))
+    e3 = run_point(spec, MEASURED, DET, 200, SEED, stream_key=(9, 6))
     associative = merge(merge(e1, e2), e3).equals(merge(e1, merge(e2, e3)))
     ok &= associative
     details.append(f"merge associative = {associative}")
@@ -238,8 +237,8 @@ def test_criterion_10_cascade_number_resolution():
         miscounts += fired != 3
     # two ideal stages sample the Poisson tail probability P(n >= 2)
     shots = 100000
-    result = simulate_cascade([IDEAL, IDEAL], _pulse(2.0), shots, SEED, stream_key=(10,))
-    p_both = result.joint_hist[1:, 1:].sum() / shots
+    result = simulate_cascade([IDEAL, IDEAL], _pulse(2.0), DET, shots, SEED, stream_key=(10,))
+    p_both = sum(count for key, count in result.outcomes.items() if all(key[1:])) / shots
     oracle = both_stages_fire_probability(2.0)
     sigma = math.sqrt(oracle * (1 - oracle) / shots)
     ok = (

@@ -160,6 +160,22 @@ def test_cascade_command_counts_photons(tmp_path):
         assert int(inferred_n) == min(int(true_n), 5)
 
 
+def test_cascade_of_twenty_stages_writes_only_observed_outcomes(tmp_path):
+    stages = ";".join(["1,0,1"] * 20)
+    args = ["--shots", "50", "--out", str(tmp_path), "cascade", "--stages", stages, "--n-in", "3"]
+    assert main(args) == 0
+    lines = (tmp_path / "cascade-001" / "joint_absorbed.csv").read_text().splitlines()
+    assert lines[0].split(",") == [f"absorbed_stage_{k}" for k in range(20)] + ["count"]
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert rows == sorted(rows)
+    assert all(row[-1] > 0 for row in rows)
+    assert sum(row[-1] for row in rows) == 50
+    # ideal stages fire in order, one per photon
+    for row in rows:
+        fired = sum(row[:-1])
+        assert row[:-1] == [1] * fired + [0] * (20 - fired)
+
+
 def test_validate_passes_on_defaults(tmp_path):
     assert main(["--shots", "3000", "--out", str(tmp_path), "validate"]) == 0
 
@@ -199,6 +215,26 @@ def test_cli_paper_defaults_ignores_config(tmp_path):
 
 def test_cli_missing_fit_data(tmp_path):
     assert main(["--out", str(tmp_path), "fit-gamma", str(tmp_path / "none.csv")]) == 1
+    # the failed run leaves neither its directory nor its temporary one
+    assert not list(tmp_path.glob("fit-gamma-*"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pulse.duration_us = 1e300\npulse.bin_ns = 1e-300\n",
+        "pulse.bin_ns = 1e-300\npulse.duration_us = 1e300\n",
+        "pulse.duration_us = 1e12\n",
+    ],
+)
+def test_cli_rejects_too_many_bins(tmp_path, capsys, text):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 1
+    assert re.search(r"error: config key 'pulse\.(duration_us|bin_ns)': .*bins", capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import PulseSpec, mandel_q, sample_input, substream, tukey_envelope
-from photonsub.pulses import expected_bin_means
+from photonsub.pulses import MAX_BINS, expected_bin_means
 from photonsub.stats import mandel_q_sem
 
 from _oracles import hann_weights_at_centers
@@ -26,6 +26,15 @@ def test_hann_limit_matches_cosine_formula():
 
 def test_default_binning_gives_forty_bins():
     assert PulseSpec(mean_photons=15.76).n_bins == 40
+
+
+def test_bin_count_is_capped():
+    assert PulseSpec(mean_photons=1.0, duration_us=MAX_BINS * 0.05).n_bins == MAX_BINS
+    with pytest.raises(ValueError, match="bins"):
+        PulseSpec(mean_photons=1.0, duration_us=(MAX_BINS + 1) * 0.05)
+    # finite inputs whose ratio overflows to inf
+    with pytest.raises(ValueError, match="bins"):
+        PulseSpec(mean_photons=1.0, duration_us=1e300, bin_width_us=1e-300)
 
 
 @given(

@@ -10,7 +10,6 @@ from photonsub import (
     photon_deficit,
     pulse_shape,
     q_over_mean,
-    run_ensemble,
     run_point,
     sem,
     substream,
@@ -140,7 +139,7 @@ def test_g2_rejects_single_detector():
 def test_transparent_medium_pulse_shape():
     spec = PulseSpec(mean_photons=12.0)
     params = AbsorberParams(p_ryd=0.0, p_ryd2=0.0, t=0.9)
-    ens = run_ensemble(params, spec, 20000, 6)
+    ens = run_point(spec, params, DET, 20000, 6)
     shape = pulse_shape(ens)
     ok = np.isfinite(shape.transmission)
     z = np.abs(shape.transmission[ok] - 0.9) / shape.transmission_sem[ok]
@@ -149,7 +148,7 @@ def test_transparent_medium_pulse_shape():
 
 
 def test_pulse_shape_never_shows_gain():
-    ens = run_ensemble(MEASURED, PulseSpec(mean_photons=15.76), 20000, 7)
+    ens = run_point(PulseSpec(mean_photons=15.76), MEASURED, DET, 20000, 7)
     shape = pulse_shape(ens)
     ok = np.isfinite(shape.transmission)
     assert (shape.transmission[ok] <= MEASURED.t + 3 * shape.transmission_sem[ok]).all()
@@ -157,20 +156,20 @@ def test_pulse_shape_never_shows_gain():
 
 def test_photon_deficit_of_linear_medium_is_zero():
     params = AbsorberParams(p_ryd=0.0, p_ryd2=0.0, t=0.99)
-    ens = run_ensemble(params, PulseSpec(mean_photons=10.0), 20000, 8)
+    ens = run_point(PulseSpec(mean_photons=10.0), params, DET, 20000, 8)
     deficit, err = photon_deficit(ens, params.t)
     assert abs(deficit) < 3 * err
 
 
 def test_photon_deficit_saturates_at_one_photon():
     params = AbsorberParams(p_ryd=0.35, p_ryd2=0.0, t=0.99)
-    ens = run_ensemble(params, PulseSpec(mean_photons=20.0), 20000, 10)
+    ens = run_point(PulseSpec(mean_photons=20.0), params, DET, 20000, 10)
     deficit, err = photon_deficit(ens, params.t)
     assert abs(deficit - (1.0 - np.exp(-0.99 * 20.0 * 0.35))) < 3 * err
 
 
 def test_photon_deficit_network_bounds():
-    ens = run_ensemble(MEASURED, PulseSpec(mean_photons=20.0), 20000, 9)
+    ens = run_point(PulseSpec(mean_photons=20.0), MEASURED, DET, 20000, 9)
     deficit, err = photon_deficit(ens, MEASURED.t)
     second = ens.absorbed_hist[2] / ens.shots
     assert -3 * err <= deficit <= 1.0 + 2.0 * second + 3 * err
