@@ -47,14 +47,12 @@ from .stats import (
     G2Accumulator,
     G2Matrix,
     PulseShape,
-    g2_matrix,
     mandel_q,
     mandel_q_sem,
     photon_deficit,
     pulse_shape,
     q_over_mean,
     q_over_mean_sem,
-    sem,
 )
 
 __version__ = "0.1.0"

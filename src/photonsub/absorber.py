@@ -99,14 +99,6 @@ def simulate_shot(
     )
 
 
-def _grow_to(hist: np.ndarray, size: int) -> np.ndarray:
-    if size <= hist.size:
-        return hist
-    grown = np.zeros(size, dtype=hist.dtype)
-    grown[: hist.size] = hist
-    return grown
-
-
 def _counts(size: int | None = None) -> Any:
     """An int64 array field, zero-filled with ``size`` entries or one per time bin."""
     return field(default=None, metadata={"size": size})
@@ -118,8 +110,9 @@ class EnsembleResult:
 
     Every field after the bin structure is a sum over shots, listed in
     ``SUMMED``; ``merge`` and ``equals`` walk that list, so two results merge
-    exactly.  ``g2`` stays None unless the run collects intensity
-    correlations.
+    exactly.  Every sum has a fixed shape and holds integers only, so adding
+    shots in blocks gives the same fields as adding them one at a time.
+    ``g2`` stays None unless the run collects intensity correlations.
     """
 
     SUMMED: ClassVar[tuple[str, ...]]
@@ -128,7 +121,6 @@ class EnsembleResult:
     bin_width_us: float
     shots: int = 0
     in_total_sum: int = 0
-    in_total_sq_sum: int = 0
     out_total_sum: int = 0
     out_total_sq_sum: int = 0
     in_bin_sums: np.ndarray = _counts()
@@ -137,7 +129,6 @@ class EnsembleResult:
     out_bin_sq_sums: np.ndarray = _counts()
     inout_bin_sums: np.ndarray = _counts()
     absorbed_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
-    out_total_hist: np.ndarray = _counts(1)
     ion_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
     g2: Any | None = None
 
@@ -148,24 +139,36 @@ class EnsembleResult:
             if "size" in f.metadata and getattr(self, f.name) is None:
                 setattr(self, f.name, np.zeros(f.metadata["size"] or self.n_bins, dtype=np.int64))
 
-    def add_shot(self, rec: ShotRecord) -> None:
-        inp = rec.input_bins
-        out = rec.output_bins
-        total_in = rec.n_in
-        total_out = int(out.sum())
-        self.shots += 1
-        self.in_total_sum += total_in
-        self.in_total_sq_sum += total_in * total_in
-        self.out_total_sum += total_out
-        self.out_total_sq_sum += total_out * total_out
-        self.in_bin_sums += inp
-        self.out_bin_sums += out
-        self.in_bin_sq_sums += inp * inp
-        self.out_bin_sq_sums += out * out
-        self.inout_bin_sums += inp * out
-        self.absorbed_hist[rec.absorbed] += 1
-        self.out_total_hist = _grow_to(self.out_total_hist, total_out + 1)
-        self.out_total_hist[total_out] += 1
+    def add_block(
+        self,
+        inp: np.ndarray,
+        out: np.ndarray,
+        n_in: np.ndarray,
+        absorbed: np.ndarray,
+        ions: np.ndarray,
+    ) -> None:
+        """Add B shots: (B, n_bins) input and output counts, and per shot the
+        input total, the absorbed count and the ion clicks."""
+        size = MAX_EXCITATIONS + 1
+        total_out = out.sum(axis=1)
+        self.shots += len(n_in)
+        self.in_total_sum += int(n_in.sum())
+        self.out_total_sum += int(total_out.sum())
+        self.out_total_sq_sum += int((total_out * total_out).sum())
+        self.in_bin_sums += inp.sum(axis=0)
+        self.out_bin_sums += out.sum(axis=0)
+        self.in_bin_sq_sums += (inp * inp).sum(axis=0)
+        self.out_bin_sq_sums += (out * out).sum(axis=0)
+        self.inout_bin_sums += (inp * out).sum(axis=0)
+        self.absorbed_hist += np.bincount(absorbed, minlength=size)
+        self.ion_hist += np.bincount(ions, minlength=size)
+
+    def add_shot(self, rec: ShotRecord, ions: int) -> None:
+        """Add one shot and its ion clicks."""
+        self.add_block(
+            rec.input_bins[None], rec.output_bins[None],
+            np.array([rec.n_in]), np.array([rec.absorbed]), np.array([ions]),
+        )
 
     @property
     def mean_in(self) -> float:
@@ -198,8 +201,7 @@ EnsembleResult.SUMMED = tuple(f.name for f in fields(EnsembleResult))[2:]
 def merge_field(name: str, a: Any, b: Any) -> Any:
     """Sum of one accumulator field over two disjoint sets of shots.
 
-    Arrays of unequal length are growable histograms and get zero-padded; an
-    accumulator the run did not collect (None, such as ``g2``) must be
+    An accumulator the run did not collect (None, such as ``g2``) must be
     missing on both sides.
     """
     if (a is None) != (b is None):
@@ -208,21 +210,17 @@ def merge_field(name: str, a: Any, b: Any) -> Any:
         return None
     if hasattr(a, "merged"):
         return a.merged(b)
-    if isinstance(a, np.ndarray):
-        size = max(a.size, b.size)
-        return _grow_to(a, size) + _grow_to(b, size)
     return a + b
 
 
 def field_equal(a: Any, b: Any) -> bool:
-    """Exact equality of one accumulator field, histograms up to zero padding."""
+    """Exact equality of one accumulator field."""
     if a is None or b is None:
         return a is b
     if hasattr(a, "equals"):
         return a.equals(b)
     if isinstance(a, np.ndarray):
-        size = max(a.size, b.size)
-        return np.array_equal(_grow_to(a, size), _grow_to(b, size))
+        return np.array_equal(a, b)
     return a == b
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analytic, bloch, stats
 from .absorber import AbsorberParams, merge, simulate_shot, substream
-from .config import RunConfig, load_config, parse_stages, to_flat
+from .config import KEYS, RunConfig, load_config, to_flat
 from .experiment import default_cell_edges, run_point, simulate_cascade
 from .pulses import sample_input
 
@@ -144,11 +144,10 @@ def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
 
 
 def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
-    n_in = cfg.pulse.mean_photons if args.n_in is None else args.n_in
-    pulse = replace(cfg.pulse, mean_photons=n_in)
+    n_in = cfg.pulse.mean_photons
     ideal_params = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=cfg.absorber.t)
-    ens = run_point(pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
-    ideal = run_point(pulse, ideal_params, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
+    ens = run_point(cfg.pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
+    ideal = run_point(cfg.pulse, ideal_params, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
     shape = stats.pulse_shape(ens)
     ideal_shape = stats.pulse_shape(ideal)
     rows = [
@@ -191,13 +190,11 @@ def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
 
 
 def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
-    n_in = cfg.pulse.mean_photons if args.n_in is None else args.n_in
-    cell_ns = cfg.g2_cell_ns if args.cell_ns is None else args.cell_ns
-    pulse = replace(cfg.pulse, mean_photons=n_in)
-    bins_per_cell = max(1, round(cell_ns / (pulse.bin_width_us * 1000.0)))
-    edges = default_cell_edges(pulse.n_bins, bins_per_cell)
+    n_in = cfg.pulse.mean_photons
+    bins_per_cell = max(1, round(cfg.g2_cell_ns / (cfg.pulse.bin_width_us * 1000.0)))
+    edges = default_cell_edges(cfg.pulse.n_bins, bins_per_cell)
     ens = run_point(
-        pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed,
+        cfg.pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed,
         collect_g2=True, cell_edges=edges, workers=cfg.workers,
     )
     mat = ens.g2.finalize()
@@ -215,7 +212,7 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
         "n_in": n_in,
         "shots": cfg.shots,
         "seed": cfg.seed,
-        "cell_ns": cell_ns,
+        "cell_ns": cfg.g2_cell_ns,
         "front_g2": mat.front_g2,
         "front_sigma": mat.front_sigma,
         "rear_g2": mat.rear_g2,
@@ -272,15 +269,9 @@ def cmd_fit_gamma(cfg: RunConfig, args, run_dir: Path) -> int:
 
 
 def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
-    if args.stages is not None:
-        stages = parse_stages(args.stages)
-    elif cfg.cascade is not None:
-        stages = cfg.cascade
-    else:
-        stages = (cfg.absorber,)
-    n_in = cfg.pulse.mean_photons if args.n_in is None else args.n_in
-    pulse = replace(cfg.pulse, mean_photons=n_in)
-    result = simulate_cascade(stages, pulse, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
+    stages = (cfg.absorber,) if cfg.cascade is None else cfg.cascade
+    n_in = cfg.pulse.mean_photons
+    result = simulate_cascade(stages, cfg.pulse, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
     stage_rows = []
     for k, (params, ens) in enumerate(zip(stages, result.stages)):
         fired = float(1.0 - ens.absorbed_hist[0] / ens.shots)
@@ -423,11 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="photonsub",
         description="Monte-Carlo simulator and analysis toolkit for a saturable single-photon absorber.",
     )
+    # A flag whose dest is a config key overrides that key and is parsed and
+    # checked by the key table.
     parser.add_argument("--config", help="flat-key config file")
-    parser.add_argument("--seed", type=int, help="override run.seed")
-    parser.add_argument("--shots", type=int, help="override run.shots")
-    parser.add_argument("--out", help="override run.out_dir")
-    parser.add_argument("--workers", type=int, help="override run.workers")
+    parser.add_argument("--seed", dest="run.seed", help="override run.seed")
+    parser.add_argument("--shots", dest="run.shots", help="override run.shots")
+    parser.add_argument("--out", dest="run.out_dir", help="override run.out_dir")
+    parser.add_argument("--workers", dest="run.workers", help="override run.workers")
     parser.add_argument(
         "--paper-defaults",
         action="store_true",
@@ -440,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pulse", help="input/output pulse shapes with ideal-absorber overlay")
-    p.add_argument("--n-in", type=float, help="mean input photon number")
+    p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
     p.set_defaults(func=cmd_pulse)
 
     p = sub.add_parser("g2", help="time-resolved pair-averaged intensity correlations")
-    p.add_argument("--n-in", type=float, help="mean input photon number")
-    p.add_argument("--cell-ns", type=float, help="correlation cell width in ns")
+    p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
+    p.add_argument("--cell-ns", dest="g2.cell_ns", help="override g2.cell_ns")
     p.set_defaults(func=cmd_g2)
 
     p = sub.add_parser("spectrum", help="weak-probe transmission spectrum")
@@ -460,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_gamma)
 
     p = sub.add_parser("cascade", help="chain of absorbers and number-resolving statistics")
-    p.add_argument("--stages", help="semicolon-separated stages 'p_ryd,p_ryd2,t;...'")
-    p.add_argument("--n-in", type=float, help="mean input photon number")
+    p.add_argument("--stages", dest="cascade.stages", help="override cascade.stages 'p_ryd,p_ryd2,t;...'")
+    p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("validate", help="Monte-Carlo versus closed-form oracle report")
@@ -473,15 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    if args.shots is not None:
-        overrides["run.shots"] = str(args.shots)
-    if args.out is not None:
-        overrides["run.out_dir"] = args.out
-    if args.workers is not None:
-        overrides["run.workers"] = str(args.workers)
+    names = {key.name for key in KEYS}
+    overrides = {name: text for name, text in vars(args).items() if name in names and text is not None}
     try:
         cfg = load_config(None if args.paper_defaults else args.config, overrides)
         tmp = _prepare_run_dir(cfg, args.command)

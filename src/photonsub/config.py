@@ -15,6 +15,7 @@ writing (``to_flat``).  Numbers must be finite, except that
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -47,9 +48,10 @@ class RunConfig:
             raise ValueError(f"run.shots must be >= 1, got {self.shots}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"run.seed must be an unsigned 64-bit value, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"run.workers must be >= 1, got {self.workers}")
-        check_finite(g2_cell_ns=self.g2_cell_ns)
+        max_workers = os.cpu_count() or 1
+        if not 1 <= self.workers <= max_workers:
+            raise ValueError(f"run.workers must lie in [1, {max_workers}] (cores), got {self.workers}")
+        check_finite(**{"g2.cell_ns": self.g2_cell_ns})
         if self.g2_cell_ns <= 0:
             raise ValueError(f"g2.cell_ns must be > 0, got {self.g2_cell_ns}")
 

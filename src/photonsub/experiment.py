@@ -3,7 +3,10 @@
 A single absorber is the one-stage cascade, and ``_run_batch`` is the only
 loop over shots.  Each shot draws its randomness from a substream keyed by
 (seed, stream_key, shot index), so results never depend on batching, worker
-count or execution order.  Batches reduce through the exact ensemble merge.
+count or execution order.  The loop gathers the rows of up to ``_CHUNK``
+shots and adds them to each accumulator in one ``add_block`` call; every sum
+is over integers, so the block sums equal the per-shot sums exactly.  Batches
+reduce through the exact ensemble merge.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ from .absorber import (
     simulate_shot,
     substream,
 )
-from .detector import DetectorConfig, detect_ions, detect_pulse
+from .detector import N_DETECTORS, DetectorConfig, detect_ions, detect_pulse
 from .pulses import BinnedCounts, PulseSpec, expected_bin_means
 from .stats import G2Accumulator
 
 _BATCH_SHOTS = 20000
+# Shots per accumulation block, fewer where a block's rows would exceed
+# _CHUNK_BYTES (long pulses, long cascades).
+_CHUNK = 64
+_CHUNK_BYTES = 1 << 20
 
 
 def default_cell_edges(n_bins: int, bins_per_cell: int) -> np.ndarray:
@@ -76,20 +83,36 @@ def cascade_shot(
 def _run_batch(args) -> CascadeResult:
     (stages, pulse, detector, seed, stream_key, start, stop, collect_g2, cell_edges) = args
     lam = expected_bin_means(pulse)
-    per_stage = [EnsembleResult(pulse.n_bins, pulse.bin_width_us) for _ in stages]
+    n_bins, n_stages = pulse.n_bins, len(stages)
+    per_stage = [EnsembleResult(n_bins, pulse.bin_width_us) for _ in stages]
     acc = None
     if collect_g2:
-        acc = per_stage[-1].g2 = G2Accumulator(pulse.n_bins, pulse.bin_width_us, cell_edges)
+        acc = per_stage[-1].g2 = G2Accumulator(n_bins, pulse.bin_width_us, cell_edges)
+    shot_bytes = 8 * n_bins * (n_stages + 1 + (N_DETECTORS if collect_g2 else 0))
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // shot_bytes))
+    # bins[k] holds the input rows of stage k, bins[k + 1] its output rows
+    bins = np.empty((n_stages + 1, chunk, n_bins), dtype=np.int64)
+    n_in, absorbed, ions = (np.empty((n_stages, chunk), dtype=np.int64) for _ in range(3))
+    det = np.empty((chunk, N_DETECTORS, n_bins), dtype=np.int64) if collect_g2 else None
     outcomes: Counter = Counter()
-    for i in range(start, stop):
-        rng = substream(seed, *stream_key, i)
-        records = cascade_shot(stages, rng.poisson(lam), rng)
-        for ens, rec in zip(per_stage, records):
-            ens.add_shot(rec)
-            ens.ion_hist[detect_ions(rec.absorbed, detector.eta_ion, rng)] += 1
+    for lo in range(start, stop, chunk):
+        rows = min(chunk, stop - lo)
+        for r in range(rows):
+            rng = substream(seed, *stream_key, lo + r)
+            records = cascade_shot(stages, rng.poisson(lam), rng)
+            bins[0, r] = records[0].input_bins
+            for k, rec in enumerate(records):
+                bins[k + 1, r] = rec.output_bins
+                n_in[k, r] = rec.n_in
+                absorbed[k, r] = rec.absorbed
+                ions[k, r] = detect_ions(rec.absorbed, detector.eta_ion, rng)
+            if acc is not None:
+                det[r] = detect_pulse(records[-1].output_bins, detector, rng, pulse.bin_width_us)
+        for k, ens in enumerate(per_stage):
+            ens.add_block(bins[k, :rows], bins[k + 1, :rows], n_in[k, :rows], absorbed[k, :rows], ions[k, :rows])
         if acc is not None:
-            acc.add(detect_pulse(records[-1].output_bins, detector, rng, pulse.bin_width_us))
-        outcomes[(records[0].n_in, *[rec.absorbed for rec in records])] += 1
+            acc.add_block(det[:rows])
+        outcomes.update(zip(n_in[0, :rows].tolist(), *absorbed[:, :rows].tolist()))
     return CascadeResult(per_stage, outcomes)
 
 

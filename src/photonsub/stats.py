@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -86,14 +86,6 @@ def q_over_mean_sem(hist: np.ndarray) -> float:
     return math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
 
 
-def sem(samples: np.ndarray) -> float:
-    """Standard error of the mean: sample standard deviation over sqrt(n)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    return float(x.std(ddof=1) / math.sqrt(x.size))
-
-
 # ---------------------------------------------------------------------------
 # time-resolved intensity correlations
 
@@ -111,7 +103,6 @@ class G2Matrix:
     values: np.ndarray
     sigma: np.ndarray
     counts: np.ndarray
-    marginals: np.ndarray
     shots: int
     front_g2: float
     front_sigma: float
@@ -123,13 +114,19 @@ class G2Matrix:
         return self.cell_edges_us[:-1]
 
 
+# The largest grid: the sums hold 8 (cell, cell) maps of doubles, 64 MB here.
+MAX_CELLS = 1000
+# Bytes of one (B, n_cells, n_cells) map in an ``add_block`` pass.
+_PASS_BYTES = 1 << 20
+
+
 class G2Accumulator:
     """Streaming accumulator for pair-averaged intensity correlations.
 
-    Feeds on per-shot (n_det, n_bins) click arrays.  For every unordered
-    detector pair it accumulates the ordered product sums over a coarser cell
-    grid plus the per-shot scatter needed for error bars; merging two
-    accumulators is exact.
+    Feeds on blocks of per-shot (n_det, n_bins) click arrays.  For every
+    unordered detector pair it accumulates the ordered product sums over a
+    coarser cell grid plus the per-shot scatter needed for error bars;
+    merging two accumulators is exact.
     """
 
     def __init__(
@@ -146,6 +143,10 @@ class G2Accumulator:
             edges = np.append(edges, n_bins)
         if edges.size < 2 or edges[0] != 0 or (np.diff(edges) <= 0).any():
             raise ValueError("cell edges must increase from 0 to n_bins")
+        if edges.size - 1 > MAX_CELLS:
+            raise ValueError(
+                f"a g2 grid of {edges.size - 1} cells exceeds {MAX_CELLS}; use wider cells (g2.cell_ns)"
+            )
         self.n_bins = n_bins
         self.bin_width_us = bin_width_us
         self.n_det = n_det
@@ -176,28 +177,42 @@ class G2Accumulator:
     def n_cells(self) -> int:
         return self.cell_edges.size - 1
 
-    def add(self, det_bins: np.ndarray) -> None:
+    def add_block(self, det_bins: np.ndarray) -> None:
+        """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
+
+        Every sum is over integer products, exact in float64, so it does not
+        depend on how shots are split into blocks.  Each pass over the rows
+        holds at most ``_PASS_BYTES`` of per-shot (cell, cell) maps.
+        """
         det_bins = np.asarray(det_bins)
-        if det_bins.shape != (self.n_det, self.n_bins):
+        if det_bins.shape[1:] != (self.n_det, self.n_bins):
             raise ValueError(
-                f"expected click array of shape {(self.n_det, self.n_bins)}, got {det_bins.shape}"
+                f"expected click arrays of shape {(self.n_det, self.n_bins)}, got {det_bins.shape[1:]}"
             )
-        cells = np.add.reduceat(det_bins, self.cell_edges[:-1], axis=1).astype(float)
-        self.shots += 1
-        self.marg_sums += cells
-        outer = np.einsum("ic,jd->ijcd", cells, cells)
-        y = np.zeros((self.n_cells, self.n_cells))
-        for k, (a, b) in enumerate(self.pairs):
-            self.pair_sums[k] += outer[a, b]
-            y += outer[a, b]
-        self.y_sum += y
-        self.y_sq_sum += y * y
-        y_front = float(y[np.ix_(self._front, self._front)].sum())
-        y_rear = float(y[np.ix_(self._rear, self._rear)].sum())
-        self.front_sum += y_front
-        self.front_sq_sum += y_front * y_front
-        self.rear_sum += y_rear
-        self.rear_sq_sum += y_rear * y_rear
+        step = max(1, _PASS_BYTES // (8 * self.n_cells**2))
+        for lo in range(0, len(det_bins), step):
+            cells = np.add.reduceat(det_bins[lo : lo + step], self.cell_edges[:-1], axis=2).astype(float)
+            self.shots += len(cells)
+            self.marg_sums += cells.sum(axis=0)
+            by_det = cells.transpose(1, 2, 0)  # (n_det, n_cells, B)
+            for k, (a, b) in enumerate(self.pairs):
+                self.pair_sums[k] += by_det[a] @ cells[:, b]
+            # y = sum over pairs a < b of outer(cells[a], cells[b]), per shot:
+            # each detector against the sum of the detectors after it.
+            later = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1]
+            y = cells[:, :-1].transpose(0, 2, 1) @ later
+            self.y_sum += y.sum(axis=0)
+            self.y_sq_sum += (y * y).sum(axis=0)
+            y_front = y[:, self._front][:, :, self._front].sum(axis=(1, 2))
+            y_rear = y[:, self._rear][:, :, self._rear].sum(axis=(1, 2))
+            self.front_sum += float(y_front.sum())
+            self.front_sq_sum += float((y_front * y_front).sum())
+            self.rear_sum += float(y_rear.sum())
+            self.rear_sq_sum += float((y_rear * y_rear).sum())
+
+    def add(self, det_bins: np.ndarray) -> None:
+        """Add one shot's (n_det, n_bins) click array."""
+        self.add_block(np.asarray(det_bins)[None])
 
     def _grid(self) -> tuple:
         return (self.n_bins, self.bin_width_us, self.n_det, tuple(self.cell_edges))
@@ -265,7 +280,6 @@ class G2Accumulator:
             values=sym_values,
             sigma=sym_sigma,
             counts=counts,
-            marginals=marg,
             shots=self.shots,
             front_g2=front_g2,
             front_sigma=front_sigma,
@@ -286,28 +300,6 @@ def _symmetrize_sigma(sigma: np.ndarray) -> np.ndarray:
     transposed = sigma.T
     combined = np.sqrt(0.5 * (sigma**2 + transposed**2))
     return np.where(np.isnan(sigma), transposed, np.where(np.isnan(transposed), sigma, combined))
-
-
-def g2_matrix(
-    click_arrays: Iterable[np.ndarray],
-    bin_width_us: float,
-    cell_edges: np.ndarray | None = None,
-) -> G2Matrix:
-    """Pair-averaged g2 map of per-shot (n_det, n_bins) click arrays.
-
-    The grid defaults to two bins per cell.
-    """
-    iterator = iter(click_arrays)
-    try:
-        first = np.asarray(next(iterator))
-    except StopIteration:
-        raise ValueError("empty ensemble: no click arrays") from None
-    n_det, n_bins = first.shape
-    acc = G2Accumulator(n_bins, bin_width_us, cell_edges, n_det)
-    acc.add(first)
-    for det_bins in iterator:
-        acc.add(det_bins)
-    return acc.finalize()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,11 @@ from photonsub import (
     EnsembleResult,
     G2Accumulator,
     PulseSpec,
+    ShotRecord,
     cascade_shot,
+    default_cell_edges,
     detect_ions,
+    detect_pulse,
     mean_out,
     merge,
     run_point,
@@ -19,6 +24,9 @@ from photonsub import (
     simulate_shot,
     substream,
 )
+from photonsub import stats
+from photonsub.absorber import MAX_EXCITATIONS
+from photonsub.experiment import _CHUNK
 from photonsub.pulses import expected_bin_means
 
 from _oracles import both_stages_fire_probability, per_photon_shot
@@ -160,8 +168,7 @@ def test_merge_equals_sequential_accumulation():
         for i in range(shots):
             rng = substream(seed, i)
             rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
-            sequential.add_shot(rec)
-            sequential.ion_hist[detect_ions(rec.absorbed, DET.eta_ion, rng)] += 1
+            sequential.add_shot(rec, detect_ions(rec.absorbed, DET.eta_ion, rng))
     assert merge(a, b).equals(sequential)
 
 
@@ -243,13 +250,6 @@ def test_cascade_rejects_empty_stage_list():
 # ---------------------------------------------------------------------------
 # field coverage of merge and equals
 
-def _padded_sum(x, y):
-    if isinstance(x, np.ndarray) and x.shape != y.shape:
-        size = max(x.size, y.size)
-        x, y = (np.concatenate([v, np.zeros(size - v.size, v.dtype)]) for v in (x, y))
-    return x + y
-
-
 def test_merge_sums_every_declared_field():
     spec = PulseSpec(mean_photons=5.0)
     a = run_point(spec, MEASURED, DetectorConfig(), 30, 1, collect_g2=True)
@@ -258,7 +258,7 @@ def test_merge_sums_every_declared_field():
     for name in EnsembleResult.SUMMED:
         if name != "g2":
             np.testing.assert_array_equal(
-                getattr(merged, name), _padded_sum(getattr(a, name), getattr(b, name))
+                getattr(merged, name), getattr(a, name) + getattr(b, name)
             )
     for name in merged.g2.zero_sums():
         np.testing.assert_array_equal(
@@ -272,3 +272,94 @@ def test_equals_compares_the_g2_accumulator():
     assert a.equals(b)
     b.g2.add(np.array([[1, 0, 0, 1], [0, 1, 1, 0]]))
     assert not a.equals(b)
+
+
+# ---------------------------------------------------------------------------
+# block accumulation against the per-shot reference
+
+@given(
+    rows=st.sampled_from([1, _CHUNK, 2 * _CHUNK + 5]),
+    n_bins=st.integers(1, 12),
+    bins_per_cell=st.integers(1, 4),
+    mean=st.sampled_from([0.3, 3.0, 40.0]),
+    pass_bytes=st.sampled_from([1, 1 << 20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, pass_bytes, seed):
+    rng = np.random.default_rng(seed)
+    inp = rng.poisson(mean, size=(rows, n_bins))
+    out = rng.binomial(inp, 0.8)
+    absorbed = rng.integers(0, MAX_EXCITATIONS + 1, size=rows)
+    ions = rng.binomial(absorbed, 0.5)
+    det = rng.poisson(mean / 4, size=(rows, 4, n_bins))
+    edges = default_cell_edges(n_bins, bins_per_cell)
+    block, per_shot = (
+        EnsembleResult(n_bins, 0.05, g2=G2Accumulator(n_bins, 0.05, edges)) for _ in range(2)
+    )
+    # pass_bytes = 1 takes the g2 block one row per pass
+    with mock.patch.object(stats, "_PASS_BYTES", pass_bytes):
+        block.add_block(inp, out, inp.sum(axis=1), absorbed, ions)
+        block.g2.add_block(det)
+    for s in range(rows):
+        rec = ShotRecord(inp[s], out[s], int(inp[s].sum()), int(absorbed[s]), 0, None)
+        per_shot.add_shot(rec, int(ions[s]))
+        per_shot.g2.add(det[s])
+    assert block.shots == per_shot.shots == rows
+    assert block.equals(per_shot)
+    references = (
+        (block, _reference_sums(inp, out, absorbed, ions)),
+        (block.g2, _g2_reference_sums(block.g2, det)),
+    )
+    for acc, reference in references:
+        for name, value in reference.items():
+            np.testing.assert_array_equal(getattr(acc, name), value, err_msg=name)
+
+
+def _reference_sums(inp, out, absorbed, ions):
+    """The ensemble sums shot by shot, totals as Python integers."""
+    sums = {name: 0 for name in EnsembleResult.SUMMED if name != "g2"}
+    for i, o, a, n in zip(inp, out, absorbed, ions):
+        for name, value in (
+            ("shots", 1), ("in_total_sum", int(i.sum())), ("out_total_sum", int(o.sum())),
+            ("out_total_sq_sum", int(o.sum()) ** 2), ("in_bin_sums", i), ("out_bin_sums", o),
+            ("in_bin_sq_sums", i * i), ("out_bin_sq_sums", o * o), ("inout_bin_sums", i * o),
+            ("absorbed_hist", np.eye(MAX_EXCITATIONS + 1, dtype=np.int64)[a]),
+            ("ion_hist", np.eye(MAX_EXCITATIONS + 1, dtype=np.int64)[n]),
+        ):
+            sums[name] = sums[name] + value
+    return sums
+
+
+def _g2_reference_sums(acc, det):
+    """The g2 sums shot by shot, with one outer product per detector pair."""
+    sums = acc.zero_sums()
+    front, rear = acc._front, acc._rear
+    for clicks in det:
+        cells = np.add.reduceat(clicks, acc.cell_edges[:-1], axis=1).astype(float)
+        products = [np.outer(cells[a], cells[b]) for a, b in acc.pairs]
+        y = sum(products)
+        y_front, y_rear = y[np.ix_(front, front)].sum(), y[np.ix_(rear, rear)].sum()
+        for name, value in (
+            ("shots", 1), ("marg_sums", cells), ("pair_sums", np.stack(products)),
+            ("y_sum", y), ("y_sq_sum", y * y), ("front_sum", y_front),
+            ("front_sq_sum", y_front**2), ("rear_sum", y_rear), ("rear_sq_sum", y_rear**2),
+        ):
+            sums[name] = sums[name] + value
+    return sums
+
+
+@pytest.mark.parametrize("shots", [_CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_run_point_blocks_equal_the_per_shot_loop(shots):
+    spec = PulseSpec(mean_photons=6.0)
+    lam = expected_bin_means(spec)
+    g2 = G2Accumulator(spec.n_bins, spec.bin_width_us)
+    reference = EnsembleResult(spec.n_bins, spec.bin_width_us, g2=g2)
+    for i in range(shots):
+        rng = substream(17, i)
+        rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
+        reference.add_shot(rec, detect_ions(rec.absorbed, DET.eta_ion, rng))
+        reference.g2.add(detect_pulse(rec.output_bins, DET, rng, spec.bin_width_us))
+    for batching in ({"batch_shots": 16}, {}):
+        ens = run_point(spec, MEASURED, DET, shots, 17, collect_g2=True, **batching)
+        assert ens.equals(reference), batching

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -201,6 +202,43 @@ def test_cli_rejects_bad_config(tmp_path):
     assert not list(tmp_path.glob("*-001"))
 
 
+def test_workers_are_bounded_by_the_cores(tmp_path, capsys):
+    too_many = str((os.cpu_count() or 1) + 1)
+    with pytest.raises(ValueError, match=re.escape("config key 'run.workers'")):
+        apply_keys(paper_defaults(), {"run.workers": too_many})
+    # one shot is one batch, so even an unchecked value would start no process
+    args = ["--workers", too_many, "--shots", "1", "--out", str(tmp_path), "cascade"]
+    assert main(args) == 1
+    assert "config key 'run.workers'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cell_ns", ["inf", "-inf", "nan", "-5", "0"])
+def test_cli_rejects_bad_cell_width(tmp_path, capsys, cell_ns):
+    assert main(["--shots", "10", "--out", str(tmp_path), "g2", f"--cell-ns={cell_ns}"]) == 1
+    assert "config key 'g2.cell_ns'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_caps_the_g2_grid(tmp_path, capsys):
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("pulse.bin_ns = 1\n")  # 2000 one-bin cells
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--shots", "10", "--out", str(out), "g2", "--cell-ns", "1"]
+    assert main(args) == 1
+    assert "g2.cell_ns" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_flags_set_the_keys_they_shadow(tmp_path):
+    args = ["--shots", "20", "--out", str(tmp_path), "g2", "--n-in", "10", "--cell-ns", "50"]
+    assert main(args) == 0
+    snapshot = (tmp_path / "g2-001" / "config.txt").read_text().splitlines()
+    assert "pulse.mean_photons = 10" in snapshot and "g2.cell_ns = 50" in snapshot
+    lines = (tmp_path / "g2-001" / "g2_matrix.csv").read_text().splitlines()
+    assert len(lines) == 1 + 40 * 40
+
+
 def test_cli_paper_defaults_ignores_config(tmp_path):
     cfg = tmp_path / "alt.cfg"
     cfg.write_text("absorber.p_ryd = 0.9\n")
@@ -281,7 +319,7 @@ VALID_TEXT = {
     "run.shots": st.integers(1, 10**9).map(str),
     "run.seed": st.integers(0, MAX_SEED).map(str),
     "run.out_dir": st.text("abcXYZ019_-./", min_size=1, max_size=20),
-    "run.workers": st.integers(1, 64).map(str),
+    "run.workers": st.integers(1, os.cpu_count() or 1).map(str),
     "g2.cell_ns": _number(1e-3, 1e4),
 }
 FLOAT_KEYS = [key.name for key in KEYS if isinstance(key.read(paper_defaults()), float)]

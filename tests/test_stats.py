@@ -1,20 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 from photonsub import (
     AbsorberParams,
     DetectorConfig,
+    G2Accumulator,
     PulseSpec,
-    g2_matrix,
     mandel_q,
     photon_deficit,
     pulse_shape,
     q_over_mean,
     run_point,
-    sem,
     substream,
 )
 from photonsub.stats import (
+    MAX_CELLS,
     hist_mean,
     hist_mean_sem,
     mandel_q_sem,
@@ -64,28 +66,21 @@ def test_hist_mean_helpers():
     assert hist_mean_sem(hist) > 0
 
 
-def test_sem_reference_values():
-    assert sem([4.0, 4.0, 4.0]) == 0.0
-    assert sem([0.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        sem([1.0])
-
-
-def test_sem_scaling_with_sample_size():
-    rng = substream(3, 0)
-    small = sem(rng.standard_normal(5000))
-    large = sem(rng.standard_normal(20000))
-    assert small / large == pytest.approx(2.0, rel=0.15)
-
-
 # ---------------------------------------------------------------------------
 # g2 estimation
+
+def _g2_map(records, cell_edges):
+    det = np.stack(records)
+    acc = G2Accumulator(det.shape[2], 0.05, cell_edges, n_det=det.shape[1])
+    acc.add_block(det)
+    return acc.finalize()
+
 
 def test_duplicated_stream_matches_brute_force():
     rng = substream(4, 0)
     shots = [rng.poisson(2.0, size=4) for _ in range(10)]
     records = [np.stack([s, s, np.zeros(4, np.int64), np.zeros(4, np.int64)]) for s in shots]
-    mat = g2_matrix(records, bin_width_us=0.05, cell_edges=np.arange(5))
+    mat = _g2_map(records, np.arange(5))
     data = np.stack(shots).astype(float)
     marg = data.mean(axis=0)
     expected = np.full((4, 4), np.nan)
@@ -104,7 +99,7 @@ def test_duplicated_stream_matches_brute_force():
 
 def test_g2_undefined_cells_are_nan():
     records = [np.array([[1, 0], [1, 0], [0, 0], [0, 0]], dtype=np.int64) for _ in range(5)]
-    mat = g2_matrix(records, bin_width_us=0.05, cell_edges=np.arange(3))
+    mat = _g2_map(records, np.arange(3))
     assert np.isfinite(mat.values[0, 0])
     assert np.isnan(mat.values[1, 1])
 
@@ -122,15 +117,21 @@ def test_g2_of_coherent_light_is_flat():
 
 
 def test_g2_rejects_empty_ensemble():
+    acc = G2Accumulator(n_bins=4, bin_width_us=0.05)
+    acc.add_block(np.zeros((0, 4, 4), dtype=np.int64))
     with pytest.raises(ValueError):
-        g2_matrix([], bin_width_us=0.05)
+        acc.finalize()
 
 
 def test_g2_rejects_single_detector():
-    from photonsub.stats import G2Accumulator
-
     with pytest.raises(ValueError):
         G2Accumulator(n_bins=4, bin_width_us=0.05, n_det=1)
+
+
+def test_g2_grid_is_capped():
+    G2Accumulator(MAX_CELLS, 0.05, np.arange(MAX_CELLS + 1))
+    with pytest.raises(ValueError, match=re.escape("(g2.cell_ns)")):
+        G2Accumulator(MAX_CELLS + 1, 0.05, np.arange(MAX_CELLS + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +177,6 @@ def test_photon_deficit_network_bounds():
 
 
 def test_g2_equals_compares_every_summed_field():
-    from photonsub.stats import G2Accumulator
-
     clicks = np.array([[1, 2, 0, 1], [0, 1, 1, 1]])
     for name in (
         "shots", "marg_sums", "pair_sums", "y_sum", "y_sq_sum",
