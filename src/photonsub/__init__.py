@@ -38,7 +38,6 @@ from .detector import (
 from .experiment import (
     CascadeResult,
     cascade_shot,
-    default_cell_edges,
     run_point,
     simulate_cascade,
 )

@@ -8,7 +8,9 @@ one, and never once it holds two.  The sequential per-photon Bernoulli trials
 are realized through their run-length (geometric) form, which is identical in
 distribution and keeps the inner loop at a handful of vectorized draws; the
 test suite checks the equivalence against a literal per-photon reference.
-The shot loop, for one absorber and for a cascade alike, is in ``experiment``.
+The shot loop, for one absorber and for a cascade alike, is in ``experiment``;
+an ensemble holds one stage's sums, and the g2 sums of the detected light
+belong to the run result there.
 """
 
 from __future__ import annotations
@@ -108,11 +110,10 @@ def _counts(size: int | None = None) -> Any:
 class EnsembleResult:
     """Mergeable accumulator of per-shot absorber statistics.
 
-    Every field after the bin structure is a sum over shots, listed in
-    ``SUMMED``; ``merge`` and ``equals`` walk that list, so two results merge
-    exactly.  Every sum has a fixed shape and holds integers only, so adding
-    shots in blocks gives the same fields as adding them one at a time.
-    ``g2`` stays None unless the run collects intensity correlations.
+    Every field after the bin structure is an integer sum of fixed shape over
+    shots, listed in ``SUMMED``; ``merge`` adds and ``equals`` compares that
+    list field by field, so two results merge exactly and adding shots in
+    blocks gives the same fields as adding them one at a time.
     """
 
     SUMMED: ClassVar[tuple[str, ...]]
@@ -130,7 +131,6 @@ class EnsembleResult:
     inout_bin_sums: np.ndarray = _counts()
     absorbed_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
     ion_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
-    g2: Any | None = None
 
     def __post_init__(self) -> None:
         if self.n_bins < 1:
@@ -191,42 +191,16 @@ class EnsembleResult:
 
     def equals(self, other: "EnsembleResult") -> bool:
         return (self.n_bins, self.bin_width_us) == (other.n_bins, other.bin_width_us) and all(
-            field_equal(getattr(self, name), getattr(other, name)) for name in self.SUMMED
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.SUMMED
         )
 
 
 EnsembleResult.SUMMED = tuple(f.name for f in fields(EnsembleResult))[2:]
 
 
-def merge_field(name: str, a: Any, b: Any) -> Any:
-    """Sum of one accumulator field over two disjoint sets of shots.
-
-    An accumulator the run did not collect (None, such as ``g2``) must be
-    missing on both sides.
-    """
-    if (a is None) != (b is None):
-        raise ValueError(f"cannot merge: {name} present on only one side")
-    if a is None:
-        return None
-    if hasattr(a, "merged"):
-        return a.merged(b)
-    return a + b
-
-
-def field_equal(a: Any, b: Any) -> bool:
-    """Exact equality of one accumulator field."""
-    if a is None or b is None:
-        return a is b
-    if hasattr(a, "equals"):
-        return a.equals(b)
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
 def merge(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
     """Combine two ensembles shot-for-shot; associative and commutative."""
     if a.n_bins != b.n_bins or a.bin_width_us != b.bin_width_us:
         raise ValueError("cannot merge ensembles with different bin structure")
-    sums = {name: merge_field(name, getattr(a, name), getattr(b, name)) for name in a.SUMMED}
+    sums = {name: getattr(a, name) + getattr(b, name) for name in a.SUMMED}
     return EnsembleResult(a.n_bins, a.bin_width_us, **sums)

@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic, bloch, stats
 from .absorber import AbsorberParams, merge, simulate_shot, substream
 from .config import KEYS, RunConfig, load_config, to_flat
-from .experiment import default_cell_edges, run_point, simulate_cascade
+from .experiment import run_point, simulate_cascade
 from .pulses import sample_input
 
 DEFAULT_SWEEP = "1,3,5.65,10,15.76,20,35"
@@ -191,13 +191,13 @@ def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
 
 def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
     n_in = cfg.pulse.mean_photons
-    bins_per_cell = max(1, round(cfg.g2_cell_ns / (cfg.pulse.bin_width_us * 1000.0)))
-    edges = default_cell_edges(cfg.pulse.n_bins, bins_per_cell)
-    ens = run_point(
-        cfg.pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed,
-        collect_g2=True, cell_edges=edges, workers=cfg.workers,
+    bin_ns = cfg.pulse.bin_width_us * 1000.0
+    bins_per_cell = max(1, round(cfg.g2_cell_ns / bin_ns))
+    result = simulate_cascade(
+        (cfg.absorber,), cfg.pulse, cfg.detector, cfg.shots, cfg.seed,
+        g2_cell_bins=bins_per_cell, workers=cfg.workers,
     )
-    mat = ens.g2.finalize()
+    mat = result.g2.finalize()
     starts = mat.cell_starts_us
     rows = []
     for i in range(starts.size):
@@ -212,7 +212,7 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
         "n_in": n_in,
         "shots": cfg.shots,
         "seed": cfg.seed,
-        "cell_ns": cfg.g2_cell_ns,
+        "cell_ns": bins_per_cell * bin_ns,
         "front_g2": mat.front_g2,
         "front_sigma": mat.front_sigma,
         "rear_g2": mat.rear_g2,
@@ -278,12 +278,17 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         mean_absorbed = float(
             sum(i * c for i, c in enumerate(ens.absorbed_hist)) / ens.shots
         )
+        ion = _ion_columns(ens.ion_hist)
         stage_rows.append(
-            (k, params.p_ryd, params.p_ryd2, params.t, ens.mean_in, ens.mean_out, fired, mean_absorbed)
+            (k, params.p_ryd, params.p_ryd2, params.t, ens.mean_in, ens.mean_out, fired, mean_absorbed,
+             ion[0], ion[2])
         )
     _write_csv(
         run_dir / "cascade_stages.csv",
-        ["stage", "p_ryd", "p_ryd2", "t", "mean_in", "mean_out", "p_fired", "mean_absorbed"],
+        [
+            "stage", "p_ryd", "p_ryd2", "t", "mean_in", "mean_out", "p_fired", "mean_absorbed",
+            "ion_mean", "ion_q",
+        ],
         stage_rows,
     )
     # outcome keys are (n_in, absorbed per stage); the number of stages that

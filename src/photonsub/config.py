@@ -28,6 +28,8 @@ from .detector import DetectorConfig
 from .pulses import PulseSpec
 
 MAX_SEED = 2**64 - 1
+# Every stage adds a row per shot to each accumulation block.
+MAX_STAGES = 100
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ def parse_stages(text: str) -> tuple[AbsorberParams, ...]:
         stages.append(AbsorberParams(float(parts[0]), float(parts[1]), float(parts[2])))
     if not stages:
         raise ValueError("cascade.stages is empty")
+    if len(stages) > MAX_STAGES:
+        raise ValueError(f"{len(stages)} stages, more than {MAX_STAGES}")
     return tuple(stages)
 
 

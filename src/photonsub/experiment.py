@@ -5,8 +5,10 @@ loop over shots.  Each shot draws its randomness from a substream keyed by
 (seed, stream_key, shot index), so results never depend on batching, worker
 count or execution order.  The loop gathers the rows of up to ``_CHUNK``
 shots and adds them to each accumulator in one ``add_block`` call; every sum
-is over integers, so the block sums equal the per-shot sums exactly.  Batches
-reduce through the exact ensemble merge.
+is over integers, so the block sums equal the per-shot sums exactly.  The
+run result holds one ensemble per stage and, when requested, the g2 sums of
+the light the four counters detect behind the last stage.  Batches reduce
+through the exact merges.
 """
 
 from __future__ import annotations
@@ -31,28 +33,20 @@ from .pulses import BinnedCounts, PulseSpec, expected_bin_means
 from .stats import G2Accumulator
 
 _BATCH_SHOTS = 20000
-# Shots per accumulation block, fewer where a block's rows would exceed
-# _CHUNK_BYTES (long pulses, long cascades).
+# Shots per accumulation block, fewer where a block's rows and g2 maps would
+# exceed _CHUNK_BYTES (long pulses, long cascades, fine g2 grids).
 _CHUNK = 64
 _CHUNK_BYTES = 1 << 20
 
 
-def default_cell_edges(n_bins: int, bins_per_cell: int) -> np.ndarray:
-    """Cell grid for g2 estimation; a ragged final cell absorbs any remainder."""
-    if bins_per_cell < 1:
-        raise ValueError("bins_per_cell must be >= 1")
-    edges = np.arange(0, n_bins + 1, bins_per_cell, dtype=np.int64)
-    if edges[-1] != n_bins:
-        edges = np.append(edges, n_bins)
-    return edges
-
-
 @dataclass
 class CascadeResult:
-    """Per-stage ensembles and shot counts per outcome ``(n_in, absorbed_0, ..., absorbed_{k-1})``."""
+    """Per-stage ensembles, shot counts per outcome ``(n_in, absorbed_0, ..., absorbed_{k-1})``
+    and, if requested, the g2 sums of the detected output."""
 
     stages: list[EnsembleResult]
     outcomes: Counter
+    g2: G2Accumulator | None = None
 
     @property
     def shots(self) -> int:
@@ -60,7 +54,8 @@ class CascadeResult:
 
     def merged(self, other: "CascadeResult") -> "CascadeResult":
         stages = [merge(a, b) for a, b in zip(self.stages, other.stages)]
-        return CascadeResult(stages, self.outcomes + other.outcomes)
+        g2 = None if self.g2 is None else self.g2.merged(other.g2)
+        return CascadeResult(stages, self.outcomes + other.outcomes, g2)
 
 
 def cascade_shot(
@@ -81,19 +76,20 @@ def cascade_shot(
 
 
 def _run_batch(args) -> CascadeResult:
-    (stages, pulse, detector, seed, stream_key, start, stop, collect_g2, cell_edges) = args
+    (stages, pulse, detector, seed, stream_key, start, stop, g2_cell_bins) = args
     lam = expected_bin_means(pulse)
     n_bins, n_stages = pulse.n_bins, len(stages)
     per_stage = [EnsembleResult(n_bins, pulse.bin_width_us) for _ in stages]
+    shot_bytes = 8 * n_bins * (n_stages + 1)
     acc = None
-    if collect_g2:
-        acc = per_stage[-1].g2 = G2Accumulator(n_bins, pulse.bin_width_us, cell_edges)
-    shot_bytes = 8 * n_bins * (n_stages + 1 + (N_DETECTORS if collect_g2 else 0))
+    if g2_cell_bins is not None:
+        acc = G2Accumulator(n_bins, pulse.bin_width_us, g2_cell_bins)
+        shot_bytes += 8 * (N_DETECTORS * n_bins + acc.n_cells**2)
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // shot_bytes))
     # bins[k] holds the input rows of stage k, bins[k + 1] its output rows
     bins = np.empty((n_stages + 1, chunk, n_bins), dtype=np.int64)
     n_in, absorbed, ions = (np.empty((n_stages, chunk), dtype=np.int64) for _ in range(3))
-    det = np.empty((chunk, N_DETECTORS, n_bins), dtype=np.int64) if collect_g2 else None
+    det = np.empty((chunk, N_DETECTORS, n_bins), dtype=np.int64) if acc is not None else None
     outcomes: Counter = Counter()
     for lo in range(start, stop, chunk):
         rows = min(chunk, stop - lo)
@@ -113,7 +109,7 @@ def _run_batch(args) -> CascadeResult:
         if acc is not None:
             acc.add_block(det[:rows])
         outcomes.update(zip(n_in[0, :rows].tolist(), *absorbed[:, :rows].tolist()))
-    return CascadeResult(per_stage, outcomes)
+    return CascadeResult(per_stage, outcomes, acc)
 
 
 def simulate_cascade(
@@ -124,12 +120,16 @@ def simulate_cascade(
     seed: int,
     *,
     stream_key: tuple[int, ...] = (),
-    collect_g2: bool = False,
-    cell_edges: np.ndarray | None = None,
+    g2_cell_bins: int | None = None,
     workers: int = 1,
     batch_shots: int = _BATCH_SHOTS,
 ) -> CascadeResult:
-    """Run Poisson pulses through a chain of absorbers; the last stage's ensemble holds any g2."""
+    """Run Poisson pulses through a chain of absorbers.
+
+    With ``g2_cell_bins`` set, the result's ``g2`` holds the intensity
+    correlations of the last stage's detected output on cells of that many
+    bins.
+    """
     if len(stages) == 0:
         raise ValueError("cascade needs at least one stage")
     if shots < 1:
@@ -137,7 +137,7 @@ def simulate_cascade(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     batches = [
-        (stages, pulse, detector, seed, stream_key, s, min(s + batch_shots, shots), collect_g2, cell_edges)
+        (stages, pulse, detector, seed, stream_key, s, min(s + batch_shots, shots), g2_cell_bins)
         for s in range(0, shots, batch_shots)
     ]
     if workers == 1 or len(batches) == 1:
@@ -156,13 +156,11 @@ def run_point(
     seed: int,
     *,
     stream_key: tuple[int, ...] = (),
-    collect_g2: bool = False,
-    cell_edges: np.ndarray | None = None,
     workers: int = 1,
     batch_shots: int = _BATCH_SHOTS,
 ) -> EnsembleResult:
     """Simulate one experimental setting including the detection chain."""
     return simulate_cascade(
-        (absorber,), pulse, detector, shots, seed, stream_key=stream_key, collect_g2=collect_g2,
-        cell_edges=cell_edges, workers=workers, batch_shots=batch_shots,
+        (absorber,), pulse, detector, shots, seed, stream_key=stream_key, workers=workers,
+        batch_shots=batch_shots,
     ).stages[0]

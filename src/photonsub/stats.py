@@ -8,7 +8,8 @@ from typing import Any
 
 import numpy as np
 
-from .absorber import EnsembleResult, field_equal, merge_field
+from .absorber import EnsembleResult
+from .detector import N_DETECTORS
 
 
 # ---------------------------------------------------------------------------
@@ -116,42 +117,33 @@ class G2Matrix:
 
 # The largest grid: the sums hold 8 (cell, cell) maps of doubles, 64 MB here.
 MAX_CELLS = 1000
-# Bytes of one (B, n_cells, n_cells) map in an ``add_block`` pass.
-_PASS_BYTES = 1 << 20
 
 
 class G2Accumulator:
     """Streaming accumulator for pair-averaged intensity correlations.
 
-    Feeds on blocks of per-shot (n_det, n_bins) click arrays.  For every
-    unordered detector pair it accumulates the ordered product sums over a
-    coarser cell grid plus the per-shot scatter needed for error bars;
-    merging two accumulators is exact.
+    Feeds on blocks of per-shot (N_DETECTORS, n_bins) click arrays.  The cell
+    grid is uniform, ``bins_per_cell`` bins a cell, with any remainder in the
+    last cell.  For every unordered detector pair it accumulates the ordered
+    product sums over that grid plus the per-shot scatter needed for error
+    bars.  Every summed field is listed by ``zero_sums``; merging adds and
+    comparing checks those fields one by one, so merging is exact.
     """
 
-    def __init__(
-        self,
-        n_bins: int,
-        bin_width_us: float,
-        cell_edges: np.ndarray | None = None,
-        n_det: int = 4,
-    ) -> None:
-        if n_det < 2:
-            raise ValueError("need at least two detectors for intensity correlations")
-        edges = np.arange(0, n_bins + 1, 2) if cell_edges is None else np.asarray(cell_edges)
-        if edges[-1] != n_bins:
-            edges = np.append(edges, n_bins)
-        if edges.size < 2 or edges[0] != 0 or (np.diff(edges) <= 0).any():
-            raise ValueError("cell edges must increase from 0 to n_bins")
+    def __init__(self, n_bins: int, bin_width_us: float, bins_per_cell: int) -> None:
+        if bins_per_cell < 1:
+            raise ValueError(f"bins_per_cell must be >= 1, got {bins_per_cell}")
+        edges = np.append(np.arange(0, n_bins, bins_per_cell), n_bins)
         if edges.size - 1 > MAX_CELLS:
             raise ValueError(
                 f"a g2 grid of {edges.size - 1} cells exceeds {MAX_CELLS}; use wider cells (g2.cell_ns)"
             )
         self.n_bins = n_bins
         self.bin_width_us = bin_width_us
-        self.n_det = n_det
-        self.cell_edges = edges.astype(np.int64)
-        self.pairs = [(a, b) for a in range(n_det) for b in range(a + 1, n_det)]
+        self.bins_per_cell = bins_per_cell
+        self.n_det = N_DETECTORS
+        self.cell_edges = edges
+        self.pairs = [(a, b) for a in range(self.n_det) for b in range(a + 1, self.n_det)]
         centers = (edges[:-1] + edges[1:]) / 2.0 * bin_width_us
         duration = n_bins * bin_width_us
         self._front = centers < duration / 3.0
@@ -181,53 +173,50 @@ class G2Accumulator:
         """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
 
         Every sum is over integer products, exact in float64, so it does not
-        depend on how shots are split into blocks.  Each pass over the rows
-        holds at most ``_PASS_BYTES`` of per-shot (cell, cell) maps.
+        depend on how shots are split into blocks.  The block holds a
+        (n_cells, n_cells) map per shot; the caller bounds B.
         """
         det_bins = np.asarray(det_bins)
         if det_bins.shape[1:] != (self.n_det, self.n_bins):
             raise ValueError(
                 f"expected click arrays of shape {(self.n_det, self.n_bins)}, got {det_bins.shape[1:]}"
             )
-        step = max(1, _PASS_BYTES // (8 * self.n_cells**2))
-        for lo in range(0, len(det_bins), step):
-            cells = np.add.reduceat(det_bins[lo : lo + step], self.cell_edges[:-1], axis=2).astype(float)
-            self.shots += len(cells)
-            self.marg_sums += cells.sum(axis=0)
-            by_det = cells.transpose(1, 2, 0)  # (n_det, n_cells, B)
-            for k, (a, b) in enumerate(self.pairs):
-                self.pair_sums[k] += by_det[a] @ cells[:, b]
-            # y = sum over pairs a < b of outer(cells[a], cells[b]), per shot:
-            # each detector against the sum of the detectors after it.
-            later = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1]
-            y = cells[:, :-1].transpose(0, 2, 1) @ later
-            self.y_sum += y.sum(axis=0)
-            self.y_sq_sum += (y * y).sum(axis=0)
-            y_front = y[:, self._front][:, :, self._front].sum(axis=(1, 2))
-            y_rear = y[:, self._rear][:, :, self._rear].sum(axis=(1, 2))
-            self.front_sum += float(y_front.sum())
-            self.front_sq_sum += float((y_front * y_front).sum())
-            self.rear_sum += float(y_rear.sum())
-            self.rear_sq_sum += float((y_rear * y_rear).sum())
+        cells = np.add.reduceat(det_bins, self.cell_edges[:-1], axis=2).astype(float)
+        self.shots += len(cells)
+        self.marg_sums += cells.sum(axis=0)
+        by_det = cells.transpose(1, 2, 0)  # (n_det, n_cells, B)
+        for k, (a, b) in enumerate(self.pairs):
+            self.pair_sums[k] += by_det[a] @ cells[:, b]
+        # y = sum over pairs a < b of outer(cells[a], cells[b]), per shot:
+        # each detector against the sum of the detectors after it.
+        later = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1]
+        y = cells[:, :-1].transpose(0, 2, 1) @ later
+        self.y_sum += y.sum(axis=0)
+        self.y_sq_sum += (y * y).sum(axis=0)
+        y_front = y[:, self._front][:, :, self._front].sum(axis=(1, 2))
+        y_rear = y[:, self._rear][:, :, self._rear].sum(axis=(1, 2))
+        self.front_sum += float(y_front.sum())
+        self.front_sq_sum += float((y_front * y_front).sum())
+        self.rear_sum += float(y_rear.sum())
+        self.rear_sq_sum += float((y_rear * y_rear).sum())
 
     def add(self, det_bins: np.ndarray) -> None:
         """Add one shot's (n_det, n_bins) click array."""
         self.add_block(np.asarray(det_bins)[None])
 
     def _grid(self) -> tuple:
-        return (self.n_bins, self.bin_width_us, self.n_det, tuple(self.cell_edges))
+        return (self.n_bins, self.bin_width_us, self.bins_per_cell)
 
     def merged(self, other: "G2Accumulator") -> "G2Accumulator":
         if self._grid() != other._grid():
             raise ValueError("cannot merge correlation accumulators with different grids")
-        out = G2Accumulator(self.n_bins, self.bin_width_us, self.cell_edges, self.n_det)
-        for name in out.zero_sums():
-            setattr(out, name, merge_field(name, getattr(self, name), getattr(other, name)))
+        out = G2Accumulator(*self._grid())
+        vars(out).update({name: getattr(self, name) + getattr(other, name) for name in self.zero_sums()})
         return out
 
     def equals(self, other: "G2Accumulator") -> bool:
         return self._grid() == other._grid() and all(
-            field_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
         )
 
     def _pooled(self, mask: np.ndarray, y_total: float, y_sq_total: float, marg: np.ndarray):

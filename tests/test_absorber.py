@@ -13,7 +13,6 @@ from photonsub import (
     PulseSpec,
     ShotRecord,
     cascade_shot,
-    default_cell_edges,
     detect_ions,
     detect_pulse,
     mean_out,
@@ -24,7 +23,7 @@ from photonsub import (
     simulate_shot,
     substream,
 )
-from photonsub import stats
+from photonsub import experiment
 from photonsub.absorber import MAX_EXCITATIONS
 from photonsub.experiment import _CHUNK
 from photonsub.pulses import expected_bin_means
@@ -179,14 +178,6 @@ def test_merge_rejects_mismatched_bin_structure():
         merge(a, b)
 
 
-def test_merge_rejects_one_sided_g2():
-    spec = PulseSpec(mean_photons=1.0)
-    a = run_point(spec, MEASURED, DET, 5, 1)
-    b = run_point(spec, MEASURED, DET, 5, 2, collect_g2=True)
-    with pytest.raises(ValueError):
-        merge(a, b)
-
-
 def test_leaky_blockade_warns():
     with pytest.warns(UserWarning):
         AbsorberParams(p_ryd=0.1, p_ryd2=0.5, t=1.0)
@@ -208,8 +199,8 @@ def test_cascade_counts_three_photons_exactly():
 
 def test_run_point_is_a_one_stage_cascade():
     spec = PulseSpec(mean_photons=4.0)
-    result = simulate_cascade((MEASURED,), spec, DET, 300, 13, collect_g2=True)
-    ens = run_point(spec, MEASURED, DET, 300, 13, collect_g2=True)
+    result = simulate_cascade((MEASURED,), spec, DET, 300, 13, g2_cell_bins=2)
+    ens = run_point(spec, MEASURED, DET, 300, 13)
     assert result.stages[0].equals(ens)
     absorbed = [sum(c for (_, a), c in result.outcomes.items() if a == k) for k in range(3)]
     assert absorbed == list(ens.absorbed_hist)
@@ -231,11 +222,12 @@ def test_two_ideal_stages_poisson_joint_probability():
 def test_cascade_workers_do_not_change_results():
     spec = PulseSpec(mean_photons=5.0)
     stages = (MEASURED, AbsorberParams(p_ryd=0.5, p_ryd2=0.05, t=0.9), IDEAL)
-    kwargs = dict(collect_g2=True, batch_shots=16)
+    kwargs = dict(g2_cell_bins=2, batch_shots=16)
     serial = simulate_cascade(stages, spec, DET, 64, 9, workers=1, **kwargs)
     parallel = simulate_cascade(stages, spec, DET, 64, 9, workers=2, **kwargs)
     assert len(serial.stages) == len(parallel.stages) == 3
     assert all(a.equals(b) for a, b in zip(serial.stages, parallel.stages))
+    assert serial.g2.equals(parallel.g2)
     assert serial.outcomes == parallel.outcomes
     assert sum(serial.outcomes.values()) == 64
 
@@ -252,26 +244,17 @@ def test_cascade_rejects_empty_stage_list():
 
 def test_merge_sums_every_declared_field():
     spec = PulseSpec(mean_photons=5.0)
-    a = run_point(spec, MEASURED, DetectorConfig(), 30, 1, collect_g2=True)
-    b = run_point(spec, MEASURED, DetectorConfig(), 20, 2, collect_g2=True)
-    merged = merge(a, b)
+    a = simulate_cascade((MEASURED,), spec, DET, 30, 1, g2_cell_bins=2)
+    b = simulate_cascade((MEASURED,), spec, DET, 20, 2, g2_cell_bins=2)
+    merged = a.merged(b)
     for name in EnsembleResult.SUMMED:
-        if name != "g2":
-            np.testing.assert_array_equal(
-                getattr(merged, name), getattr(a, name) + getattr(b, name)
-            )
+        np.testing.assert_array_equal(
+            getattr(merged.stages[0], name), getattr(a.stages[0], name) + getattr(b.stages[0], name)
+        )
     for name in merged.g2.zero_sums():
         np.testing.assert_array_equal(
             getattr(merged.g2, name), getattr(a.g2, name) + getattr(b.g2, name)
         )
-
-
-def test_equals_compares_the_g2_accumulator():
-    a = EnsembleResult(4, 0.05, g2=G2Accumulator(4, 0.05, n_det=2))
-    b = EnsembleResult(4, 0.05, g2=G2Accumulator(4, 0.05, n_det=2))
-    assert a.equals(b)
-    b.g2.add(np.array([[1, 0, 0, 1], [0, 1, 1, 0]]))
-    assert not a.equals(b)
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +265,30 @@ def test_equals_compares_the_g2_accumulator():
     n_bins=st.integers(1, 12),
     bins_per_cell=st.integers(1, 4),
     mean=st.sampled_from([0.3, 3.0, 40.0]),
-    pass_bytes=st.sampled_from([1, 1 << 20]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, pass_bytes, seed):
+def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed):
     rng = np.random.default_rng(seed)
     inp = rng.poisson(mean, size=(rows, n_bins))
     out = rng.binomial(inp, 0.8)
     absorbed = rng.integers(0, MAX_EXCITATIONS + 1, size=rows)
     ions = rng.binomial(absorbed, 0.5)
     det = rng.poisson(mean / 4, size=(rows, 4, n_bins))
-    edges = default_cell_edges(n_bins, bins_per_cell)
-    block, per_shot = (
-        EnsembleResult(n_bins, 0.05, g2=G2Accumulator(n_bins, 0.05, edges)) for _ in range(2)
-    )
-    # pass_bytes = 1 takes the g2 block one row per pass
-    with mock.patch.object(stats, "_PASS_BYTES", pass_bytes):
-        block.add_block(inp, out, inp.sum(axis=1), absorbed, ions)
-        block.g2.add_block(det)
+    block, per_shot = (EnsembleResult(n_bins, 0.05) for _ in range(2))
+    block_g2, per_shot_g2 = (G2Accumulator(n_bins, 0.05, bins_per_cell) for _ in range(2))
+    block.add_block(inp, out, inp.sum(axis=1), absorbed, ions)
+    block_g2.add_block(det)
     for s in range(rows):
         rec = ShotRecord(inp[s], out[s], int(inp[s].sum()), int(absorbed[s]), 0, None)
         per_shot.add_shot(rec, int(ions[s]))
-        per_shot.g2.add(det[s])
-    assert block.shots == per_shot.shots == rows
+        per_shot_g2.add(det[s])
+    assert block.shots == per_shot.shots == block_g2.shots == rows
     assert block.equals(per_shot)
+    assert block_g2.equals(per_shot_g2)
     references = (
         (block, _reference_sums(inp, out, absorbed, ions)),
-        (block.g2, _g2_reference_sums(block.g2, det)),
+        (block_g2, _g2_reference_sums(block_g2, det)),
     )
     for acc, reference in references:
         for name, value in reference.items():
@@ -318,7 +297,7 @@ def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, pass_
 
 def _reference_sums(inp, out, absorbed, ions):
     """The ensemble sums shot by shot, totals as Python integers."""
-    sums = {name: 0 for name in EnsembleResult.SUMMED if name != "g2"}
+    sums = {name: 0 for name in EnsembleResult.SUMMED}
     for i, o, a, n in zip(inp, out, absorbed, ions):
         for name, value in (
             ("shots", 1), ("in_total_sum", int(i.sum())), ("out_total_sum", int(o.sum())),
@@ -349,17 +328,43 @@ def _g2_reference_sums(acc, det):
     return sums
 
 
+def _per_shot_loop(spec, shots, seed, bins_per_cell):
+    """A one-absorber run with g2, shot by shot in the order the shot loop draws."""
+    lam = expected_bin_means(spec)
+    ens = EnsembleResult(spec.n_bins, spec.bin_width_us)
+    g2 = G2Accumulator(spec.n_bins, spec.bin_width_us, bins_per_cell)
+    for i in range(shots):
+        rng = substream(seed, i)
+        rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
+        ens.add_shot(rec, detect_ions(rec.absorbed, DET.eta_ion, rng))
+        g2.add(detect_pulse(rec.output_bins, DET, rng, spec.bin_width_us))
+    return ens, g2
+
+
 @pytest.mark.parametrize("shots", [_CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
 def test_run_point_blocks_equal_the_per_shot_loop(shots):
     spec = PulseSpec(mean_photons=6.0)
-    lam = expected_bin_means(spec)
-    g2 = G2Accumulator(spec.n_bins, spec.bin_width_us)
-    reference = EnsembleResult(spec.n_bins, spec.bin_width_us, g2=g2)
-    for i in range(shots):
-        rng = substream(17, i)
-        rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
-        reference.add_shot(rec, detect_ions(rec.absorbed, DET.eta_ion, rng))
-        reference.g2.add(detect_pulse(rec.output_bins, DET, rng, spec.bin_width_us))
+    ens, g2 = _per_shot_loop(spec, shots, 17, 2)
     for batching in ({"batch_shots": 16}, {}):
-        ens = run_point(spec, MEASURED, DET, shots, 17, collect_g2=True, **batching)
-        assert ens.equals(reference), batching
+        result = simulate_cascade((MEASURED,), spec, DET, shots, 17, g2_cell_bins=2, **batching)
+        assert result.stages[0].equals(ens), batching
+        assert result.g2.equals(g2), batching
+
+
+def test_one_shot_blocks_equal_the_per_shot_loop():
+    spec = PulseSpec(mean_photons=6.0)
+    ens, g2 = _per_shot_loop(spec, 5, 17, 3)
+    rows = []
+    add_block = G2Accumulator.add_block
+
+    def counted(acc, det):
+        rows.append(len(det))
+        add_block(acc, det)
+
+    with mock.patch.object(experiment, "_CHUNK_BYTES", 1), mock.patch.object(
+        G2Accumulator, "add_block", counted
+    ):
+        result = simulate_cascade((MEASURED,), spec, DET, 5, 17, g2_cell_bins=3)
+    assert rows == [1] * 5
+    assert result.stages[0].equals(ens)
+    assert result.g2.equals(g2)

@@ -138,8 +138,8 @@ def test_criterion_06_pulse_distortion():
 
 def test_criterion_07_early_pulse_bunching():
     shots = 100000
-    ens = run_point(PULSE, MEASURED, DET, shots, SEED, stream_key=(7,), collect_g2=True)
-    mat = ens.g2.finalize()
+    result = simulate_cascade((MEASURED,), PULSE, DET, shots, SEED, stream_key=(7,), g2_cell_bins=2)
+    mat = result.g2.finalize()
     front_z = (mat.front_g2 - 1.0) / mat.front_sigma
     rear_z = (mat.rear_g2 - 1.0) / mat.rear_sigma
     edges = mat.cell_edges_us
@@ -187,9 +187,9 @@ def test_criterion_09_statistical_laws(tmp_path):
     ok = abs(q - (-0.29)) <= 3 * mandel_q_sem(hist)
     details.append(f"thinned Q = {q:.4f}")
     # (b) normalized g2 is invariant under uniform detector thinning
-    full = run_point(PULSE, MEASURED, DET, 50000, SEED, stream_key=(9, 1), collect_g2=True)
+    full = simulate_cascade((MEASURED,), PULSE, DET, 50000, SEED, stream_key=(9, 1), g2_cell_bins=2)
     half_det = DetectorConfig(eta_probe=0.5)
-    half = run_point(PULSE, MEASURED, half_det, 50000, SEED, stream_key=(9, 2), collect_g2=True)
+    half = simulate_cascade((MEASURED,), PULSE, half_det, 50000, SEED, stream_key=(9, 2), g2_cell_bins=2)
     m_full = full.g2.finalize()
     m_half = half.g2.finalize()
     for label, a, sa, b, sb in (

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from photonsub import AbsorberParams, DetectorConfig, PulseSpec, run_point
+from photonsub import AbsorberParams, DetectorConfig, PulseSpec, simulate_cascade
 from photonsub.cli import main
 from photonsub.config import (
     KEYS,
     MAX_SEED,
+    MAX_STAGES,
     apply_keys,
     load_config,
     paper_defaults,
@@ -90,10 +91,10 @@ def test_load_config_file_and_overrides(tmp_path):
 
 def test_workers_do_not_change_results():
     spec = PulseSpec(mean_photons=5.0)
-    kwargs = dict(collect_g2=True, batch_shots=16)
-    serial = run_point(spec, AbsorberParams(), DetectorConfig(), 64, 9, workers=1, **kwargs)
-    parallel = run_point(spec, AbsorberParams(), DetectorConfig(), 64, 9, workers=2, **kwargs)
-    assert serial.equals(parallel)
+    kwargs = dict(g2_cell_bins=2, batch_shots=16)
+    serial = simulate_cascade((AbsorberParams(),), spec, DetectorConfig(), 64, 9, workers=1, **kwargs)
+    parallel = simulate_cascade((AbsorberParams(),), spec, DetectorConfig(), 64, 9, workers=2, **kwargs)
+    assert serial.stages[0].equals(parallel.stages[0])
     assert serial.g2.equals(parallel.g2)
 
 
@@ -137,6 +138,18 @@ def test_g2_command_emits_matrix(tmp_path):
     assert len(lines) == 1 + 20 * 20
 
 
+@pytest.mark.parametrize(
+    "cell_ns, used, cells", [("100", "100.0", 20), ("70", "50.0", 40), ("1e-9", "50.0", 40)]
+)
+def test_g2_summary_records_the_cell_width_used(tmp_path, cell_ns, used, cells):
+    # 50 ns bins: a cell is the requested width rounded to whole bins, at least one
+    assert main(["--shots", "10", "--out", str(tmp_path), "g2", "--cell-ns", cell_ns]) == 0
+    summary = (tmp_path / "g2-001" / "summary.json").read_text()
+    assert f'"cell_ns": {used},' in summary
+    lines = (tmp_path / "g2-001" / "g2_matrix.csv").read_text().splitlines()
+    assert len(lines) == 1 + cells * cells
+
+
 def test_spectrum_fit_gamma_roundtrip(tmp_path):
     assert main(["--out", str(tmp_path), "spectrum", "--points", "81"]) == 0
     csv = tmp_path / "spectrum-001" / "spectrum.csv"
@@ -159,6 +172,37 @@ def test_cascade_command_counts_photons(tmp_path):
     for line in lines[1:]:
         true_n, inferred_n, *_ = line.split(",")
         assert int(inferred_n) == min(int(true_n), 5)
+
+
+def test_cascade_reports_ion_clicks_per_stage(tmp_path):
+    shots = 4000
+    stages = ["--stages", "1,0,1;1,0,1", "--n-in", "2"]
+    args = ["--shots", str(shots), "--out", str(tmp_path), "cascade", *stages]
+    assert main(args) == 0
+    lines = (tmp_path / "cascade-001" / "cascade_stages.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[-2:] == ["ion_mean", "ion_q"]
+    stage0 = dict(zip(header, map(float, lines[1].split(","))))
+    # one absorbed photon per fired stage, each thinned by the ion detector
+    eta = DetectorConfig().eta_ion
+    sigma = math.sqrt(eta * (1 - eta) * stage0["p_fired"] / shots)
+    assert abs(stage0["ion_mean"] - eta * stage0["p_fired"]) < 5 * sigma
+    # at most one ion a shot: a Bernoulli count, whose Mandel-Q is minus its mean
+    assert stage0["ion_q"] == pytest.approx(-stage0["ion_mean"], abs=1e-3)
+
+
+def test_cascade_length_is_capped(tmp_path, capsys):
+    assert len(parse_stages(";".join(["1,0,1"] * MAX_STAGES))) == MAX_STAGES
+    too_long = ";".join(["1,0,1"] * (MAX_STAGES + 1))
+    args = ["--shots", "1", "--out", str(tmp_path), "cascade", "--stages", too_long]
+    assert main(args) == 1
+    assert "config key 'cascade.stages'" in capsys.readouterr().err
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"cascade.stages = {too_long}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--shots", "1", "--out", str(out), "cascade"]) == 1
+    assert "config key 'cascade.stages'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cascade_of_twenty_stages_writes_only_observed_outcomes(tmp_path):

@@ -98,7 +98,7 @@ def test_split_coherent_light_stays_uncorrelated():
     for _ in range(shots):
         counts = rng.poisson(1.2, size=8)
         records.append(split_hbt(counts, CFG, rng))
-    acc = G2Accumulator(n_bins=8, bin_width_us=0.05, cell_edges=np.array([0, 8]))
+    acc = G2Accumulator(n_bins=8, bin_width_us=0.05, bins_per_cell=8)
     acc.add_block(np.stack(records))
     mat = acc.finalize()
     assert abs(mat.values[0, 0] - 1.0) < 3 * mat.sigma[0, 0]

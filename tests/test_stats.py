@@ -13,6 +13,7 @@ from photonsub import (
     pulse_shape,
     q_over_mean,
     run_point,
+    simulate_cascade,
     substream,
 )
 from photonsub.stats import (
@@ -69,9 +70,9 @@ def test_hist_mean_helpers():
 # ---------------------------------------------------------------------------
 # g2 estimation
 
-def _g2_map(records, cell_edges):
+def _g2_map(records, bins_per_cell):
     det = np.stack(records)
-    acc = G2Accumulator(det.shape[2], 0.05, cell_edges, n_det=det.shape[1])
+    acc = G2Accumulator(det.shape[2], 0.05, bins_per_cell)
     acc.add_block(det)
     return acc.finalize()
 
@@ -80,7 +81,7 @@ def test_duplicated_stream_matches_brute_force():
     rng = substream(4, 0)
     shots = [rng.poisson(2.0, size=4) for _ in range(10)]
     records = [np.stack([s, s, np.zeros(4, np.int64), np.zeros(4, np.int64)]) for s in shots]
-    mat = _g2_map(records, np.arange(5))
+    mat = _g2_map(records, 1)
     data = np.stack(shots).astype(float)
     marg = data.mean(axis=0)
     expected = np.full((4, 4), np.nan)
@@ -99,7 +100,7 @@ def test_duplicated_stream_matches_brute_force():
 
 def test_g2_undefined_cells_are_nan():
     records = [np.array([[1, 0], [1, 0], [0, 0], [0, 0]], dtype=np.int64) for _ in range(5)]
-    mat = _g2_map(records, np.arange(3))
+    mat = _g2_map(records, 1)
     assert np.isfinite(mat.values[0, 0])
     assert np.isnan(mat.values[1, 1])
 
@@ -107,8 +108,7 @@ def test_g2_undefined_cells_are_nan():
 def test_g2_of_coherent_light_is_flat():
     spec = PulseSpec(mean_photons=15.76)
     transparent = AbsorberParams(p_ryd=0.0, p_ryd2=0.0, t=1.0)
-    ens = run_point(spec, transparent, DET, 30000, 5, collect_g2=True)
-    mat = ens.g2.finalize()
+    mat = simulate_cascade((transparent,), spec, DET, 30000, 5, g2_cell_bins=2).g2.finalize()
     finite = np.isfinite(mat.values)
     z = np.abs(mat.values[finite] - 1.0) / mat.sigma[finite]
     assert z.max() < 4.5
@@ -117,21 +117,30 @@ def test_g2_of_coherent_light_is_flat():
 
 
 def test_g2_rejects_empty_ensemble():
-    acc = G2Accumulator(n_bins=4, bin_width_us=0.05)
+    acc = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
     acc.add_block(np.zeros((0, 4, 4), dtype=np.int64))
     with pytest.raises(ValueError):
         acc.finalize()
 
 
 def test_g2_rejects_single_detector():
+    acc = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
     with pytest.raises(ValueError):
-        G2Accumulator(n_bins=4, bin_width_us=0.05, n_det=1)
+        acc.add(np.ones((1, 4), dtype=np.int64))
+
+
+def test_g2_grid_is_uniform_with_a_ragged_last_cell():
+    np.testing.assert_array_equal(G2Accumulator(40, 0.05, 2).cell_edges, np.arange(0, 41, 2))
+    np.testing.assert_array_equal(G2Accumulator(7, 0.05, 3).cell_edges, [0, 3, 6, 7])
+    np.testing.assert_array_equal(G2Accumulator(2, 0.05, 5).cell_edges, [0, 2])
+    with pytest.raises(ValueError):
+        G2Accumulator(4, 0.05, 0)
 
 
 def test_g2_grid_is_capped():
-    G2Accumulator(MAX_CELLS, 0.05, np.arange(MAX_CELLS + 1))
+    assert G2Accumulator(MAX_CELLS, 0.05, 1).n_cells == MAX_CELLS
     with pytest.raises(ValueError, match=re.escape("(g2.cell_ns)")):
-        G2Accumulator(MAX_CELLS + 1, 0.05, np.arange(MAX_CELLS + 2))
+        G2Accumulator(MAX_CELLS + 1, 0.05, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +186,13 @@ def test_photon_deficit_network_bounds():
 
 
 def test_g2_equals_compares_every_summed_field():
-    clicks = np.array([[1, 2, 0, 1], [0, 1, 1, 1]])
+    clicks = np.array([[1, 2, 0, 1], [0, 1, 1, 1], [2, 0, 1, 0], [0, 0, 1, 3]])
     for name in (
         "shots", "marg_sums", "pair_sums", "y_sum", "y_sq_sum",
         "front_sum", "front_sq_sum", "rear_sum", "rear_sq_sum",
     ):
-        a = G2Accumulator(n_bins=4, bin_width_us=0.05, n_det=2)
-        b = G2Accumulator(n_bins=4, bin_width_us=0.05, n_det=2)
+        a = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
+        b = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
         a.add(clicks)
         b.add(clicks)
         assert a.equals(b)
