@@ -46,14 +46,14 @@ class AbsorberParams:
 
 @dataclass
 class ShotRecord:
-    """One pulse realization through the absorber."""
+    """One pulse realization through the absorber: its input and output rows,
+    the excitations it created and the photons lost to background scattering.
+    Totals and positions follow from the rows and are not stored."""
 
     input_bins: BinnedCounts
     output_bins: BinnedCounts
-    n_in: int
     absorbed: int
     background_lost: int
-    absorption_bin: int | None
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -70,35 +70,24 @@ def simulate_shot(
 ) -> ShotRecord:
     """Propagate one binned pulse through the absorber."""
     counts = np.asarray(input_bins, dtype=np.int64)
-    n_in = int(counts.sum())
     survivors = rng.binomial(counts, params.t)
     cum = np.cumsum(survivors)
     n_surv = int(cum[-1]) if counts.size else 0
     output = survivors
     absorbed = 0
-    absorption_bin: int | None = None
     if params.p_ryd > 0.0 and n_surv > 0:
         # Index of the first absorbed photon in the surviving stream: the
         # number of failed Bernoulli(p_ryd) trials before the first success.
         pos = int(rng.geometric(params.p_ryd)) - 1
         if pos < n_surv:
-            first_bin = int(np.searchsorted(cum, pos, side="right"))
-            output[first_bin] -= 1
+            output[int(np.searchsorted(cum, pos, side="right"))] -= 1
             absorbed = 1
-            absorption_bin = first_bin
             if params.p_ryd2 > 0.0:
                 pos += int(rng.geometric(params.p_ryd2))
                 if pos < n_surv:
                     output[int(np.searchsorted(cum, pos, side="right"))] -= 1
                     absorbed = 2
-    return ShotRecord(
-        input_bins=counts,
-        output_bins=output,
-        n_in=n_in,
-        absorbed=absorbed,
-        background_lost=n_in - n_surv,
-        absorption_bin=absorption_bin,
-    )
+    return ShotRecord(counts, output, absorbed, background_lost=int(counts.sum()) - n_surv)
 
 
 def _counts(size: int | None = None) -> Any:
@@ -139,20 +128,13 @@ class EnsembleResult:
             if "size" in f.metadata and getattr(self, f.name) is None:
                 setattr(self, f.name, np.zeros(f.metadata["size"] or self.n_bins, dtype=np.int64))
 
-    def add_block(
-        self,
-        inp: np.ndarray,
-        out: np.ndarray,
-        n_in: np.ndarray,
-        absorbed: np.ndarray,
-        ions: np.ndarray,
-    ) -> None:
+    def add_block(self, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray) -> None:
         """Add B shots: (B, n_bins) input and output counts, and per shot the
-        input total, the absorbed count and the ion clicks."""
+        absorbed count and the ion clicks."""
         size = MAX_EXCITATIONS + 1
         total_out = out.sum(axis=1)
-        self.shots += len(n_in)
-        self.in_total_sum += int(n_in.sum())
+        self.shots += len(inp)
+        self.in_total_sum += int(inp.sum())
         self.out_total_sum += int(total_out.sum())
         self.out_total_sq_sum += int((total_out * total_out).sum())
         self.in_bin_sums += inp.sum(axis=0)
@@ -165,10 +147,7 @@ class EnsembleResult:
 
     def add_shot(self, rec: ShotRecord, ions: int) -> None:
         """Add one shot and its ion clicks."""
-        self.add_block(
-            rec.input_bins[None], rec.output_bins[None],
-            np.array([rec.n_in]), np.array([rec.absorbed]), np.array([ions]),
-        )
+        self.add_block(rec.input_bins[None], rec.output_bins[None], np.array([rec.absorbed]), np.array([ions]))
 
     @property
     def mean_in(self) -> float:

@@ -114,25 +114,20 @@ def transmission(
     return np.exp(-phys.od_b * np.real(chi))
 
 
-def transmission_spectrum(
-    phys: PhysicsParams,
-    delta_grid: np.ndarray,
-    probe_detuning: float | None = None,
-) -> np.ndarray:
-    """Transmission versus two-photon detuning; returns an (n, 2) array of (d2, T)."""
+def transmission_spectrum(phys: PhysicsParams, delta_grid: np.ndarray) -> np.ndarray:
+    """Transmission versus two-photon detuning at probe detuning ``phys.delta_e``;
+    returns an (n, 2) array of (d2, T)."""
     grid = np.asarray(delta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("delta grid is empty")
-    dp = phys.delta_e if probe_detuning is None else probe_detuning
-    t_vals = transmission(phys, dp, grid)
+    t_vals = transmission(phys, phys.delta_e, grid)
     return np.column_stack([grid, np.atleast_1d(t_vals)])
 
 
-def scattering_probability(phys: PhysicsParams, probe_detuning: float | None = None) -> float:
-    """Control-off probability to scatter a probe photon at the given detuning."""
-    dp = phys.delta_e if probe_detuning is None else probe_detuning
+def scattering_probability(phys: PhysicsParams) -> float:
+    """Control-off probability to scatter a probe photon at probe detuning ``phys.delta_e``."""
     off = replace(phys, omega_c=0.0)
-    return float(1.0 - transmission(off, dp, 0.0))
+    return float(1.0 - transmission(off, phys.delta_e, 0.0))
 
 
 def conversion_probability(phys: PhysicsParams) -> float:
@@ -163,22 +158,19 @@ class DephasingFit:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section refinement stops once the bracket is this narrow relative to
+# its lower end, and gives up after this many steps.
+_FIT_REL_TOL = 1e-6
+_FIT_MAX_ITER = 200
 
 
-def fit_dephasing(
-    deltas: np.ndarray,
-    transmissions: np.ndarray,
-    phys: PhysicsParams,
-    probe_detuning: float | None = None,
-    *,
-    rel_tol: float = 1e-6,
-    max_iter: int = 200,
-) -> DephasingFit:
+def fit_dephasing(deltas: np.ndarray, transmissions: np.ndarray, phys: PhysicsParams) -> DephasingFit:
     """Least-squares fit of gamma_deph to a measured transmission spectrum.
 
-    Minimizes the summed squared transmission residual over gamma_deph > 0 by
-    bracketing on a log grid followed by golden-section refinement to the
-    given relative tolerance.  Deterministic for fixed data.
+    Minimizes the summed squared transmission residual over gamma_deph > 0,
+    at probe detuning ``phys.delta_e``, by bracketing on a log grid followed
+    by golden-section refinement to ``_FIT_REL_TOL``.  Deterministic for
+    fixed data.
     """
     deltas = np.asarray(deltas, dtype=float)
     measured = np.asarray(transmissions, dtype=float)
@@ -188,10 +180,9 @@ def fit_dephasing(
         raise ValueError("need at least 5 spectrum points to fit the dephasing rate")
     if np.ptp(measured) < 1e-9:
         raise ValueError("flat spectrum: dephasing rate is not identifiable")
-    dp = phys.delta_e if probe_detuning is None else probe_detuning
 
     def sse(gamma: float) -> float:
-        model = transmission(replace(phys, gamma_deph=gamma), dp, deltas)
+        model = transmission(replace(phys, gamma_deph=gamma), phys.delta_e, deltas)
         return float(((model - measured) ** 2).sum())
 
     grid = np.geomspace(1e-6, 1e4, 201)
@@ -203,8 +194,8 @@ def fit_dephasing(
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     f_c, f_d = sse(c), sse(d)
-    for iteration in range(max_iter):
-        if hi - lo <= rel_tol * lo:
+    for iteration in range(_FIT_MAX_ITER):
+        if hi - lo <= _FIT_REL_TOL * lo:
             break
         if f_c < f_d:
             hi, d, f_d = d, c, f_c

@@ -86,17 +86,15 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _ion_columns(ion_hist) -> tuple[float, float, float, float, float, float]:
-    nan = float("nan")
-    try:
-        mean = stats.hist_mean(ion_hist)
-        mean_sem = stats.hist_mean_sem(ion_hist)
-        q = stats.mandel_q(ion_hist)
-        q_sem = stats.mandel_q_sem(ion_hist)
-        ratio = stats.q_over_mean(ion_hist)
-        ratio_sem = stats.q_over_mean_sem(ion_hist)
-    except ValueError:
-        return nan, nan, nan, nan, nan, nan
-    return mean, mean_sem, q, q_sem, ratio, ratio_sem
+    """Ion mean and its error, then Mandel-Q and Q/mean with theirs; the Q
+    columns are nan where no ion was counted, since they divide by the mean."""
+    mean = stats.hist_mean(ion_hist)
+    mean_sem = stats.hist_mean_sem(ion_hist)
+    if mean == 0.0:
+        nan = float("nan")
+        return mean, mean_sem, nan, nan, nan, nan
+    q, q_sem = stats.mandel_q(ion_hist), stats.mandel_q_sem(ion_hist)
+    return mean, mean_sem, q, q_sem, stats.q_over_mean(ion_hist), stats.q_over_mean_sem(ion_hist)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,8 @@ def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
     # the following dead_bins - 1 bins, so each dead window yields one click.
     out = np.zeros_like(clicks)
     next_live = 0
-    for i in range(clicks.size):
-        if i >= next_live and clicks[i] > 0:
+    for i in np.flatnonzero(clicks):
+        if i >= next_live:
             out[i] = 1
             next_live = i + dead_bins
     return out

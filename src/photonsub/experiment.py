@@ -3,12 +3,17 @@
 A single absorber is the one-stage cascade, and ``_run_batch`` is the only
 loop over shots.  Each shot draws its randomness from a substream keyed by
 (seed, stream_key, shot index), so results never depend on batching, worker
-count or execution order.  The loop gathers the rows of up to ``_CHUNK``
-shots and adds them to each accumulator in one ``add_block`` call; every sum
-is over integers, so the block sums equal the per-shot sums exactly.  The
-run result holds one ensemble per stage and, when requested, the g2 sums of
-the light the four counters detect behind the last stage.  Batches reduce
-through the exact merges.
+count or execution order.  Within a shot the draws come in a fixed order:
+the Poisson input, every stage in turn, each stage's ion clicks in stage
+order, then the detection of the last stage's output.  A shot's rows are its
+whole record: the loop writes the input and output counts of every stage, the
+absorbed counts, the ion clicks and the detector clicks of up to ``_CHUNK``
+shots into block arrays, and every sum an output reads (totals, histograms,
+outcomes, g2 products) is taken from those arrays in one ``add_block`` call
+per accumulator.  Every sum is over integers, so the block sums equal the
+per-shot sums exactly.  The run result holds one ensemble per stage and, when
+requested, the g2 sums of the light the four counters detect behind the last
+stage.  Batches reduce through the exact merges.
 """
 
 from __future__ import annotations
@@ -20,18 +25,12 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .absorber import (
-    AbsorberParams,
-    EnsembleResult,
-    ShotRecord,
-    merge,
-    simulate_shot,
-    substream,
-)
+from .absorber import AbsorberParams, EnsembleResult, merge, simulate_shot, substream
 from .detector import N_DETECTORS, DetectorConfig, detect_ions, detect_pulse
-from .pulses import BinnedCounts, PulseSpec, expected_bin_means
+from .pulses import PulseSpec, expected_bin_means
 from .stats import G2Accumulator
 
+# Shots per batch; batches are the unit of work handed to the worker pool.
 _BATCH_SHOTS = 20000
 # Shots per accumulation block, fewer where a block's rows and g2 maps would
 # exceed _CHUNK_BYTES (long pulses, long cascades, fine g2 grids).
@@ -58,23 +57,6 @@ class CascadeResult:
         return CascadeResult(stages, self.outcomes + other.outcomes, g2)
 
 
-def cascade_shot(
-    stages: tuple[AbsorberParams, ...] | list[AbsorberParams],
-    input_bins: BinnedCounts,
-    rng: np.random.Generator,
-) -> list[ShotRecord]:
-    """Send one pulse through a chain of absorbers; stage k feeds stage k+1."""
-    if len(stages) == 0:
-        raise ValueError("cascade needs at least one stage")
-    records = []
-    bins = input_bins
-    for params in stages:
-        rec = simulate_shot(params, bins, rng)
-        records.append(rec)
-        bins = rec.output_bins
-    return records
-
-
 def _run_batch(args) -> CascadeResult:
     (stages, pulse, detector, seed, stream_key, start, stop, g2_cell_bins) = args
     lam = expected_bin_means(pulse)
@@ -88,27 +70,27 @@ def _run_batch(args) -> CascadeResult:
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // shot_bytes))
     # bins[k] holds the input rows of stage k, bins[k + 1] its output rows
     bins = np.empty((n_stages + 1, chunk, n_bins), dtype=np.int64)
-    n_in, absorbed, ions = (np.empty((n_stages, chunk), dtype=np.int64) for _ in range(3))
+    absorbed, ions = (np.empty((n_stages, chunk), dtype=np.int64) for _ in range(2))
     det = np.empty((chunk, N_DETECTORS, n_bins), dtype=np.int64) if acc is not None else None
     outcomes: Counter = Counter()
     for lo in range(start, stop, chunk):
         rows = min(chunk, stop - lo)
         for r in range(rows):
             rng = substream(seed, *stream_key, lo + r)
-            records = cascade_shot(stages, rng.poisson(lam), rng)
-            bins[0, r] = records[0].input_bins
-            for k, rec in enumerate(records):
+            bins[0, r] = rng.poisson(lam)
+            for k, params in enumerate(stages):
+                rec = simulate_shot(params, bins[k, r], rng)
                 bins[k + 1, r] = rec.output_bins
-                n_in[k, r] = rec.n_in
                 absorbed[k, r] = rec.absorbed
-                ions[k, r] = detect_ions(rec.absorbed, detector.eta_ion, rng)
+            for k in range(n_stages):
+                ions[k, r] = detect_ions(absorbed[k, r], detector.eta_ion, rng)
             if acc is not None:
-                det[r] = detect_pulse(records[-1].output_bins, detector, rng, pulse.bin_width_us)
+                det[r] = detect_pulse(bins[-1, r], detector, rng, pulse.bin_width_us)
         for k, ens in enumerate(per_stage):
-            ens.add_block(bins[k, :rows], bins[k + 1, :rows], n_in[k, :rows], absorbed[k, :rows], ions[k, :rows])
+            ens.add_block(bins[k, :rows], bins[k + 1, :rows], absorbed[k, :rows], ions[k, :rows])
         if acc is not None:
             acc.add_block(det[:rows])
-        outcomes.update(zip(n_in[0, :rows].tolist(), *absorbed[:, :rows].tolist()))
+        outcomes.update(zip(bins[0, :rows].sum(axis=1).tolist(), *absorbed[:, :rows].tolist()))
     return CascadeResult(per_stage, outcomes, acc)
 
 
@@ -122,7 +104,6 @@ def simulate_cascade(
     stream_key: tuple[int, ...] = (),
     g2_cell_bins: int | None = None,
     workers: int = 1,
-    batch_shots: int = _BATCH_SHOTS,
 ) -> CascadeResult:
     """Run Poisson pulses through a chain of absorbers.
 
@@ -137,8 +118,8 @@ def simulate_cascade(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     batches = [
-        (stages, pulse, detector, seed, stream_key, s, min(s + batch_shots, shots), g2_cell_bins)
-        for s in range(0, shots, batch_shots)
+        (stages, pulse, detector, seed, stream_key, s, min(s + _BATCH_SHOTS, shots), g2_cell_bins)
+        for s in range(0, shots, _BATCH_SHOTS)
     ]
     if workers == 1 or len(batches) == 1:
         results = [_run_batch(b) for b in batches]
@@ -157,10 +138,8 @@ def run_point(
     *,
     stream_key: tuple[int, ...] = (),
     workers: int = 1,
-    batch_shots: int = _BATCH_SHOTS,
 ) -> EnsembleResult:
     """Simulate one experimental setting including the detection chain."""
     return simulate_cascade(
-        (absorber,), pulse, detector, shots, seed, stream_key=stream_key, workers=workers,
-        batch_shots=batch_shots,
+        (absorber,), pulse, detector, shots, seed, stream_key=stream_key, workers=workers
     ).stages[0]

@@ -115,7 +115,7 @@ class G2Matrix:
         return self.cell_edges_us[:-1]
 
 
-# The largest grid: the sums hold 8 (cell, cell) maps of doubles, 64 MB here.
+# The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
 MAX_CELLS = 1000
 
 
@@ -124,10 +124,14 @@ class G2Accumulator:
 
     Feeds on blocks of per-shot (N_DETECTORS, n_bins) click arrays.  The cell
     grid is uniform, ``bins_per_cell`` bins a cell, with any remainder in the
-    last cell.  For every unordered detector pair it accumulates the ordered
-    product sums over that grid plus the per-shot scatter needed for error
-    bars.  Every summed field is listed by ``zero_sums``; merging adds and
-    comparing checks those fields one by one, so merging is exact.
+    last cell.  It keeps only the sums that ``finalize`` cannot derive: the
+    per-detector marginals, the ordered product sums of every unordered
+    detector pair, and the squared sums of each shot's pair-summed map ``y``
+    and of its front-third and rear-third totals, which give the error bars.
+    ``finalize`` takes the pair-summed map from ``pair_sums`` and the pooled
+    front and rear totals from that map.  Every summed field is listed by
+    ``zero_sums``; merging adds and comparing checks those fields one by one,
+    so merging is exact.
     """
 
     def __init__(self, n_bins: int, bin_width_us: float, bins_per_cell: int) -> None:
@@ -157,11 +161,8 @@ class G2Accumulator:
             "shots": 0,
             "marg_sums": np.zeros((self.n_det, c)),
             "pair_sums": np.zeros((len(self.pairs), c, c)),
-            "y_sum": np.zeros((c, c)),
             "y_sq_sum": np.zeros((c, c)),
-            "front_sum": 0.0,
             "front_sq_sum": 0.0,
-            "rear_sum": 0.0,
             "rear_sq_sum": 0.0,
         }
 
@@ -191,13 +192,10 @@ class G2Accumulator:
         # each detector against the sum of the detectors after it.
         later = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1]
         y = cells[:, :-1].transpose(0, 2, 1) @ later
-        self.y_sum += y.sum(axis=0)
         self.y_sq_sum += (y * y).sum(axis=0)
         y_front = y[:, self._front][:, :, self._front].sum(axis=(1, 2))
         y_rear = y[:, self._rear][:, :, self._rear].sum(axis=(1, 2))
-        self.front_sum += float(y_front.sum())
         self.front_sq_sum += float((y_front * y_front).sum())
-        self.rear_sum += float(y_rear.sum())
         self.rear_sq_sum += float((y_rear * y_rear).sum())
 
     def add(self, det_bins: np.ndarray) -> None:
@@ -219,13 +217,13 @@ class G2Accumulator:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
         )
 
-    def _pooled(self, mask: np.ndarray, y_total: float, y_sq_total: float, marg: np.ndarray):
+    def _pooled(self, mask: np.ndarray, y_map: np.ndarray, y_sq_total: float, marg: np.ndarray):
         denom = 0.0
         for a, b in self.pairs:
             denom += float(np.outer(marg[a][mask], marg[b][mask]).sum())
         if denom <= 0.0 or self.shots < 2:
             return float("nan"), float("nan")
-        y_mean = y_total / self.shots
+        y_mean = float(y_map[np.ix_(mask, mask)].sum()) / self.shots
         y_var = max(0.0, y_sq_total / self.shots - y_mean**2) * self.shots / (self.shots - 1)
         return y_mean / denom, math.sqrt(y_var / self.shots) / denom
 
@@ -234,6 +232,7 @@ class G2Accumulator:
             raise ValueError("empty ensemble: no shots accumulated")
         n_cells = self.n_cells
         marg = self.marg_sums / self.shots
+        y_map = self.pair_sums.sum(axis=0)
         values = np.full((n_cells, n_cells), np.nan)
         contrib = np.zeros((n_cells, n_cells))
         ratio_sum = np.zeros((n_cells, n_cells))
@@ -252,17 +251,15 @@ class G2Accumulator:
         # products, scaled by the same denominator as the value.
         sigma = np.full((n_cells, n_cells), np.nan)
         if self.shots > 1:
-            y_mean = self.y_sum / self.shots
+            y_mean = y_map / self.shots
             y_var = np.maximum(0.0, self.y_sq_sum / self.shots - y_mean**2)
             y_var *= self.shots / (self.shots - 1)
             sigma[any_def] = np.sqrt(y_var[any_def] / self.shots) / denom_sum[any_def]
         sym_values = _symmetrize_nan(values)
         sym_sigma = _symmetrize_sigma(sigma)
-        counts = 0.5 * (self.pair_sums.sum(axis=0) + self.pair_sums.sum(axis=0).T)
-        front_g2, front_sigma = self._pooled(
-            self._front, self.front_sum, self.front_sq_sum, marg
-        )
-        rear_g2, rear_sigma = self._pooled(self._rear, self.rear_sum, self.rear_sq_sum, marg)
+        counts = 0.5 * (y_map + y_map.T)
+        front_g2, front_sigma = self._pooled(self._front, y_map, self.front_sq_sum, marg)
+        rear_g2, rear_sigma = self._pooled(self._rear, y_map, self.rear_sq_sum, marg)
         edges_us = self.cell_edges * self.bin_width_us
         return G2Matrix(
             cell_edges_us=edges_us,

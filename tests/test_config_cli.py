@@ -3,13 +3,14 @@ import math
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from photonsub import AbsorberParams, DetectorConfig, PulseSpec, simulate_cascade
+from photonsub import AbsorberParams, DetectorConfig, PulseSpec, experiment, simulate_cascade
 from photonsub.cli import main
 from photonsub.config import (
     KEYS,
@@ -91,9 +92,9 @@ def test_load_config_file_and_overrides(tmp_path):
 
 def test_workers_do_not_change_results():
     spec = PulseSpec(mean_photons=5.0)
-    kwargs = dict(g2_cell_bins=2, batch_shots=16)
-    serial = simulate_cascade((AbsorberParams(),), spec, DetectorConfig(), 64, 9, workers=1, **kwargs)
-    parallel = simulate_cascade((AbsorberParams(),), spec, DetectorConfig(), 64, 9, workers=2, **kwargs)
+    with mock.patch.object(experiment, "_BATCH_SHOTS", 16):
+        serial = simulate_cascade((AbsorberParams(),), spec, DetectorConfig(), 64, 9, workers=1, g2_cell_bins=2)
+        parallel = simulate_cascade((AbsorberParams(),), spec, DetectorConfig(), 64, 9, workers=2, g2_cell_bins=2)
     assert serial.stages[0].equals(parallel.stages[0])
     assert serial.g2.equals(parallel.g2)
 
@@ -189,6 +190,25 @@ def test_cascade_reports_ion_clicks_per_stage(tmp_path):
     assert abs(stage0["ion_mean"] - eta * stage0["p_fired"]) < 5 * sigma
     # at most one ion a shot: a Bernoulli count, whose Mandel-Q is minus its mean
     assert stage0["ion_q"] == pytest.approx(-stage0["ion_mean"], abs=1e-3)
+
+
+def test_zero_ion_mean_is_written_as_zero(tmp_path):
+    # no photons, so no ion: the mean is 0 and only the Q columns, which
+    # divide by it, are undefined
+    cascade = ["cascade", "--stages", "1,0,1;1,0,1", "--n-in", "0"]
+    assert main(["--shots", "200", "--out", str(tmp_path), *cascade]) == 0
+    lines = (tmp_path / "cascade-001" / "cascade_stages.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, map(float, line.split(","))))
+        assert row["ion_mean"] == 0.0 and math.isnan(row["ion_q"])
+    assert main(["--shots", "200", "--out", str(tmp_path), "sweep", "--n-in", "0"]) == 0
+    lines = (tmp_path / "sweep-001" / "sweep.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert row["ion_mean"] == row["ion_mean_sem"] == 0.0
+    assert all(math.isnan(row[name]) for name in ("ion_q", "ion_q_sem", "q_over_mean", "q_over_mean_sem"))
+    point = json.loads((tmp_path / "sweep-001" / "summary.json").read_text())["points"][0]
+    assert point["ion_mean"] == 0.0 and math.isnan(point["ion_q"])
 
 
 def test_cascade_length_is_capped(tmp_path, capsys):

@@ -160,6 +160,30 @@ def test_dead_time_truncates_click_train():
     np.testing.assert_array_equal(_apply_dead_time(clicks, dead_bins=1), [1, 1, 0, 1])
 
 
+def _dead_time_reference(clicks, dead_bins):
+    """Bin by bin: a bin with photons records one click if the detector is live,
+    and then blinds it for dead_bins bins counted from that bin."""
+    out = [0] * len(clicks)
+    blind = 0
+    for i, n in enumerate(clicks):
+        if blind == 0 and n > 0:
+            out[i] = 1
+            blind = dead_bins
+        blind = max(blind - 1, 0)
+    return out
+
+
+@given(
+    clicks=st.lists(st.integers(0, 3), min_size=1, max_size=49),
+    dead_bins=st.integers(1, 5),
+)
+@settings(max_examples=200, deadline=None)
+def test_dead_time_matches_the_per_bin_reference(clicks, dead_bins):
+    got = _apply_dead_time(np.array(clicks, dtype=np.int64), dead_bins)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _dead_time_reference(clicks, dead_bins))
+
+
 def test_dead_time_through_detection_chain():
     cfg = DetectorConfig(dead_time_ns=100.0)
     rng = substream(14, 0)

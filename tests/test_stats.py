@@ -188,8 +188,7 @@ def test_photon_deficit_network_bounds():
 def test_g2_equals_compares_every_summed_field():
     clicks = np.array([[1, 2, 0, 1], [0, 1, 1, 1], [2, 0, 1, 0], [0, 0, 1, 3]])
     for name in (
-        "shots", "marg_sums", "pair_sums", "y_sum", "y_sq_sum",
-        "front_sum", "front_sq_sum", "rear_sum", "rear_sq_sum",
+        "shots", "marg_sums", "pair_sums", "y_sq_sum", "front_sq_sum", "rear_sq_sum",
     ):
         a = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
         b = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
