@@ -4,11 +4,12 @@
     python scripts/record_bench.py PARENT_DIR OUT.json --change "what changed"
 
 PARENT_DIR is a checkout of the parent commit; this checkout is the change.
-Each tree runs its own ``perfbench/run.py``.  Per workload, ``--pairs`` pairs
-of ``--trace 0`` runs alternate between the trees at seeds 101, 102, ...,
-parent first in odd pairs and change first in even ones, so slow drift of a
-shared machine falls on both sides alike.  Then each tree makes one
-``--trace 1 --seed 1`` run per workload for the per-layer metrics.
+Each tree runs its own ``perfbench/run.py`` for the ``run_seconds`` that
+``BENCHMARK.json`` fixes.  Per workload, ten pairs of ``--trace 0`` runs
+alternate between the trees at seeds 101 to 110, parent first in odd pairs
+and change first in even ones, so slow drift of a shared machine falls on
+both sides alike.  Then each tree makes one ``--trace 1 --seed 1`` run per
+workload for the per-layer metrics.
 
 The record holds the machine, every run's JSON result line and, per workload
 and end-to-end metric, both sides' medians and quartiles, the ratio of the
@@ -30,6 +31,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 101
+PAIRS = 10
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -65,30 +67,27 @@ def main() -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("out", type=Path, help="BENCH_*.json file to write")
     parser.add_argument("--change", required=True, help="one line on what the change does")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=trees["parent"], capture_output=True, text=True)
 
     pair_lines = []
     for bench in spec["workloads"]:
         workload = bench["name"]
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             seed = FIRST_SEED + pair - 1
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result = run_bench(trees[side], workload, seed, args.seconds, 0)
+                result = run_bench(trees[side], workload, seed, seconds, 0)
                 metrics = {name: m["value"] for name, m in result["metrics"].items()}
                 pair_lines.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                    "correct": result["correct"], "metrics": metrics})
                 print(f"{workload} pair {pair} {side}: {metrics}", file=sys.stderr, flush=True)
     trace_lines = [
         {"workload": bench["name"], "trace": 1, "side": side,
-         "result": run_bench(trees[side], bench["name"], 1, args.seconds, 1)}
+         "result": run_bench(trees[side], bench["name"], 1, seconds, 1)}
         for bench in spec["workloads"] for side in trees
     ]
 
@@ -111,13 +110,13 @@ def main() -> int:
             "note": "perfbench scales shots_per_s and setup_s to its nominal machine speed",
         },
         "runs": {
-            "command": f"python3 perfbench/run.py --workload W --seed 1 --seconds {args.seconds:g} --trace 1",
+            "command": f"python3 perfbench/run.py --workload W --seed 1 --seconds {seconds:g} --trace 1",
             "lines": trace_lines,
         },
         "pairs": {
             "command": (
-                f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
-                f"{args.pairs} pairs per workload at seeds {FIRST_SEED}..{FIRST_SEED + args.pairs - 1}, "
+                f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
+                f"{PAIRS} pairs per workload at seeds {FIRST_SEED}..{FIRST_SEED + PAIRS - 1}, "
                 "parent first in odd pairs, change first in even ones"
             ),
             "summary": summary,

@@ -35,7 +35,11 @@ from .detector import (
     split_hbt,
     thin_counts,
 )
-from .experiment import CascadeResult, run_point, simulate_cascade
+from .experiment import (
+    CascadeResult,
+    run_point,
+    simulate_cascade,
+)
 from .pulses import BinnedCounts, PulseSpec, sample_input, tukey_envelope
 from .stats import (
     G2Accumulator,

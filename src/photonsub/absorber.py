@@ -70,6 +70,7 @@ def simulate_shot(
 ) -> ShotRecord:
     """Propagate one binned pulse through the absorber."""
     counts = np.asarray(input_bins, dtype=np.int64)
+    n_in = int(counts.sum())
     survivors = rng.binomial(counts, params.t)
     cum = np.cumsum(survivors)
     n_surv = int(cum[-1]) if counts.size else 0
@@ -80,14 +81,20 @@ def simulate_shot(
         # number of failed Bernoulli(p_ryd) trials before the first success.
         pos = int(rng.geometric(params.p_ryd)) - 1
         if pos < n_surv:
-            output[int(np.searchsorted(cum, pos, side="right"))] -= 1
+            first_bin = int(np.searchsorted(cum, pos, side="right"))
+            output[first_bin] -= 1
             absorbed = 1
             if params.p_ryd2 > 0.0:
                 pos += int(rng.geometric(params.p_ryd2))
                 if pos < n_surv:
                     output[int(np.searchsorted(cum, pos, side="right"))] -= 1
                     absorbed = 2
-    return ShotRecord(counts, output, absorbed, background_lost=int(counts.sum()) - n_surv)
+    return ShotRecord(
+        input_bins=counts,
+        output_bins=output,
+        absorbed=absorbed,
+        background_lost=n_in - n_surv,
+    )
 
 
 def _counts(size: int | None = None) -> Any:
@@ -128,7 +135,13 @@ class EnsembleResult:
             if "size" in f.metadata and getattr(self, f.name) is None:
                 setattr(self, f.name, np.zeros(f.metadata["size"] or self.n_bins, dtype=np.int64))
 
-    def add_block(self, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray) -> None:
+    def add_block(
+        self,
+        inp: np.ndarray,
+        out: np.ndarray,
+        absorbed: np.ndarray,
+        ions: np.ndarray,
+    ) -> None:
         """Add B shots: (B, n_bins) input and output counts, and per shot the
         absorbed count and the ion clicks."""
         size = MAX_EXCITATIONS + 1
@@ -147,7 +160,10 @@ class EnsembleResult:
 
     def add_shot(self, rec: ShotRecord, ions: int) -> None:
         """Add one shot and its ion clicks."""
-        self.add_block(rec.input_bins[None], rec.output_bins[None], np.array([rec.absorbed]), np.array([ions]))
+        self.add_block(
+            rec.input_bins[None], rec.output_bins[None],
+            np.array([rec.absorbed]), np.array([ions]),
+        )
 
     @property
     def mean_in(self) -> float:
@@ -158,15 +174,11 @@ class EnsembleResult:
         return self.out_total_sum / self.shots
 
     @property
-    def var_out(self) -> float:
+    def sem_out(self) -> float:
         n = self.shots
         if n < 2:
             return 0.0
-        return (self.out_total_sq_sum - n * self.mean_out**2) / (n - 1)
-
-    @property
-    def sem_out(self) -> float:
-        return float(np.sqrt(self.var_out / self.shots))
+        return float(np.sqrt((self.out_total_sq_sum - n * self.mean_out**2) / (n - 1) / n))
 
     def equals(self, other: "EnsembleResult") -> bool:
         return (self.n_bins, self.bin_width_us) == (other.n_bins, other.bin_width_us) and all(

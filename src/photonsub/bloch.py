@@ -114,7 +114,10 @@ def transmission(
     return np.exp(-phys.od_b * np.real(chi))
 
 
-def transmission_spectrum(phys: PhysicsParams, delta_grid: np.ndarray) -> np.ndarray:
+def transmission_spectrum(
+    phys: PhysicsParams,
+    delta_grid: np.ndarray,
+) -> np.ndarray:
     """Transmission versus two-photon detuning at probe detuning ``phys.delta_e``;
     returns an (n, 2) array of (d2, T)."""
     grid = np.asarray(delta_grid, dtype=float)
@@ -164,7 +167,11 @@ _FIT_REL_TOL = 1e-6
 _FIT_MAX_ITER = 200
 
 
-def fit_dephasing(deltas: np.ndarray, transmissions: np.ndarray, phys: PhysicsParams) -> DephasingFit:
+def fit_dephasing(
+    deltas: np.ndarray,
+    transmissions: np.ndarray,
+    phys: PhysicsParams,
+) -> DephasingFit:
     """Least-squares fit of gamma_deph to a measured transmission spectrum.
 
     Minimizes the summed squared transmission residual over gamma_deph > 0,

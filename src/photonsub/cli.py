@@ -88,13 +88,16 @@ def _parse_float_list(text: str) -> list[float]:
 def _ion_columns(ion_hist) -> tuple[float, float, float, float, float, float]:
     """Ion mean and its error, then Mandel-Q and Q/mean with theirs; the Q
     columns are nan where no ion was counted, since they divide by the mean."""
+    nan = float("nan")
     mean = stats.hist_mean(ion_hist)
     mean_sem = stats.hist_mean_sem(ion_hist)
     if mean == 0.0:
-        nan = float("nan")
         return mean, mean_sem, nan, nan, nan, nan
-    q, q_sem = stats.mandel_q(ion_hist), stats.mandel_q_sem(ion_hist)
-    return mean, mean_sem, q, q_sem, stats.q_over_mean(ion_hist), stats.q_over_mean_sem(ion_hist)
+    q = stats.mandel_q(ion_hist)
+    q_sem = stats.mandel_q_sem(ion_hist)
+    ratio = stats.q_over_mean(ion_hist)
+    ratio_sem = stats.q_over_mean_sem(ion_hist)
+    return mean, mean_sem, q, q_sem, ratio, ratio_sem
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +276,7 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
     stage_rows = []
     for k, (params, ens) in enumerate(zip(stages, result.stages)):
         fired = float(1.0 - ens.absorbed_hist[0] / ens.shots)
-        mean_absorbed = float(
-            sum(i * c for i, c in enumerate(ens.absorbed_hist)) / ens.shots
-        )
+        mean_absorbed = stats.hist_mean(ens.absorbed_hist)
         ion = _ion_columns(ens.ion_hist)
         stage_rows.append(
             (k, params.p_ryd, params.p_ryd2, params.t, ens.mean_in, ens.mean_out, fired, mean_absorbed,

@@ -25,7 +25,13 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .absorber import AbsorberParams, EnsembleResult, merge, simulate_shot, substream
+from .absorber import (
+    AbsorberParams,
+    EnsembleResult,
+    merge,
+    simulate_shot,
+    substream,
+)
 from .detector import N_DETECTORS, DetectorConfig, detect_ions, detect_pulse
 from .pulses import PulseSpec, expected_bin_means
 from .stats import G2Accumulator

@@ -71,10 +71,7 @@ def mandel_q_sem(hist: np.ndarray) -> float:
 
 def q_over_mean(hist: np.ndarray) -> float:
     """Ratio of Mandel-Q to the mean count; -1 for Bernoulli statistics."""
-    _, mean, *_ = _hist_moments(hist)
-    if mean == 0.0:
-        raise ValueError("Q/mean undefined for zero-mean counts")
-    return mandel_q(hist) / mean
+    return mandel_q(hist) / hist_mean(hist)
 
 
 def q_over_mean_sem(hist: np.ndarray) -> float:
@@ -104,7 +101,6 @@ class G2Matrix:
     values: np.ndarray
     sigma: np.ndarray
     counts: np.ndarray
-    shots: int
     front_g2: float
     front_sigma: float
     rear_g2: float
@@ -258,7 +254,9 @@ class G2Accumulator:
         sym_values = _symmetrize_nan(values)
         sym_sigma = _symmetrize_sigma(sigma)
         counts = 0.5 * (y_map + y_map.T)
-        front_g2, front_sigma = self._pooled(self._front, y_map, self.front_sq_sum, marg)
+        front_g2, front_sigma = self._pooled(
+            self._front, y_map, self.front_sq_sum, marg
+        )
         rear_g2, rear_sigma = self._pooled(self._rear, y_map, self.rear_sq_sum, marg)
         edges_us = self.cell_edges * self.bin_width_us
         return G2Matrix(
@@ -266,7 +264,6 @@ class G2Accumulator:
             values=sym_values,
             sigma=sym_sigma,
             counts=counts,
-            shots=self.shots,
             front_g2=front_g2,
             front_sigma=front_sigma,
             rear_g2=rear_g2,
