@@ -9,11 +9,13 @@ Each tree runs its own ``perfbench/run.py`` for the ``run_seconds`` that
 alternate between the trees at seeds 101 to 110, parent first in odd pairs
 and change first in even ones, so slow drift of a shared machine falls on
 both sides alike.  Then each tree makes one ``--trace 1 --seed 1`` run per
-workload for the per-layer metrics.
+workload for the per-layer metrics.  Last, each tree runs its Tier-1 test
+suite once with the verify command of ROADMAP.md, parent first.
 
-The record holds the machine, every run's JSON result line and, per workload
-and end-to-end metric, both sides' medians and quartiles, the ratio of the
-medians and the number of pairs the change won.
+The record holds the machine, every run's JSON result line, per workload
+and end-to-end metric both sides' medians and quartiles, the ratio of the
+medians and the number of pairs the change won, and per tree the Tier-1 wall
+time and its passed and failed counts.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 101
 PAIRS = 10
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -42,6 +47,21 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_tier1(tree: Path) -> dict:
+    """One Tier-1 run in ``tree`` with its ``src`` first on the path: wall seconds and outcome counts."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=tree, env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    wall_s = time.perf_counter() - start
+    last = proc.stdout.strip().splitlines()[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", last)}
+    return {"wall_s": wall_s, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "exit_code": proc.returncode, "last_line": last}
 
 
 def summarize(lines: list[dict], metric: str, better: str) -> dict:
@@ -90,6 +110,10 @@ def main() -> int:
          "result": run_bench(trees[side], bench["name"], 1, seconds, 1)}
         for bench in spec["workloads"] for side in trees
     ]
+    tier1 = {}
+    for side in trees:
+        tier1[side] = run_tier1(trees[side])
+        print(f"tier-1 {side}: {tier1[side]['last_line']}", file=sys.stderr, flush=True)
 
     summary = {
         bench["name"]: {
@@ -121,6 +145,10 @@ def main() -> int:
             ),
             "summary": summary,
             "lines": pair_lines,
+        },
+        "tier1": {
+            "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, once per tree",
+            **tier1,
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

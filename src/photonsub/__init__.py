@@ -27,7 +27,7 @@ from .bloch import (
     transmission,
     transmission_spectrum,
 )
-from .config import RunConfig, load_config, paper_defaults
+from .config import RunConfig, load_config
 from .detector import (
     DetectorConfig,
     detect_ions,
@@ -40,7 +40,7 @@ from .experiment import (
     run_point,
     simulate_cascade,
 )
-from .pulses import BinnedCounts, PulseSpec, sample_input, tukey_envelope
+from .pulses import PulseSpec, sample_input, tukey_envelope
 from .stats import (
     G2Accumulator,
     G2Matrix,

@@ -22,7 +22,6 @@ from typing import Any, ClassVar
 import numpy as np
 
 from ._checks import check_unit_interval
-from .pulses import BinnedCounts
 
 MAX_EXCITATIONS = 2
 
@@ -50,8 +49,8 @@ class ShotRecord:
     the excitations it created and the photons lost to background scattering.
     Totals and positions follow from the rows and are not stored."""
 
-    input_bins: BinnedCounts
-    output_bins: BinnedCounts
+    input_bins: np.ndarray
+    output_bins: np.ndarray
     absorbed: int
     background_lost: int
 
@@ -66,7 +65,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def simulate_shot(
-    params: AbsorberParams, input_bins: BinnedCounts, rng: np.random.Generator
+    params: AbsorberParams, input_bins: np.ndarray, rng: np.random.Generator
 ) -> ShotRecord:
     """Propagate one binned pulse through the absorber."""
     counts = np.asarray(input_bins, dtype=np.int64)
@@ -117,8 +116,6 @@ class EnsembleResult:
     n_bins: int
     bin_width_us: float
     shots: int = 0
-    in_total_sum: int = 0
-    out_total_sum: int = 0
     out_total_sq_sum: int = 0
     in_bin_sums: np.ndarray = _counts()
     out_bin_sums: np.ndarray = _counts()
@@ -147,8 +144,6 @@ class EnsembleResult:
         size = MAX_EXCITATIONS + 1
         total_out = out.sum(axis=1)
         self.shots += len(inp)
-        self.in_total_sum += int(inp.sum())
-        self.out_total_sum += int(total_out.sum())
         self.out_total_sq_sum += int((total_out * total_out).sum())
         self.in_bin_sums += inp.sum(axis=0)
         self.out_bin_sums += out.sum(axis=0)
@@ -167,11 +162,11 @@ class EnsembleResult:
 
     @property
     def mean_in(self) -> float:
-        return self.in_total_sum / self.shots
+        return int(self.in_bin_sums.sum()) / self.shots
 
     @property
     def mean_out(self) -> float:
-        return self.out_total_sum / self.shots
+        return int(self.out_bin_sums.sum()) / self.shots
 
     @property
     def sem_out(self) -> float:

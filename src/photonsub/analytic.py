@@ -21,10 +21,7 @@ def mean_out(n_in: float, t: float, p_ryd: float) -> float:
     The exponential term is the probability that no photon is absorbed, in
     which case the subtracted photon is "given back".
     """
-    if not n_in >= 0:
-        raise ValueError(f"n_in must be >= 0, got {n_in}")
-    check_unit_interval(t=t, p_ryd=p_ryd)
-    return t * n_in + math.exp(-t * n_in * p_ryd) - 1.0
+    return t * n_in + p_no_absorption(n_in, t, p_ryd) - 1.0
 
 
 def p_no_absorption(n_in: float, t: float, p_ryd: float) -> float:

@@ -24,12 +24,23 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, bloch, stats
+from ._checks import check_finite
 from .absorber import AbsorberParams, merge, simulate_shot, substream
 from .config import KEYS, RunConfig, load_config, to_flat
 from .experiment import run_point, simulate_cascade
 from .pulses import sample_input
 
 DEFAULT_SWEEP = "1,3,5.65,10,15.76,20,35"
+# Each spectrum point allocates a few complex arrays of --points entries.
+MAX_SPECTRUM_POINTS = 100_000
+SWEEP_COLUMNS = [
+    "n_in", "n_out_mean", "n_out_sem", "model_n_out", "deficit", "deficit_sem",
+    "ion_mean", "ion_mean_sem", "ion_q", "ion_q_sem", "q_over_mean", "q_over_mean_sem",
+]
+# The sweep columns that summary.json repeats per point.
+SWEEP_SUMMARY = {
+    "n_in", "n_out_mean", "n_out_sem", "model_n_out", "deficit", "ion_mean", "ion_q", "q_over_mean",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +58,19 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_value(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _finish(run_dir: Path, summary: dict, *lines: str, code: int = 0) -> int:
-    """Write summary.json, print the report lines, return ``code``."""
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    """Write summary.json, undefined values as null, print the report lines, return ``code``."""
+    text = json.dumps(_json_value(summary), indent=2, allow_nan=False)
+    (run_dir / "summary.json").write_text(text + "\n")
     for line in lines:
         print(line)
     return code
@@ -78,11 +99,17 @@ def _publish(tmp: Path, command: str) -> Path:
         return run_dir
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _sweep_points(cfg: RunConfig, text: str, absorber: AbsorberParams):
+    """(n_in, ensemble) for each number of an ``--n-in`` list, the k-th on stream key (k,)."""
     values = [float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ValueError(f"expected a comma-separated number list, got {text!r}")
-    return values
+    for k, n_in in enumerate(values):
+        pulse = replace(cfg.pulse, mean_photons=n_in)
+        yield n_in, run_point(
+            pulse, absorber, cfg.detector, cfg.shots, cfg.seed,
+            stream_key=(k,), workers=cfg.workers,
+        )
 
 
 def _ion_columns(ion_hist) -> tuple[float, float, float, float, float, float]:
@@ -104,15 +131,8 @@ def _ion_columns(ion_hist) -> tuple[float, float, float, float, float, float]:
 # commands
 
 def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
-    n_list = _parse_float_list(args.n_in)
     rows = []
-    points = []
-    for k, n_in in enumerate(n_list):
-        pulse = replace(cfg.pulse, mean_photons=n_in)
-        ens = run_point(
-            pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed,
-            stream_key=(k,), workers=cfg.workers,
-        )
+    for n_in, ens in _sweep_points(cfg, args.n_in, cfg.absorber):
         model = analytic.mean_out(n_in, cfg.absorber.t, cfg.absorber.p_ryd)
         if ens.shots >= 2:
             deficit, deficit_sem = stats.photon_deficit(ens, cfg.absorber.t)
@@ -120,27 +140,9 @@ def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
             deficit = deficit_sem = float("nan")
         ion = _ion_columns(ens.ion_hist)
         rows.append((n_in, ens.mean_out, ens.sem_out, model, deficit, deficit_sem) + ion)
-        points.append(
-            {
-                "n_in": n_in,
-                "n_out_mean": ens.mean_out,
-                "n_out_sem": ens.sem_out,
-                "model_n_out": model,
-                "deficit": deficit,
-                "ion_mean": ion[0],
-                "ion_q": ion[2],
-                "q_over_mean": ion[4],
-            }
-        )
         print(f"n_in={n_in:g}: n_out={ens.mean_out:.4f} (model {model:.4f}), ion_mean={ion[0]:.4f}, ion_q={ion[2]:.4f}")
-    _write_csv(
-        run_dir / "sweep.csv",
-        [
-            "n_in", "n_out_mean", "n_out_sem", "model_n_out", "deficit", "deficit_sem",
-            "ion_mean", "ion_mean_sem", "ion_q", "ion_q_sem", "q_over_mean", "q_over_mean_sem",
-        ],
-        rows,
-    )
+    _write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
+    points = [{name: v for name, v in zip(SWEEP_COLUMNS, row) if name in SWEEP_SUMMARY} for row in rows]
     return _finish(run_dir, {"command": "sweep", "shots": cfg.shots, "seed": cfg.seed, "points": points})
 
 
@@ -177,10 +179,10 @@ def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
         "model_n_out": analytic.mean_out(n_in, cfg.absorber.t, cfg.absorber.p_ryd),
         "p_no_absorption": p_none,
         "p_no_absorption_model": analytic.p_no_absorption(n_in, cfg.absorber.t, cfg.absorber.p_ryd),
-        "front_third_transmission": shape.band_transmission(0.0, 1.0 / 3.0),
-        "rear_third_transmission": shape.band_transmission(2.0 / 3.0, 1.0),
-        "ideal_front_third_transmission": ideal_shape.band_transmission(0.0, 1.0 / 3.0),
-        "ideal_rear_third_transmission": ideal_shape.band_transmission(2.0 / 3.0, 1.0),
+        "front_third_transmission": shape.band_transmission(shape.front),
+        "rear_third_transmission": shape.band_transmission(shape.rear),
+        "ideal_front_third_transmission": ideal_shape.band_transmission(ideal_shape.front),
+        "ideal_rear_third_transmission": ideal_shape.band_transmission(ideal_shape.rear),
     }
     return _finish(
         run_dir,
@@ -199,7 +201,7 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
         g2_cell_bins=bins_per_cell, workers=cfg.workers,
     )
     mat = result.g2.finalize()
-    starts = mat.cell_starts_us
+    starts = mat.cell_edges_us[:-1]
     rows = []
     for i in range(starts.size):
         for j in range(starts.size):
@@ -228,6 +230,9 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, args, run_dir: Path) -> int:
+    check_finite(**{"--delta-min": args.delta_min, "--delta-max": args.delta_max})
+    if not 1 <= args.points <= MAX_SPECTRUM_POINTS:
+        raise ValueError(f"--points must lie in [1, {MAX_SPECTRUM_POINTS}], got {args.points}")
     grid = np.linspace(args.delta_min, args.delta_max, args.points)
     phys = replace(cfg.physics, omega_c=0.0) if args.control_off else cfg.physics
     spectrum = bloch.transmission_spectrum(phys, grid)
@@ -336,14 +341,7 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
         checks.append((name, value, expected, tol, ok))
 
     oracle_p = cfg.absorber.p_ryd if args.oracle_p_ryd is None else args.oracle_p_ryd
-    p2zero = replace(cfg.absorber, p_ryd2=0.0)
-    n_list = _parse_float_list(args.n_in)
-    for k, n_in in enumerate(n_list):
-        pulse = replace(cfg.pulse, mean_photons=n_in)
-        ens = run_point(
-            pulse, p2zero, cfg.detector, cfg.shots, cfg.seed,
-            stream_key=(k,), workers=cfg.workers,
-        )
+    for n_in, ens in _sweep_points(cfg, args.n_in, replace(cfg.absorber, p_ryd2=0.0)):
         expected = analytic.mean_out(n_in, cfg.absorber.t, oracle_p)
         record(f"closed_form_mean_out[n_in={n_in:g}]", ens.mean_out, expected, 3.0 * ens.sem_out)
         ideal = analytic.ideal_ion_stats(n_in, cfg.absorber.t, oracle_p, cfg.detector.eta_ion)

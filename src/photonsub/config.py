@@ -58,11 +58,6 @@ class RunConfig:
             raise ValueError(f"g2.cell_ns must be > 0, got {self.g2_cell_ns}")
 
 
-def paper_defaults() -> RunConfig:
-    """The built-in constants table of the reference experiment."""
-    return RunConfig()
-
-
 def parse_stages(text: str) -> tuple[AbsorberParams, ...]:
     stages = []
     for chunk in text.split(";"):
@@ -187,7 +182,7 @@ def apply_keys(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    cfg = paper_defaults()
+    cfg = RunConfig()
     if path is not None:
         cfg = apply_keys(cfg, parse_flat(Path(path).read_text()))
     if overrides:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_finite, check_unit_interval
-from .pulses import BinnedCounts
 
 N_DETECTORS = 4
 
@@ -41,7 +40,7 @@ class DetectorConfig:
             raise ValueError("dead_time_ns and dark_cps must be >= 0")
 
 
-def thin_counts(counts: BinnedCounts, eta: float, rng: np.random.Generator) -> BinnedCounts:
+def thin_counts(counts: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
     """Binomial thinning: each photon survives independently with probability eta."""
     check_unit_interval(eta=eta)
     counts = np.asarray(counts, dtype=np.int64)
@@ -51,7 +50,7 @@ def thin_counts(counts: BinnedCounts, eta: float, rng: np.random.Generator) -> B
 
 
 def split_hbt(
-    counts: BinnedCounts, cfg: DetectorConfig, rng: np.random.Generator
+    counts: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Distribute each photon over the four counters multinomially.
 
@@ -84,7 +83,7 @@ def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
 
 
 def detect_pulse(
-    output_bins: BinnedCounts,
+    output_bins: np.ndarray,
     cfg: DetectorConfig,
     rng: np.random.Generator,
     bin_width_us: float,

@@ -8,9 +8,6 @@ import numpy as np
 
 from ._checks import check_finite
 
-# A binned photon record is a plain integer array, one entry per time bin.
-BinnedCounts = np.ndarray
-
 # Every shot allocates arrays of one entry per bin; the reference pulse has 40.
 MAX_BINS = 100_000
 
@@ -76,6 +73,6 @@ def expected_bin_means(spec: PulseSpec) -> np.ndarray:
     return spec.mean_photons * tukey_envelope(spec)
 
 
-def sample_input(spec: PulseSpec, rng: np.random.Generator) -> BinnedCounts:
+def sample_input(spec: PulseSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one input pulse: independent Poisson photon numbers per bin."""
     return rng.poisson(expected_bin_means(spec))

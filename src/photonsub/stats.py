@@ -87,6 +87,14 @@ def q_over_mean_sem(hist: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # time-resolved intensity correlations
 
+def pulse_thirds(edges: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the intervals between bin-index ``edges`` whose centres lie
+    in the first and in the last third of the pulse, which ends at the last edge."""
+    centers = (edges[:-1] + edges[1:]) / 2.0 * bin_width_us
+    duration = edges[-1] * bin_width_us
+    return centers < duration / 3.0, centers >= 2.0 * duration / 3.0
+
+
 @dataclass
 class G2Matrix:
     """Pair-averaged g2(t1, t2) estimates on a cell grid.
@@ -106,12 +114,9 @@ class G2Matrix:
     rear_g2: float
     rear_sigma: float
 
-    @property
-    def cell_starts_us(self) -> np.ndarray:
-        return self.cell_edges_us[:-1]
 
-
-# The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
+# The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here;
+# finalize briefly holds 12 more, the pair products and their ratios.
 MAX_CELLS = 1000
 
 
@@ -144,10 +149,7 @@ class G2Accumulator:
         self.n_det = N_DETECTORS
         self.cell_edges = edges
         self.pairs = [(a, b) for a in range(self.n_det) for b in range(a + 1, self.n_det)]
-        centers = (edges[:-1] + edges[1:]) / 2.0 * bin_width_us
-        duration = n_bins * bin_width_us
-        self._front = centers < duration / 3.0
-        self._rear = centers >= 2.0 * duration / 3.0
+        self._front, self._rear = pulse_thirds(edges, bin_width_us)
         vars(self).update(self.zero_sums())
 
     def zero_sums(self) -> dict[str, Any]:
@@ -213,57 +215,47 @@ class G2Accumulator:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
         )
 
-    def _pooled(self, mask: np.ndarray, y_map: np.ndarray, y_sq_total: float, marg: np.ndarray):
-        denom = 0.0
-        for a, b in self.pairs:
-            denom += float(np.outer(marg[a][mask], marg[b][mask]).sum())
-        if denom <= 0.0 or self.shots < 2:
-            return float("nan"), float("nan")
-        y_mean = float(y_map[np.ix_(mask, mask)].sum()) / self.shots
-        y_var = max(0.0, y_sq_total / self.shots - y_mean**2) * self.shots / (self.shots - 1)
-        return y_mean / denom, math.sqrt(y_var / self.shots) / denom
-
     def finalize(self) -> G2Matrix:
         if self.shots == 0:
             raise ValueError("empty ensemble: no shots accumulated")
-        n_cells = self.n_cells
         marg = self.marg_sums / self.shots
         y_map = self.pair_sums.sum(axis=0)
-        values = np.full((n_cells, n_cells), np.nan)
-        contrib = np.zeros((n_cells, n_cells))
-        ratio_sum = np.zeros((n_cells, n_cells))
-        denom_sum = np.zeros((n_cells, n_cells))
-        for k, (a, b) in enumerate(self.pairs):
-            denom = np.outer(marg[a], marg[b])
-            defined = denom > 0
-            ratio = np.zeros_like(denom)
-            ratio[defined] = (self.pair_sums[k][defined] / self.shots) / denom[defined]
-            ratio_sum += np.where(defined, ratio, 0.0)
-            denom_sum += np.where(defined, denom, 0.0)
-            contrib += defined
+        # each pair's marginal product, which the map, its errors and the pooled blocks divide by
+        first, second = np.array(self.pairs).T
+        denom = marg[first][:, :, None] * marg[second][:, None, :]
+        defined = denom > 0
+        ratio = np.zeros_like(denom)
+        ratio[defined] = (self.pair_sums[defined] / self.shots) / denom[defined]
+        contrib = defined.sum(axis=0)
+        denom_sum = denom.sum(axis=0)
+        values = np.full_like(denom_sum, np.nan)
         any_def = contrib > 0
-        values[any_def] = ratio_sum[any_def] / contrib[any_def]
+        values[any_def] = ratio.sum(axis=0)[any_def] / contrib[any_def]
         # Per-cell error from the shot-to-shot scatter of the summed pair
         # products, scaled by the same denominator as the value.
-        sigma = np.full((n_cells, n_cells), np.nan)
+        sigma = np.full_like(denom_sum, np.nan)
         if self.shots > 1:
             y_mean = y_map / self.shots
             y_var = np.maximum(0.0, self.y_sq_sum / self.shots - y_mean**2)
             y_var *= self.shots / (self.shots - 1)
             sigma[any_def] = np.sqrt(y_var[any_def] / self.shots) / denom_sum[any_def]
-        sym_values = _symmetrize_nan(values)
-        sym_sigma = _symmetrize_sigma(sigma)
-        counts = 0.5 * (y_map + y_map.T)
-        front_g2, front_sigma = self._pooled(
-            self._front, y_map, self.front_sq_sum, marg
-        )
-        rear_g2, rear_sigma = self._pooled(self._rear, y_map, self.rear_sq_sum, marg)
-        edges_us = self.cell_edges * self.bin_width_us
+        pooled = []
+        for mask, y_sq_total in ((self._front, self.front_sq_sum), (self._rear, self.rear_sq_sum)):
+            block = np.ix_(mask, mask)
+            # summed pair by pair: one sum over (pairs, block) rounds differently
+            block_denom = sum(float(pair[block].sum()) for pair in denom)
+            if block_denom <= 0.0 or self.shots < 2:
+                pooled += [float("nan"), float("nan")]
+                continue
+            block_mean = float(y_map[block].sum()) / self.shots
+            block_var = max(0.0, y_sq_total / self.shots - block_mean**2) * self.shots / (self.shots - 1)
+            pooled += [block_mean / block_denom, math.sqrt(block_var / self.shots) / block_denom]
+        front_g2, front_sigma, rear_g2, rear_sigma = pooled
         return G2Matrix(
-            cell_edges_us=edges_us,
-            values=sym_values,
-            sigma=sym_sigma,
-            counts=counts,
+            cell_edges_us=self.cell_edges * self.bin_width_us,
+            values=_symmetrize_nan(values),
+            sigma=_symmetrize_sigma(sigma),
+            counts=0.5 * (y_map + y_map.T),
             front_g2=front_g2,
             front_sigma=front_sigma,
             rear_g2=rear_g2,
@@ -290,20 +282,18 @@ def _symmetrize_sigma(sigma: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PulseShape:
-    """Per-bin mean input/output rates and transmission of an ensemble."""
+    """Per-bin mean rates and transmission of an ensemble, with the front- and rear-third bin masks."""
 
     bin_starts_us: np.ndarray
     in_rate: np.ndarray
     out_rate: np.ndarray
     transmission: np.ndarray
     transmission_sem: np.ndarray
+    front: np.ndarray
+    rear: np.ndarray
 
-    def band_transmission(self, lo_frac: float, hi_frac: float) -> float:
-        """Transmission pooled over bins whose centers lie in the given
-        fraction of the pulse duration (ratio of summed rates)."""
-        duration = self.bin_starts_us[-1] + (self.bin_starts_us[1] - self.bin_starts_us[0])
-        centers = self.bin_starts_us + 0.5 * (self.bin_starts_us[1] - self.bin_starts_us[0])
-        mask = (centers >= lo_frac * duration) & (centers < hi_frac * duration)
+    def band_transmission(self, mask: np.ndarray) -> float:
+        """Transmission pooled over the masked bins (ratio of summed rates), nan without input."""
         total_in = self.in_rate[mask].sum()
         if total_in == 0:
             return float("nan")
@@ -331,13 +321,16 @@ def pulse_shape(ens: EnsembleResult) -> PulseShape:
             - 2.0 * out_rate[ok] * cov[ok] / in_rate[ok] ** 3
         )
         tsem[ok] = np.sqrt(np.maximum(0.0, var_ratio) / n)
-    starts = np.arange(ens.n_bins) * ens.bin_width_us
+    edges = np.arange(ens.n_bins + 1)
+    front, rear = pulse_thirds(edges, ens.bin_width_us)
     return PulseShape(
-        bin_starts_us=starts,
+        bin_starts_us=edges[:-1] * ens.bin_width_us,
         in_rate=in_rate,
         out_rate=out_rate,
         transmission=trans,
         transmission_sem=tsem,
+        front=front,
+        rear=rear,
     )
 
 

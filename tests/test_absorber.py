@@ -216,7 +216,7 @@ def test_two_ideal_stages_poisson_joint_probability():
     assert abs(p_both - expected) < 3 * np.sqrt(expected * (1 - expected) / shots)
     assert sum(result.outcomes.values()) == shots
     n_in_total = sum(key[0] * count for key, count in result.outcomes.items())
-    assert n_in_total == result.stages[0].in_total_sum
+    assert n_in_total == result.stages[0].in_bin_sums.sum()
 
 
 def test_cascade_workers_do_not_change_results():
@@ -298,8 +298,7 @@ def _reference_sums(inp, out, absorbed, ions):
     sums = {name: 0 for name in EnsembleResult.SUMMED}
     for i, o, a, n in zip(inp, out, absorbed, ions):
         for name, value in (
-            ("shots", 1), ("in_total_sum", int(i.sum())), ("out_total_sum", int(o.sum())),
-            ("out_total_sq_sum", int(o.sum()) ** 2), ("in_bin_sums", i), ("out_bin_sums", o),
+            ("shots", 1), ("out_total_sq_sum", int(o.sum()) ** 2), ("in_bin_sums", i), ("out_bin_sums", o),
             ("in_bin_sq_sums", i * i), ("out_bin_sq_sums", o * o), ("inout_bin_sums", i * o),
             ("absorbed_hist", np.eye(MAX_EXCITATIONS + 1, dtype=np.int64)[a]),
             ("ion_hist", np.eye(MAX_EXCITATIONS + 1, dtype=np.int64)[n]),

@@ -123,10 +123,10 @@ def test_criterion_06_pulse_distortion():
     ideal = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=MEASURED.t)
     shape = pulse_shape(run_point(PULSE, MEASURED, DET, shots, SEED, stream_key=(6, 0)))
     ideal_shape = pulse_shape(run_point(PULSE, ideal, DET, shots, SEED, stream_key=(6, 1)))
-    rear = shape.band_transmission(2.0 / 3.0, 1.0)
-    front = shape.band_transmission(0.0, 1.0 / 3.0)
-    ideal_rear = ideal_shape.band_transmission(2.0 / 3.0, 1.0)
-    ideal_front = ideal_shape.band_transmission(0.0, 1.0 / 3.0)
+    rear = shape.band_transmission(shape.rear)
+    front = shape.band_transmission(shape.front)
+    ideal_rear = ideal_shape.band_transmission(ideal_shape.rear)
+    ideal_front = ideal_shape.band_transmission(ideal_shape.front)
     ok = rear >= 0.985 and front < rear and ideal_front < ideal_rear
     _report(
         6,

@@ -11,14 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from photonsub import AbsorberParams, DetectorConfig, PulseSpec, experiment, simulate_cascade
-from photonsub.cli import main
+from photonsub.cli import MAX_SPECTRUM_POINTS, main
 from photonsub.config import (
     KEYS,
     MAX_SEED,
     MAX_STAGES,
+    RunConfig,
     apply_keys,
     load_config,
-    paper_defaults,
     parse_flat,
     parse_stages,
     to_flat,
@@ -26,7 +26,7 @@ from photonsub.config import (
 
 
 def test_defaults_hold_reference_parameter_table():
-    cfg = paper_defaults()
+    cfg = RunConfig()
     assert cfg.pulse.duration_us == 2.0
     assert cfg.pulse.bin_width_us == 0.05
     assert cfg.absorber == AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
@@ -48,7 +48,7 @@ def test_parse_flat_handles_comments_and_errors():
 
 def test_apply_keys_and_roundtrip():
     cfg = apply_keys(
-        paper_defaults(),
+        RunConfig(),
         {
             "pulse.mean_photons": "5.65",
             "pulse.bin_ns": "25",
@@ -67,17 +67,17 @@ def test_apply_keys_and_roundtrip():
     assert cfg.detector.eta_ion == 0.4
     assert cfg.shots == 777 and cfg.seed == 42
     assert cfg.cascade == (AbsorberParams(1.0, 0.0, 1.0), AbsorberParams(0.5, 0.01, 0.9))
-    roundtrip = apply_keys(paper_defaults(), parse_flat(to_flat(cfg)))
+    roundtrip = apply_keys(RunConfig(), parse_flat(to_flat(cfg)))
     assert roundtrip == cfg
 
 
 def test_unknown_and_invalid_keys_rejected():
     with pytest.raises(ValueError):
-        apply_keys(paper_defaults(), {"absorber.nope": "1"})
+        apply_keys(RunConfig(), {"absorber.nope": "1"})
     with pytest.raises(ValueError):
-        apply_keys(paper_defaults(), {"absorber.p_ryd": "1.5"})
+        apply_keys(RunConfig(), {"absorber.p_ryd": "1.5"})
     with pytest.raises(ValueError):
-        apply_keys(paper_defaults(), {"run.seed": str(2**64)})
+        apply_keys(RunConfig(), {"run.seed": str(2**64)})
     with pytest.raises(ValueError):
         parse_stages("0.5,0.1")
 
@@ -106,6 +106,14 @@ def _read(path):
     return path.read_bytes()
 
 
+def _strict_json(path):
+    """A summary.json parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_sweep_writes_deterministic_csv(tmp_path):
     args = ["--shots", "400", "--out", str(tmp_path), "sweep", "--n-in", "0,5.65"]
     assert main(args) == 0
@@ -130,6 +138,19 @@ def test_pulse_command_reports_distortion(tmp_path):
     assert len(lines) == 41
     summary = json.loads((run_dir / "summary.json").read_text())
     assert 0 < summary["p_no_absorption"] < 0.2
+
+
+def test_one_bin_pulse_has_no_bin_in_either_third(tmp_path):
+    # the one bin's centre lies in the middle third, so both bands are empty
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("pulse.duration_us = 0.05\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--shots", "50", "--out", str(out), "pulse"]) == 0
+    assert len((out / "pulse-001" / "pulse_shape.csv").read_text().splitlines()) == 2
+    summary = _strict_json(out / "pulse-001" / "summary.json")
+    thirds = [name for name in summary if name.endswith("_third_transmission")]
+    assert len(thirds) == 4
+    assert all(summary[name] is None for name in thirds)
 
 
 def test_g2_command_emits_matrix(tmp_path):
@@ -158,6 +179,22 @@ def test_spectrum_fit_gamma_roundtrip(tmp_path):
     assert main(["--out", str(tmp_path), "fit-gamma", str(csv)]) == 0
     summary = json.loads((tmp_path / "fit-gamma-001" / "summary.json").read_text())
     assert abs(summary["gamma_deph_mhz"] - 0.5) / 0.5 < 1e-6
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--delta-min", "nan"),
+        ("--delta-min", "-inf"),
+        ("--delta-max", "inf"),
+        ("--points", "0"),
+        ("--points", str(MAX_SPECTRUM_POINTS + 1)),
+    ],
+)
+def test_cli_rejects_bad_spectrum_flags(tmp_path, capsys, flag, value):
+    assert main(["--out", str(tmp_path), "spectrum", f"{flag}={value}"]) == 1
+    assert f"error: {flag} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cascade_command_counts_photons(tmp_path):
@@ -207,8 +244,9 @@ def test_zero_ion_mean_is_written_as_zero(tmp_path):
     row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
     assert row["ion_mean"] == row["ion_mean_sem"] == 0.0
     assert all(math.isnan(row[name]) for name in ("ion_q", "ion_q_sem", "q_over_mean", "q_over_mean_sem"))
-    point = json.loads((tmp_path / "sweep-001" / "summary.json").read_text())["points"][0]
-    assert point["ion_mean"] == 0.0 and math.isnan(point["ion_q"])
+    # an undefined statistic is null in summary.json, which stays valid JSON
+    point = _strict_json(tmp_path / "sweep-001" / "summary.json")["points"][0]
+    assert point["ion_mean"] == 0.0 and point["ion_q"] is None and point["q_over_mean"] is None
 
 
 def test_cascade_length_is_capped(tmp_path, capsys):
@@ -269,7 +307,7 @@ def test_cli_rejects_bad_config(tmp_path):
 def test_workers_are_bounded_by_the_cores(tmp_path, capsys):
     too_many = str((os.cpu_count() or 1) + 1)
     with pytest.raises(ValueError, match=re.escape("config key 'run.workers'")):
-        apply_keys(paper_defaults(), {"run.workers": too_many})
+        apply_keys(RunConfig(), {"run.workers": too_many})
     # one shot is one batch, so even an unchecked value would start no process
     args = ["--workers", too_many, "--shots", "1", "--out", str(tmp_path), "cascade"]
     assert main(args) == 1
@@ -386,7 +424,7 @@ VALID_TEXT = {
     "run.workers": st.integers(1, os.cpu_count() or 1).map(str),
     "g2.cell_ns": _number(1e-3, 1e4),
 }
-FLOAT_KEYS = [key.name for key in KEYS if isinstance(key.read(paper_defaults()), float)]
+FLOAT_KEYS = [key.name for key in KEYS if isinstance(key.read(RunConfig()), float)]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -395,7 +433,7 @@ def test_every_key_roundtrips_through_the_snapshot(data, tmp_path):
     assert list(VALID_TEXT) == [key.name for key in KEYS]
     key = data.draw(st.sampled_from(KEYS))
     text = data.draw(VALID_TEXT[key.name])
-    cfg = apply_keys(paper_defaults(), {key.name: text})
+    cfg = apply_keys(RunConfig(), {key.name: text})
     assert key.read(cfg) == key.parse(text)
     snapshot = tmp_path / "config.txt"
     snapshot.write_text(to_flat(cfg))
@@ -411,15 +449,15 @@ def test_float_keys_reject_non_finite_values(name, text):
     assert len(FLOAT_KEYS) == 18
     if name == "physics.tau_ryd_us" and float(text) == math.inf:
         # an infinite Rydberg lifetime is the no-decay limit
-        assert apply_keys(paper_defaults(), {name: text}).physics.tau_ryd_us == math.inf
+        assert apply_keys(RunConfig(), {name: text}).physics.tau_ryd_us == math.inf
         return
     with pytest.raises(ValueError, match=re.escape(f"config key {name!r}")):
-        apply_keys(paper_defaults(), {name: text})
+        apply_keys(RunConfig(), {name: text})
 
 
 def test_readme_configuration_block_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
     mapping = parse_flat(block)
-    apply_keys(paper_defaults(), mapping)
+    apply_keys(RunConfig(), mapping)
     assert set(mapping) == {key.name for key in KEYS}
