@@ -9,13 +9,15 @@ Each tree runs its own ``perfbench/run.py`` for the ``run_seconds`` that
 alternate between the trees at seeds 101 to 110, parent first in odd pairs
 and change first in even ones, so slow drift of a shared machine falls on
 both sides alike.  Then each tree makes one ``--trace 1 --seed 1`` run per
-workload for the per-layer metrics.  Last, each tree runs its Tier-1 test
-suite once with the verify command of ROADMAP.md, parent first.
+workload for the per-layer metrics.  Then each tree runs its Tier-1 test
+suite once with the verify command of ROADMAP.md, parent first.  Last, the
+block layers of this checkout are timed in this process (``time_layers``).
 
 The record holds the machine, every run's JSON result line, per workload
 and end-to-end metric both sides' medians and quartiles, the ratio of the
-medians and the number of pairs the change won, and per tree the Tier-1 wall
-time and its passed and failed counts.
+medians and the number of pairs the change won, per tree the Tier-1 wall
+time and its passed and failed counts, and this checkout's µs per shot in
+each block layer.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 101
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# Shots per simulated point when timing the block layers.
+LAYER_SHOTS = 20000
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -62,6 +67,83 @@ def run_tier1(tree: Path) -> dict:
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", last)}
     return {"wall_s": wall_s, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
             "exit_code": proc.returncode, "last_line": last}
+
+
+def time_layers() -> dict:
+    """µs per shot of each block layer of this checkout, per benchmark workload.
+
+    The workloads' parameters are those of ``perfbench/workloads.py``, at
+    ``LAYER_SHOTS`` shots per point.  Each layer is timed around the calls
+    ``experiment._run_batch`` makes, by wrapping them in this process: the
+    block substreams, the Poisson input draw, each stage's absorber, the ion
+    clicks, the detection, ``add_block`` of each stage's ensemble and of the
+    g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's time
+    outside those calls.
+    """
+    sys.path.insert(0, str(ROOT / "src"))
+    from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, experiment, stats
+
+    spent: Counter = Counter()
+    calls: Counter = Counter()
+
+    def timed(label, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[label(args) if callable(label) else label] += time.perf_counter() - start
+        return wrapper
+
+    class TimedGenerator(np.random.Generator):
+        poisson = timed("input", np.random.Generator.poisson)
+
+    def per_stage(name, n_stages):
+        def label(args):
+            calls[name] += 1
+            return f"{name}[{(calls[name] - 1) % n_stages}]"
+        return label
+
+    measured = AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
+    ideal = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=1.0)
+    detector = DetectorConfig(eta_ion=0.29)
+    workloads = {
+        "sweep": ([(measured,)] * 7, [1.0, 3.0, 5.65, 10.0, 15.76, 20.0, 35.0], None),
+        "g2": ([(measured,)], [15.76], 2),
+        "cascade": ([(ideal,) * 5], [3.0], None),
+    }
+    substream, simulate_shot = experiment.substream, experiment.simulate_shot
+    detect_ions, detect_pulse = experiment.detect_ions, experiment.detect_pulse
+    ensemble_add, g2_add = absorber.EnsembleResult.add_block, stats.G2Accumulator.add_block
+    layers = {}
+    try:
+        for workload, (stage_lists, n_ins, g2_cell_bins) in workloads.items():
+            n_stages = len(stage_lists[0])
+            spent.clear()
+            calls.clear()
+            experiment.substream = timed("substream", lambda *key: TimedGenerator(substream(*key).bit_generator))
+            experiment.simulate_shot = timed(per_stage("stage", n_stages), simulate_shot)
+            experiment.detect_ions = timed("ions", detect_ions)
+            experiment.detect_pulse = timed("detection", detect_pulse)
+            absorber.EnsembleResult.add_block = timed(per_stage("add_block_stage", n_stages), ensemble_add)
+            stats.G2Accumulator.add_block = timed("add_block_g2", g2_add)
+            start = time.perf_counter()
+            for stages, n_in in zip(stage_lists, n_ins):
+                result = experiment.simulate_cascade(
+                    stages, PulseSpec(mean_photons=n_in), detector, LAYER_SHOTS, 1, g2_cell_bins=g2_cell_bins
+                )
+                if result.g2 is not None:
+                    timed("finalize", result.g2.finalize)()
+            total = time.perf_counter() - start
+            spent["rest"] = total - sum(spent.values())
+            shots = LAYER_SHOTS * len(n_ins)
+            layers[workload] = {name: 1e6 * seconds / shots for name, seconds in sorted(spent.items())}
+            layers[workload]["total"] = 1e6 * total / shots
+    finally:
+        experiment.substream, experiment.simulate_shot = substream, simulate_shot
+        experiment.detect_ions, experiment.detect_pulse = detect_ions, detect_pulse
+        absorber.EnsembleResult.add_block, stats.G2Accumulator.add_block = ensemble_add, g2_add
+    return layers
 
 
 def summarize(lines: list[dict], metric: str, better: str) -> dict:
@@ -115,6 +197,8 @@ def main() -> int:
         tier1[side] = run_tier1(trees[side])
         print(f"tier-1 {side}: {tier1[side]['last_line']}", file=sys.stderr, flush=True)
 
+    layers = time_layers()
+
     summary = {
         bench["name"]: {
             m["name"]: summarize([line for line in pair_lines if line["workload"] == bench["name"]],
@@ -149,6 +233,11 @@ def main() -> int:
         "tier1": {
             "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, once per tree",
             **tier1,
+        },
+        "layers": {
+            "command": f"time_layers(): in process, {LAYER_SHOTS} shots per point, change tree only",
+            "unit": "us/shot",
+            "workloads": layers,
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -6,11 +6,11 @@ surviving photon is converted into an excitation with probability p_ryd while
 the medium holds no excitation, with probability p_ryd2 while it holds exactly
 one, and never once it holds two.  The sequential per-photon Bernoulli trials
 are realized through their run-length (geometric) form, which is identical in
-distribution and keeps the inner loop at a handful of vectorized draws; the
-test suite checks the equivalence against a literal per-photon reference.
-The shot loop, for one absorber and for a cascade alike, is in ``experiment``;
-an ensemble holds one stage's sums, and the g2 sums of the detected light
-belong to the run result there.
+distribution and takes a handful of vectorized draws for a whole block of
+pulses; the test suite checks the equivalence against a literal per-photon
+reference.  The block loop, for one absorber and for a cascade alike, is in
+``experiment``; an ensemble holds one stage's sums, and the g2 sums of the
+detected light belong to the run result there.
 """
 
 from __future__ import annotations
@@ -45,21 +45,21 @@ class AbsorberParams:
 
 @dataclass
 class ShotRecord:
-    """One pulse realization through the absorber: its input and output rows,
-    the excitations it created and the photons lost to background scattering.
-    Totals and positions follow from the rows and are not stored."""
+    """Pulses through the absorber, one shot (1-D rows, integer counts) or a block (2-D
+    rows, one count per row): input and output rows, excitations created and photons
+    lost to background scattering.  Totals and positions follow from the rows."""
 
     input_bins: np.ndarray
     output_bins: np.ndarray
-    absorbed: int
-    background_lost: int
+    absorbed: int | np.ndarray
+    background_lost: int | np.ndarray
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one unit of work, derived from (seed, key).
 
-    Streams depend only on the key, never on execution order, so shots may be
-    simulated in any order or in parallel.
+    Streams depend only on the key, never on execution order, so blocks of
+    shots may be simulated in any order or in parallel.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
@@ -67,33 +67,35 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def simulate_shot(
     params: AbsorberParams, input_bins: np.ndarray, rng: np.random.Generator
 ) -> ShotRecord:
-    """Propagate one binned pulse through the absorber."""
+    """Propagate one binned pulse, shape (n_bins,), or a block of them, shape (B, n_bins).
+
+    A block draws in a fixed order whatever its counts: all survivors, then per
+    row the gap to the first absorbed photon and, with leakage, to the second.
+    One pulse is the block of one row.
+    """
     counts = np.asarray(input_bins, dtype=np.int64)
-    n_in = int(counts.sum())
-    survivors = rng.binomial(counts, params.t)
-    cum = np.cumsum(survivors)
-    n_surv = int(cum[-1]) if counts.size else 0
-    output = survivors
-    absorbed = 0
-    if params.p_ryd > 0.0 and n_surv > 0:
-        # Index of the first absorbed photon in the surviving stream: the
-        # number of failed Bernoulli(p_ryd) trials before the first success.
-        pos = int(rng.geometric(params.p_ryd)) - 1
-        if pos < n_surv:
-            first_bin = int(np.searchsorted(cum, pos, side="right"))
-            output[first_bin] -= 1
-            absorbed = 1
-            if params.p_ryd2 > 0.0:
-                pos += int(rng.geometric(params.p_ryd2))
-                if pos < n_surv:
-                    output[int(np.searchsorted(cum, pos, side="right"))] -= 1
-                    absorbed = 2
-    return ShotRecord(
-        input_bins=counts,
-        output_bins=output,
-        absorbed=absorbed,
-        background_lost=n_in - n_surv,
-    )
+    if counts.ndim == 1:
+        rec = simulate_shot(params, counts[None], rng)
+        return ShotRecord(counts, rec.output_bins[0], int(rec.absorbed[0]), int(rec.background_lost[0]))
+    output = rng.binomial(counts, params.t)
+    cum = np.cumsum(output, axis=1)
+    n_surv = cum[:, -1]
+    absorbed = np.zeros(len(counts), dtype=np.int64)
+    pos = np.full(len(counts), -1)
+    for held, p in enumerate((params.p_ryd, params.p_ryd2)):
+        if p == 0.0:
+            break
+        # In rows holding `held` excitations the next absorbed photon is the first
+        # success of Bernoulli(p) trials after the last, gap photons on in the surviving
+        # stream; gap < n_surv - pos tests pos + gap < n_surv without an overflowing sum.
+        gap = rng.geometric(p, size=len(counts))
+        hit = (absorbed == held) & (gap < n_surv - pos)
+        pos[hit] += gap[hit]
+        # the photon at stream position pos lies in the bin of the first cumulative count above pos
+        rows = np.flatnonzero(hit)
+        output[rows, (cum[rows] <= pos[rows, None]).sum(axis=1)] -= 1
+        absorbed += hit
+    return ShotRecord(counts, output, absorbed, counts.sum(axis=1) - n_surv)
 
 
 def _counts(size: int | None = None) -> Any:
@@ -154,11 +156,8 @@ class EnsembleResult:
         self.ion_hist += np.bincount(ions, minlength=size)
 
     def add_shot(self, rec: ShotRecord, ions: int) -> None:
-        """Add one shot and its ion clicks."""
-        self.add_block(
-            rec.input_bins[None], rec.output_bins[None],
-            np.array([rec.absorbed]), np.array([ions]),
-        )
+        """Add one shot and its ion clicks: the block of one row."""
+        self.add_block(rec.input_bins[None], rec.output_bins[None], np.array([rec.absorbed]), np.array([ions]))
 
     @property
     def mean_in(self) -> float:

@@ -1,4 +1,4 @@
-"""Detection chain: efficiency thinning, four-way beam-splitter fan-out, ion counting."""
+"""Detection chain, for one shot or a block of shots: efficiency thinning, four-way fan-out, ion counting."""
 
 from __future__ import annotations
 
@@ -41,8 +41,7 @@ class DetectorConfig:
 
 
 def thin_counts(counts: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Binomial thinning: each photon survives independently with probability eta."""
-    check_unit_interval(eta=eta)
+    """Binomial thinning: each photon survives independently with probability eta in [0, 1]."""
     counts = np.asarray(counts, dtype=np.int64)
     if eta == 1.0:
         return counts.copy()
@@ -54,32 +53,30 @@ def split_hbt(
 ) -> np.ndarray:
     """Distribute each photon over the four counters multinomially.
 
-    Returns an array of shape (N_DETECTORS, n_bins); per-bin sums over the
-    detectors equal the input exactly.
+    Returns an array of shape (N_DETECTORS, n_bins) per shot; per-bin sums
+    over the detectors equal the input exactly.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    return rng.multinomial(counts, cfg.split).T
+    return np.swapaxes(rng.multinomial(counts, cfg.split), -1, -2)
 
 
-def detect_ions(excitations: int, eta_ion: float, rng: np.random.Generator) -> int:
-    """Number of ion-counter clicks: binomial thinning of the excitation count."""
-    if excitations < 0:
-        raise ValueError(f"excitations must be >= 0, got {excitations}")
-    if excitations == 0:
-        return 0
-    return int(rng.binomial(excitations, eta_ion))
+def detect_ions(excitations: int | np.ndarray, eta_ion: float, rng: np.random.Generator) -> int | np.ndarray:
+    """Ion-counter clicks: binomial thinning of excitation counts, which must be >= 0."""
+    return rng.binomial(excitations, eta_ion)
 
 
 def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
     # After a recorded click the detector is blind for the rest of its bin and
     # the following dead_bins - 1 bins, so each dead window yields one click.
-    out = np.zeros_like(clicks)
-    next_live = 0
-    for i in np.flatnonzero(clicks):
-        if i >= next_live:
-            out[i] = 1
-            next_live = i + dead_bins
-    return out
+    # The scan steps through the bins with a click in any row, for all rows at once.
+    live = clicks.reshape(-1, clicks.shape[-1]) > 0
+    out = np.zeros(live.shape, dtype=np.int64)
+    next_live = np.zeros(len(live), dtype=np.int64)
+    for i in np.flatnonzero(live.any(axis=0)):
+        fire = live[:, i] & (next_live <= i)
+        out[:, i] = fire
+        next_live[fire] = i + dead_bins
+    return out.reshape(clicks.shape)
 
 
 def detect_pulse(
@@ -88,12 +85,12 @@ def detect_pulse(
     rng: np.random.Generator,
     bin_width_us: float,
 ) -> np.ndarray:
-    """Full photon-detection chain for one shot: thin, split, darks, dead time."""
+    """Full photon-detection chain: thin, split, darks, dead time; (N_DETECTORS, n_bins) clicks per shot."""
     thinned = thin_counts(output_bins, cfg.eta_probe, rng)
     det = split_hbt(thinned, cfg, rng)
     if cfg.dark_cps > 0.0:
         det = det + rng.poisson(cfg.dark_cps * bin_width_us * 1e-6, size=det.shape)
     if cfg.dead_time_ns > 0.0:
         dead_bins = max(1, int(np.ceil(cfg.dead_time_ns / (bin_width_us * 1e3))))
-        det = np.stack([_apply_dead_time(row, dead_bins) for row in det])
+        det = _apply_dead_time(det, dead_bins)
     return det

@@ -1,19 +1,17 @@
 """End-to-end shot pipeline: pulse sampling, absorber cascade, detection, accumulation.
 
 A single absorber is the one-stage cascade, and ``_run_batch`` is the only
-loop over shots.  Each shot draws its randomness from a substream keyed by
-(seed, stream_key, shot index), so results never depend on batching, worker
-count or execution order.  Within a shot the draws come in a fixed order:
-the Poisson input, every stage in turn, each stage's ion clicks in stage
-order, then the detection of the last stage's output.  A shot's rows are its
-whole record: the loop writes the input and output counts of every stage, the
-absorbed counts, the ion clicks and the detector clicks of up to ``_CHUNK``
-shots into block arrays, and every sum an output reads (totals, histograms,
-outcomes, g2 products) is taken from those arrays in one ``add_block`` call
-per accumulator.  Every sum is over integers, so the block sums equal the
-per-shot sums exactly.  The run result holds one ensemble per stage and, when
-requested, the g2 sums of the light the four counters detect behind the last
-stage.  Batches reduce through the exact merges.
+loop over shots.  It runs them in blocks of ``block_rows`` rows, a number set
+by the pulse and the number of stages only.  Block b draws from the substream
+(seed, stream_key, b), each draw for all of its rows at once, in a fixed
+order: the Poisson input, every stage in turn, every stage's ion clicks, then,
+for g2 only, the detection of the last stage's output, so g2 leaves the
+stages unchanged.  Results never depend on batching, worker count or
+execution order.  Every sum an output reads is taken from a block's rows in
+one ``add_block`` call per accumulator, over integers, so it is exact; the
+run result holds one ensemble per stage and, when requested, the g2 sums of
+the light detected behind the last stage.  Batches are whole blocks and
+reduce through the exact merges.
 """
 
 from __future__ import annotations
@@ -32,16 +30,14 @@ from .absorber import (
     simulate_shot,
     substream,
 )
-from .detector import N_DETECTORS, DetectorConfig, detect_ions, detect_pulse
+from .detector import DetectorConfig, detect_ions, detect_pulse
 from .pulses import PulseSpec, expected_bin_means
-from .stats import G2Accumulator
+from .stats import _CHUNK_BYTES, G2Accumulator
 
-# Shots per batch; batches are the unit of work handed to the worker pool.
+# Rows per block, the unit of randomness: part of the stream definition.
+_BLOCK = 256
+# Shots per batch, in whole blocks; batches are the unit of work handed to the worker pool.
 _BATCH_SHOTS = 20000
-# Shots per accumulation block, fewer where a block's rows and g2 maps would
-# exceed _CHUNK_BYTES (long pulses, long cascades, fine g2 grids).
-_CHUNK = 64
-_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -63,40 +59,34 @@ class CascadeResult:
         return CascadeResult(stages, self.outcomes + other.outcomes, g2)
 
 
+def block_rows(pulse: PulseSpec, n_stages: int) -> int:
+    """Rows per block: ``_BLOCK``, fewer where the input and every stage's
+    output rows would exceed ``_CHUNK_BYTES``."""
+    return max(1, min(_BLOCK, _CHUNK_BYTES // (8 * pulse.n_bins * (n_stages + 1))))
+
+
 def _run_batch(args) -> CascadeResult:
-    (stages, pulse, detector, seed, stream_key, start, stop, g2_cell_bins) = args
+    (stages, pulse, detector, seed, stream_key, shots, blocks, g2_cell_bins) = args
     lam = expected_bin_means(pulse)
-    n_bins, n_stages = pulse.n_bins, len(stages)
-    per_stage = [EnsembleResult(n_bins, pulse.bin_width_us) for _ in stages]
-    shot_bytes = 8 * n_bins * (n_stages + 1)
-    acc = None
-    if g2_cell_bins is not None:
-        acc = G2Accumulator(n_bins, pulse.bin_width_us, g2_cell_bins)
-        shot_bytes += 8 * (N_DETECTORS * n_bins + acc.n_cells**2)
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // shot_bytes))
-    # bins[k] holds the input rows of stage k, bins[k + 1] its output rows
-    bins = np.empty((n_stages + 1, chunk, n_bins), dtype=np.int64)
-    absorbed, ions = (np.empty((n_stages, chunk), dtype=np.int64) for _ in range(2))
-    det = np.empty((chunk, N_DETECTORS, n_bins), dtype=np.int64) if acc is not None else None
+    rows = block_rows(pulse, len(stages))
+    per_stage = [EnsembleResult(pulse.n_bins, pulse.bin_width_us) for _ in stages]
+    acc = None if g2_cell_bins is None else G2Accumulator(pulse.n_bins, pulse.bin_width_us, g2_cell_bins)
     outcomes: Counter = Counter()
-    for lo in range(start, stop, chunk):
-        rows = min(chunk, stop - lo)
-        for r in range(rows):
-            rng = substream(seed, *stream_key, lo + r)
-            bins[0, r] = rng.poisson(lam)
-            for k, params in enumerate(stages):
-                rec = simulate_shot(params, bins[k, r], rng)
-                bins[k + 1, r] = rec.output_bins
-                absorbed[k, r] = rec.absorbed
-            for k in range(n_stages):
-                ions[k, r] = detect_ions(absorbed[k, r], detector.eta_ion, rng)
-            if acc is not None:
-                det[r] = detect_pulse(bins[-1, r], detector, rng, pulse.bin_width_us)
+    for b in blocks:
+        rng = substream(seed, *stream_key, b)
+        # bins[k] holds the input rows of stage k, bins[k + 1] its output rows
+        bins = [rng.poisson(lam, size=(min(rows, shots - b * rows), pulse.n_bins))]
+        absorbed = np.empty((len(stages), len(bins[0])), dtype=np.int64)
+        for k, params in enumerate(stages):
+            rec = simulate_shot(params, bins[k], rng)
+            bins.append(rec.output_bins)
+            absorbed[k] = rec.absorbed
+        ions = detect_ions(absorbed, detector.eta_ion, rng)
         for k, ens in enumerate(per_stage):
-            ens.add_block(bins[k, :rows], bins[k + 1, :rows], absorbed[k, :rows], ions[k, :rows])
+            ens.add_block(bins[k], bins[k + 1], absorbed[k], ions[k])
         if acc is not None:
-            acc.add_block(det[:rows])
-        outcomes.update(zip(bins[0, :rows].sum(axis=1).tolist(), *absorbed[:, :rows].tolist()))
+            acc.add_block(detect_pulse(bins[-1], detector, rng, pulse.bin_width_us))
+        outcomes.update(zip(bins[0].sum(axis=1).tolist(), *absorbed.tolist()))
     return CascadeResult(per_stage, outcomes, acc)
 
 
@@ -123,9 +113,12 @@ def simulate_cascade(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    rows = block_rows(pulse, len(stages))
+    n_blocks = -(-shots // rows)
+    per_batch = max(1, _BATCH_SHOTS // rows)
     batches = [
-        (stages, pulse, detector, seed, stream_key, s, min(s + _BATCH_SHOTS, shots), g2_cell_bins)
-        for s in range(0, shots, _BATCH_SHOTS)
+        (stages, pulse, detector, seed, stream_key, shots, range(b, min(b + per_batch, n_blocks)), g2_cell_bins)
+        for b in range(0, n_blocks, per_batch)
     ]
     if workers == 1 or len(batches) == 1:
         results = [_run_batch(b) for b in batches]

@@ -116,8 +116,10 @@ class G2Matrix:
 
 
 # The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here;
-# finalize briefly holds 12 more, the pair products and their ratios.
+# finalize, one pair's ratio at a time, peaks at 107 MB more (tracemalloc).
 MAX_CELLS = 1000
+# Transient bytes a block may hold: the shot loop's rows, or a slice of g2 maps.
+_CHUNK_BYTES = 1 << 20
 
 
 class G2Accumulator:
@@ -172,14 +174,22 @@ class G2Accumulator:
         """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
 
         Every sum is over integer products, exact in float64, so it does not
-        depend on how shots are split into blocks.  The block holds a
-        (n_cells, n_cells) map per shot; the caller bounds B.
+        depend on how shots are split into blocks, nor into the slices of at
+        most ``_CHUNK_BYTES`` of per-shot maps that the block is added in.
         """
         det_bins = np.asarray(det_bins)
         if det_bins.shape[1:] != (self.n_det, self.n_bins):
             raise ValueError(
                 f"expected click arrays of shape {(self.n_det, self.n_bins)}, got {det_bins.shape[1:]}"
             )
+        c = self.n_cells
+        # per shot its clicks, cell sums and the operands of y, and four maps at
+        # once: y, y * y, then the front or rear rows of y and their block
+        step = max(1, _CHUNK_BYTES // (8 * (self.n_det * (self.n_bins + 3 * c) + 4 * c * c)))
+        for lo in range(0, len(det_bins), step):
+            self._add_rows(det_bins[lo : lo + step])
+
+    def _add_rows(self, det_bins: np.ndarray) -> None:
         cells = np.add.reduceat(det_bins, self.cell_edges[:-1], axis=2).astype(float)
         self.shots += len(cells)
         self.marg_sums += cells.sum(axis=0)
@@ -218,22 +228,24 @@ class G2Accumulator:
     def finalize(self) -> G2Matrix:
         if self.shots == 0:
             raise ValueError("empty ensemble: no shots accumulated")
+        c = self.n_cells
         marg = self.marg_sums / self.shots
         y_map = self.pair_sums.sum(axis=0)
-        # each pair's marginal product, which the map, its errors and the pooled blocks divide by
-        first, second = np.array(self.pairs).T
-        denom = marg[first][:, :, None] * marg[second][:, None, :]
-        defined = denom > 0
-        ratio = np.zeros_like(denom)
-        ratio[defined] = (self.pair_sums[defined] / self.shots) / denom[defined]
-        contrib = defined.sum(axis=0)
-        denom_sum = denom.sum(axis=0)
-        values = np.full_like(denom_sum, np.nan)
+        # one pair's marginal product at a time: it divides the pair's map and, summed, the errors
+        ratio_sum, denom_sum = np.zeros((2, c, c))
+        contrib = np.zeros((c, c), dtype=np.int64)
+        for (a, b), pair_sum in zip(self.pairs, self.pair_sums):
+            denom = np.outer(marg[a], marg[b])
+            defined = denom > 0
+            ratio_sum += np.divide(pair_sum / self.shots, denom, out=np.zeros((c, c)), where=defined)
+            denom_sum += denom
+            contrib += defined
+        values = np.full((c, c), np.nan)
         any_def = contrib > 0
-        values[any_def] = ratio.sum(axis=0)[any_def] / contrib[any_def]
+        values[any_def] = ratio_sum[any_def] / contrib[any_def]
         # Per-cell error from the shot-to-shot scatter of the summed pair
         # products, scaled by the same denominator as the value.
-        sigma = np.full_like(denom_sum, np.nan)
+        sigma = np.full((c, c), np.nan)
         if self.shots > 1:
             y_mean = y_map / self.shots
             y_var = np.maximum(0.0, self.y_sq_sum / self.shots - y_mean**2)
@@ -243,7 +255,7 @@ class G2Accumulator:
         for mask, y_sq_total in ((self._front, self.front_sq_sum), (self._rear, self.rear_sq_sum)):
             block = np.ix_(mask, mask)
             # summed pair by pair: one sum over (pairs, block) rounds differently
-            block_denom = sum(float(pair[block].sum()) for pair in denom)
+            block_denom = sum(float(np.outer(marg[a][mask], marg[b][mask]).sum()) for a, b in self.pairs)
             if block_denom <= 0.0 or self.shots < 2:
                 pooled += [float("nan"), float("nan")]
                 continue

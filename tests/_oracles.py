@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths of the package: the absorber oracle
 walks photon by photon with one uniform draw per decision, the Poisson pmf
-uses the multiplicative recurrence, and the subtracted-pulse g2 comes from the
-closed-form moments of the shifted distribution.
+uses the multiplicative recurrence, the subtracted-pulse g2 comes from the
+closed-form moments of the shifted distribution, and the dead-time oracle
+walks one detector row click by click.
 """
 
 from __future__ import annotations
@@ -81,3 +82,38 @@ def hann_weights_at_centers(n: int) -> np.ndarray:
     x = (np.arange(n) + 0.5) / n
     w = 0.5 * (1.0 - np.cos(2.0 * np.pi * x))
     return w / w.sum()
+
+
+def leaky_absorbed_pmf(n_in: float, p: float, p2: float, t: float) -> np.ndarray:
+    """P(A=0), P(A=1), P(A=2) for a Poisson pulse of mean ``n_in`` through a leaky blockade.
+
+    The surviving photons form a Poisson stream of mean mu = t * n_in.  Each
+    converts with probability p until the first conversion, which falls at
+    the fraction s of the stream with density mu p exp(-mu p s); no later
+    photon converts with probability exp(-mu p2 (1 - s)).  So P(A=0) =
+    exp(-mu p), and integrating over s gives
+    P(A=1) = p / (p - p2) * (exp(-mu p2) - exp(-mu p)).
+    """
+    mu = t * n_in
+    p0 = math.exp(-mu * p)
+    p1 = p / (p - p2) * (math.exp(-mu * p2) - math.exp(-mu * p))
+    return np.array([p0, p1, 1.0 - p0 - p1])
+
+
+def chi2_upper(dof: int, z: float = 3.29) -> float:
+    """Wilson-Hilferty chi-square quantile at the standard-normal point ``z``
+    (3.29: the 0.9995 quantile)."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+def dead_time_loop(clicks, dead_bins: int) -> np.ndarray:
+    """One detector row, click by click: a bin with photons records one click
+    if the detector is live, which then stays blind until dead_bins bins on."""
+    out = np.zeros_like(clicks)
+    next_live = 0
+    for i in np.flatnonzero(clicks):
+        if i >= next_live:
+            out[i] = 1
+            next_live = i + dead_bins
+    return out

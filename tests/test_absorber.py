@@ -22,12 +22,11 @@ from photonsub import (
     simulate_shot,
     substream,
 )
-from photonsub import experiment
+from photonsub import experiment, stats
 from photonsub.absorber import MAX_EXCITATIONS
-from photonsub.experiment import _CHUNK
 from photonsub.pulses import expected_bin_means
 
-from _oracles import both_stages_fire_probability, per_photon_shot
+from _oracles import both_stages_fire_probability, chi2_upper, leaky_absorbed_pmf, per_photon_shot
 
 MEASURED = AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
 DET = DetectorConfig()
@@ -89,18 +88,15 @@ def test_matches_per_photon_reference_distribution():
     params = AbsorberParams(p_ryd=p, p_ryd2=p2, t=t)
     counts = np.array([3, 2, 0, 4])
     shots = 20000
-    fast_rng = substream(21, 0)
+    rec = simulate_shot(params, np.tile(counts, (shots, 1)), substream(21, 0))
+    fast_abs = np.bincount(rec.absorbed, minlength=3)
+    fast_out = rec.output_bins.sum(axis=0)
+    fast_lost = rec.background_lost.sum()
     slow_rng = substream(22, 0)
-    fast_abs = np.zeros(3)
     slow_abs = np.zeros(3)
-    fast_out = np.zeros(4)
     slow_out = np.zeros(4)
-    fast_lost = slow_lost = 0.0
+    slow_lost = 0.0
     for _ in range(shots):
-        rec = simulate_shot(params, counts, fast_rng)
-        fast_abs[rec.absorbed] += 1
-        fast_out += rec.output_bins
-        fast_lost += rec.background_lost
         out, absorbed, lost, _ = per_photon_shot(p, p2, t, counts, slow_rng)
         slow_abs[absorbed] += 1
         slow_out += out
@@ -113,6 +109,40 @@ def test_matches_per_photon_reference_distribution():
     sigma_bin = np.sqrt(2.0 * counts / shots)  # Poisson-scale bound on per-bin means
     assert (np.abs(fast_out - slow_out) / shots < 4 * sigma_bin + 1e-9).all()
     assert abs(fast_lost - slow_lost) / shots < 4 * np.sqrt(2 * counts.sum() * (1 - t) / shots)
+
+
+def test_block_absorber_matches_per_photon_chi2():
+    # Without loss the first absorption sits in the first bin the output
+    # falls short of the input, so a block's rows give the joint law of
+    # (absorbed count, first absorption bin) that the per-photon oracle draws.
+    p, p2 = 0.35, 0.3
+    params = AbsorberParams(p_ryd=p, p_ryd2=p2, t=1.0)
+    counts = np.array([3, 2, 0, 4])
+    shots = 20000
+    rec = simulate_shot(params, np.tile(counts, (shots, 1)), substream(23, 0))
+    short = rec.input_bins > rec.output_bins
+    first_bin = np.where(short.any(axis=1), short.argmax(axis=1), counts.size)
+    block = np.zeros((3, counts.size + 1))
+    np.add.at(block, (rec.absorbed, first_bin), 1)
+    oracle = np.zeros_like(block)
+    rng = substream(24, 0)
+    for _ in range(shots):
+        _, absorbed, _, absorption_bin = per_photon_shot(p, p2, 1.0, counts, rng)
+        oracle[absorbed, counts.size if absorption_bin is None else absorption_bin] += 1
+    seen = (block + oracle) > 0
+    # two samples of equal size: sum of (a - b)^2 / (a + b) over the observed cells
+    chi2 = float((((block - oracle) ** 2)[seen] / (block + oracle)[seen]).sum())
+    assert seen.sum() == 7  # A = 0; A = 1 and A = 2 in each of the three bins with photons
+    assert chi2 < chi2_upper(int(seen.sum()) - 1)
+
+
+def test_absorbed_histogram_matches_leaky_blockade_chi2():
+    n_in, shots = 10.0, 200000
+    params = AbsorberParams(p_ryd=0.35, p_ryd2=0.05, t=0.95)
+    ens = run_point(PulseSpec(mean_photons=n_in), params, DET, shots, 25)
+    expected = shots * leaky_absorbed_pmf(n_in, params.p_ryd, params.p_ryd2, params.t)
+    chi2 = float(((ens.absorbed_hist - expected) ** 2 / expected).sum())
+    assert chi2 < chi2_upper(2)
 
 
 def test_ensemble_mean_matches_closed_form():
@@ -156,15 +186,11 @@ def test_merge_identity_commutativity_associativity():
 
 def test_merge_equals_sequential_accumulation():
     spec = PulseSpec(mean_photons=6.0)
-    lam = expected_bin_means(spec)
     a = run_point(spec, MEASURED, DET, 40, 5)
     b = run_point(spec, MEASURED, DET, 60, 6)
     sequential = EnsembleResult(spec.n_bins, spec.bin_width_us)
     for seed, shots in ((5, 40), (6, 60)):
-        for i in range(shots):
-            rng = substream(seed, i)
-            rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
-            sequential.add_shot(rec, detect_ions(rec.absorbed, DET.eta_ion, rng))
+        _block_loop((MEASURED,), spec, shots, seed, [sequential])
     assert merge(a, b).equals(sequential)
 
 
@@ -222,7 +248,8 @@ def test_two_ideal_stages_poisson_joint_probability():
 def test_cascade_workers_do_not_change_results():
     spec = PulseSpec(mean_photons=5.0)
     stages = (MEASURED, AbsorberParams(p_ryd=0.5, p_ryd2=0.05, t=0.9), IDEAL)
-    with mock.patch.object(experiment, "_BATCH_SHOTS", 16):
+    # four blocks of 16 shots, one batch each
+    with mock.patch.object(experiment, "_BLOCK", 16), mock.patch.object(experiment, "_BATCH_SHOTS", 16):
         serial = simulate_cascade(stages, spec, DET, 64, 9, workers=1, g2_cell_bins=2)
         parallel = simulate_cascade(stages, spec, DET, 64, 9, workers=2, g2_cell_bins=2)
     assert len(serial.stages) == len(parallel.stages) == 3
@@ -259,7 +286,7 @@ def test_merge_sums_every_declared_field():
 # block accumulation against the per-shot reference
 
 @given(
-    rows=st.sampled_from([1, _CHUNK, 2 * _CHUNK + 5]),
+    rows=st.sampled_from([1, 64, 133]),
     n_bins=st.integers(1, 12),
     bins_per_cell=st.integers(1, 4),
     mean=st.sampled_from([0.3, 3.0, 40.0]),
@@ -324,44 +351,75 @@ def _g2_reference_sums(acc, det):
     return sums
 
 
-def _per_shot_loop(spec, shots, seed, bins_per_cell):
-    """A one-absorber run with g2, shot by shot in the order the shot loop draws."""
+def _block_loop(stages, spec, shots, seed, ensembles, g2=None):
+    """A run as a literal loop over its blocks, added into ``ensembles`` (one
+    per stage) and ``g2``.  Each block of ``experiment._BLOCK`` rows draws
+    from its own substream: the input, every stage, every stage's ion
+    clicks, then the detection of the last stage's output."""
+    rows = experiment._BLOCK
+    assert 8 * rows * spec.n_bins * (len(stages) + 1) <= stats._CHUNK_BYTES  # the byte cap is not reached
     lam = expected_bin_means(spec)
+    for block, lo in enumerate(range(0, shots, rows)):
+        rng = substream(seed, block)
+        bins = rng.poisson(lam, size=(min(rows, shots - lo), spec.n_bins))
+        records = []
+        for params in stages:
+            records.append(simulate_shot(params, bins, rng))
+            bins = records[-1].output_bins
+        ions = detect_ions(np.array([rec.absorbed for rec in records]), DET.eta_ion, rng)
+        for ens, rec, clicks in zip(ensembles, records, ions):
+            ens.add_block(rec.input_bins, rec.output_bins, rec.absorbed, clicks)
+        if g2 is not None:
+            g2.add_block(detect_pulse(bins, DET, rng, spec.bin_width_us))
+
+
+def _one_absorber_with_g2(spec, shots, seed, bins_per_cell):
     ens = EnsembleResult(spec.n_bins, spec.bin_width_us)
     g2 = G2Accumulator(spec.n_bins, spec.bin_width_us, bins_per_cell)
-    for i in range(shots):
-        rng = substream(seed, i)
-        rec = simulate_shot(MEASURED, rng.poisson(lam), rng)
-        ens.add_shot(rec, detect_ions(rec.absorbed, DET.eta_ion, rng))
-        g2.add(detect_pulse(rec.output_bins, DET, rng, spec.bin_width_us))
+    _block_loop((MEASURED,), spec, shots, seed, [ens], g2)
     return ens, g2
 
 
-@pytest.mark.parametrize("shots", [_CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
-def test_run_point_blocks_equal_the_per_shot_loop(shots):
-    spec = PulseSpec(mean_photons=6.0)
-    ens, g2 = _per_shot_loop(spec, shots, 17, 2)
-    for batch_shots in (16, experiment._BATCH_SHOTS):
-        with mock.patch.object(experiment, "_BATCH_SHOTS", batch_shots):
-            result = simulate_cascade((MEASURED,), spec, DET, shots, 17, g2_cell_bins=2)
-        assert result.stages[0].equals(ens), batch_shots
-        assert result.g2.equals(g2), batch_shots
+ROWS = 64
 
 
-def test_one_shot_blocks_equal_the_per_shot_loop():
+@pytest.mark.parametrize("shots", [ROWS - 1, ROWS + 1, 3 * ROWS + 5])
+def test_run_point_equals_the_block_loop(shots):
+    # blocks of ROWS shots: one short block, a full block and one shot, three and five shots
     spec = PulseSpec(mean_photons=6.0)
-    ens, g2 = _per_shot_loop(spec, 5, 17, 3)
-    rows = []
-    add_block = G2Accumulator.add_block
+    with mock.patch.object(experiment, "_BLOCK", ROWS):
+        ens, g2 = _one_absorber_with_g2(spec, shots, 17, 2)
+        for batch_shots in (16, ROWS, 2 * ROWS, experiment._BATCH_SHOTS):
+            with mock.patch.object(experiment, "_BATCH_SHOTS", batch_shots):
+                result = simulate_cascade((MEASURED,), spec, DET, shots, 17, g2_cell_bins=2)
+            assert result.stages[0].equals(ens), batch_shots
+            assert result.g2.equals(g2), batch_shots
+
+
+def test_one_row_g2_slices_equal_the_block_loop():
+    spec = PulseSpec(mean_photons=6.0)
+    shots = experiment._BLOCK + 44
+    ens, g2 = _one_absorber_with_g2(spec, shots, 17, 3)
+    slices = []
+    add_rows = G2Accumulator._add_rows
 
     def counted(acc, det):
-        rows.append(len(det))
-        add_block(acc, det)
+        slices.append(len(det))
+        add_rows(acc, det)
 
-    with mock.patch.object(experiment, "_CHUNK_BYTES", 1), mock.patch.object(
-        G2Accumulator, "add_block", counted
+    with mock.patch.object(stats, "_CHUNK_BYTES", 1), mock.patch.object(
+        G2Accumulator, "_add_rows", counted
     ):
-        result = simulate_cascade((MEASURED,), spec, DET, 5, 17, g2_cell_bins=3)
-    assert rows == [1] * 5
+        result = simulate_cascade((MEASURED,), spec, DET, shots, 17, g2_cell_bins=3)
+    assert slices == [1] * shots
     assert result.stages[0].equals(ens)
     assert result.g2.equals(g2)
+
+
+def test_block_rows_depend_on_the_pulse_and_stages_only():
+    assert experiment.block_rows(PulseSpec(mean_photons=6.0), 1) == experiment._BLOCK
+    long_pulse = PulseSpec(mean_photons=6.0, duration_us=200.0)  # 4000 bins
+    rows = stats._CHUNK_BYTES // (8 * 4000 * 4)
+    assert experiment.block_rows(long_pulse, 3) == rows < experiment._BLOCK
+    result = simulate_cascade((MEASURED,) * 3, long_pulse, DET, 2 * rows + 1, 3)
+    assert result.shots == 2 * rows + 1

@@ -1,7 +1,7 @@
 """Acceptance suite: one criterion per test, one printed PASS/FAIL line each.
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines appear; the
-whole module takes a few minutes at the desk-scale shot counts used here.
+whole module takes under a minute at the desk-scale shot counts used here.
 """
 
 import math

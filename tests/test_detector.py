@@ -17,7 +17,7 @@ from photonsub import (
 from photonsub.detector import _apply_dead_time
 from photonsub.stats import mandel_q_sem
 
-from _oracles import pmf_mandel_q, thinned_pmf
+from _oracles import dead_time_loop, pmf_mandel_q, thinned_pmf
 
 CFG = DetectorConfig()
 
@@ -174,14 +174,22 @@ def _dead_time_reference(clicks, dead_bins):
 
 
 @given(
-    clicks=st.lists(st.integers(0, 3), min_size=1, max_size=49),
+    shots=st.integers(1, 6),
+    n_bins=st.integers(1, 49),
+    rate=st.sampled_from([0.05, 0.5, 3.0]),
     dead_bins=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_dead_time_matches_the_per_bin_reference(clicks, dead_bins):
-    got = _apply_dead_time(np.array(clicks, dtype=np.int64), dead_bins)
+def test_dead_time_matches_the_per_bin_reference(shots, n_bins, rate, dead_bins, seed):
+    # a block of (shots, detectors, bins) click counts, scanned at once
+    clicks = np.random.default_rng(seed).poisson(rate, size=(shots, 4, n_bins))
+    got = _apply_dead_time(clicks, dead_bins)
     assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, _dead_time_reference(clicks, dead_bins))
+    assert got.shape == clicks.shape
+    for row, got_row in zip(clicks.reshape(-1, n_bins), got.reshape(-1, n_bins)):
+        np.testing.assert_array_equal(got_row, _dead_time_reference(row.tolist(), dead_bins))
+        np.testing.assert_array_equal(got_row, dead_time_loop(row, dead_bins))
 
 
 def test_dead_time_through_detection_chain():
@@ -199,9 +207,9 @@ def test_dark_counts_add_poisson_background():
     cfg = DetectorConfig(dark_cps=2e6)
     rng = substream(15, 0)
     shots = 4000
-    total = 0
-    for _ in range(shots):
-        total += detect_pulse(np.zeros(10, dtype=np.int64), cfg, rng, bin_width_us=0.05).sum()
+    det = detect_pulse(np.zeros((shots, 10), dtype=np.int64), cfg, rng, bin_width_us=0.05)
+    assert det.shape == (shots, 4, 10)
+    total = det.sum()
     expected = 4 * 10 * 2e6 * 0.05e-6  # detectors * bins * rate * bin seconds
     assert abs(total / shots - expected) < 4 * np.sqrt(expected / shots)
 
