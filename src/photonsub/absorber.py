@@ -92,8 +92,7 @@ def simulate_shot(
         hit = (absorbed == held) & (gap < n_surv - pos)
         pos[hit] += gap[hit]
         # the photon at stream position pos lies in the bin of the first cumulative count above pos
-        rows = np.flatnonzero(hit)
-        output[rows, (cum[rows] <= pos[rows, None]).sum(axis=1)] -= 1
+        output[hit, (cum <= pos[:, None]).sum(axis=1)[hit]] -= 1
         absorbed += hit
     return ShotRecord(counts, output, absorbed, counts.sum(axis=1) - n_surv)
 

@@ -334,13 +334,12 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
-    # (name, value, expected, tolerance, passed), passed None where the check is skipped
-    checks: list[tuple[str, float, float, float, bool | None]] = []
+    checks: list[tuple[str, float, float, float, str]] = []
 
     def record(name: str, value: float, expected: float, tol: float) -> None:
         # a nan value or model value is a statistic undefined at this point: the check is skipped
-        ok = None if math.isnan(value) or math.isnan(expected) else abs(value - expected) <= tol
-        checks.append((name, value, expected, tol, ok))
+        verdict = "PASS" if abs(value - expected) <= tol else "FAIL"
+        checks.append((name, value, expected, tol, "SKIP" if math.isnan(value) or math.isnan(expected) else verdict))
 
     oracle_p = cfg.absorber.p_ryd if args.oracle_p_ryd is None else args.oracle_p_ryd
     for n_in, ens in _sweep_points(cfg, args.n_in, replace(cfg.absorber, p_ryd2=0.0)):
@@ -368,9 +367,8 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
     pulse = replace(cfg.pulse, mean_photons=10.0)
     inp = conserve_rng.poisson(expected_bin_means(pulse), size=(block_rows(pulse, 1), pulse.n_bins))
     rec = simulate_shot(cfg.absorber, inp, conserve_rng)
-    total = rec.output_bins.sum(axis=1) + rec.absorbed + rec.background_lost
-    conserved = bool((total == inp.sum(axis=1)).all())
-    record("photon_conservation", float(conserved), 1.0, 0.0)
+    conserved = rec.output_bins.sum(axis=1) + rec.absorbed + rec.background_lost == inp.sum(axis=1)
+    record("photon_conservation", float(conserved.all()), 1.0, 0.0)
     # exact merge algebra and fixed-seed determinism
     e1, e2, e3 = (
         run_point(pulse, cfg.absorber, cfg.detector, 300, cfg.seed, stream_key=(key,))
@@ -386,24 +384,22 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
     rerun = run_point(pulse, cfg.absorber, cfg.detector, 300, cfg.seed, stream_key=(11,))
     record("fixed_seed_determinism", float(e1.equals(rerun)), 1.0, 0.0)
 
-    status = {True: 1, False: 0, None: "skip"}
-    rows = [(name, value, expected, tol, status[ok]) for name, value, expected, tol, ok in checks]
+    rows = [(*check[:4], {"PASS": 1, "FAIL": 0}.get(check[4], "skip")) for check in checks]
     _write_csv(run_dir / "validate_report.csv", ["check", "value", "expected", "tolerance", "passed"], rows)
-    n_failed = sum(1 for *_, ok in checks if ok is False)
+    verdicts = Counter(verdict for *_, verdict in checks)
     summary = {
         "command": "validate",
         "shots": cfg.shots,
         "seed": cfg.seed,
         "n_checks": len(checks),
-        "n_failed": n_failed,
-        "n_skipped": sum(1 for *_, ok in checks if ok is None),
+        "n_failed": verdicts["FAIL"],
+        "n_skipped": verdicts["SKIP"],
     }
     report = [
-        f"SKIP {name}: undefined at this point" if ok is None else
-        f"{'PASS' if ok else 'FAIL'} {name}: value={value:.6g} expected={expected:.6g} tol={tol:.3g}"
-        for name, value, expected, tol, ok in checks
+        f"{verdict} {name}: value={value:.6g} expected={expected:.6g} tol={tol:.3g}"
+        for name, value, expected, tol, verdict in checks
     ]
-    return _finish(run_dir, summary, *report, code=0 if n_failed == 0 else 2)
+    return _finish(run_dir, summary, *report, code=2 if verdicts["FAIL"] else 0)
 
 
 # ---------------------------------------------------------------------------

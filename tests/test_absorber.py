@@ -407,6 +407,7 @@ def test_one_row_g2_slices_equal_the_block_loop():
         slices.append(len(det))
         add_rows(acc, det)
 
+    # the g2 slices' bound only: experiment imported its own binding, so blocks keep 256 rows
     with mock.patch.object(stats, "_CHUNK_BYTES", 1), mock.patch.object(
         G2Accumulator, "_add_rows", counted
     ):
@@ -416,7 +417,7 @@ def test_one_row_g2_slices_equal_the_block_loop():
     assert result.g2.equals(g2)
 
 
-def test_block_rows_depend_on_the_pulse_and_stages_only():
+def test_block_rows_are_capped_by_the_byte_bound():
     assert experiment.block_rows(PulseSpec(mean_photons=6.0), 1) == experiment._BLOCK
     long_pulse = PulseSpec(mean_photons=6.0, duration_us=200.0)  # 4000 bins
     rows = stats._CHUNK_BYTES // (8 * 4000 * 4)
