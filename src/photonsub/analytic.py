@@ -24,6 +24,19 @@ def mean_out(n_in: float, t: float, p_ryd: float) -> float:
     return t * n_in + p_no_absorption(n_in, t, p_ryd) - 1.0
 
 
+def var_out(n_in: float, t: float, p_ryd: float) -> float:
+    """Variance of the transmitted photon number S - A of a perfect blockade.
+
+    With mu = t*n_in survivors S ~ Poisson(mu) and A = 1 with probability
+    q = 1 - exp(-mu*p_ryd), Var(S) = mu, Var(A) = q(1 - q) and
+    Cov(S, A) = mu*p_ryd*exp(-mu*p_ryd).
+    """
+    mu = t * n_in
+    none = p_no_absorption(n_in, t, p_ryd)
+    q = 1.0 - none
+    return mu + q * (1.0 - q) - 2.0 * mu * p_ryd * none
+
+
 def p_no_absorption(n_in: float, t: float, p_ryd: float) -> float:
     """Probability that a Poisson pulse of mean n_in creates no excitation."""
     if not n_in >= 0:
@@ -37,6 +50,11 @@ class IdealIonStats:
     mean_ions: float
     mandel_q: float
     q_over_mean: float
+
+    @property
+    def var_ions(self) -> float:
+        """Variance of the Bernoulli ion count."""
+        return self.mean_ions * (1.0 - self.mean_ions)
 
 
 def ideal_ion_stats(n_in: float, t: float, p_ryd: float, eta: float) -> IdealIonStats:

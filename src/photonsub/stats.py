@@ -115,11 +115,19 @@ class G2Matrix:
     rear_sigma: float
 
 
-# The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here;
-# finalize, one pair's ratio at a time, peaks at 107 MB more (tracemalloc).
+# The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
+# add_block takes 6-row slices and peaks at 8.9 MB: 0.9 MB of slice arrays and
+# one 8 MB GEMM product; finalize, one pair's ratio at a time, peaks at 107 MB
+# (tracemalloc, 1000 one-bin cells).
 MAX_CELLS = 1000
-# Transient bytes a block may hold: the shot loop's rows, or a slice of g2 maps.
+# Transient bytes a block may hold: the shot loop's rows, or a g2 slice's
+# per-row arrays (cell sums and their stacked products, never a per-shot map).
 _CHUNK_BYTES = 1 << 20
+# Up to this many (bin, cell) entries one GEMM with the membership matrix sums
+# the clicks into cells; it costs n_bins * n_cells per row, np.add.reduceat
+# about n_cells, and per row the GEMM is 2x faster at 40 bins x 20 cells,
+# 2x slower at 320 x 160 (x86_64, numpy 2.4.6, OpenBLAS).
+_GEMM_CELL_ENTRIES = 1 << 13
 
 
 class G2Accumulator:
@@ -152,6 +160,15 @@ class G2Accumulator:
         self.cell_edges = edges
         self.pairs = [(a, b) for a in range(self.n_det) for b in range(a + 1, self.n_det)]
         self._front, self._rear = pulse_thirds(edges, bin_width_us)
+        # bin-to-cell membership (None: reduceat sums the cells), the sums over
+        # the detectors after each one, the front and rear third masks, and
+        # the detector pairs d <= e of the squared map
+        self._members = None
+        if n_bins * self.n_cells <= _GEMM_CELL_ENTRIES:
+            self._members = (np.arange(n_bins)[:, None] // bins_per_cell == np.arange(self.n_cells)).astype(float)
+        self._after = np.triu(np.ones((self.n_det, self.n_det)), 1)[:-1]
+        self._thirds = np.array([self._front, self._rear], dtype=float)
+        self._stack = [(d, e) for d in range(self.n_det - 1) for e in range(d, self.n_det - 1)]
         vars(self).update(self.zero_sums())
 
     def zero_sums(self) -> dict[str, Any]:
@@ -173,38 +190,55 @@ class G2Accumulator:
     def add_block(self, det_bins: np.ndarray) -> None:
         """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
 
-        Every sum is over integer products, exact in float64, so it does not
-        depend on how shots are split into blocks, nor into the slices of at
-        most ``_CHUNK_BYTES`` of per-shot maps that the block is added in.
+        The block is added in slices whose per-row arrays stay within
+        ``_CHUNK_BYTES``: each detector's cell sums, the sums of the detectors
+        after it, and their products stacked for the squared map.  No slice
+        holds a per-shot (n_cells, n_cells) map.  Every sum is over integer
+        products, exact in float64, so it does not depend on how shots are
+        split into blocks or slices.
         """
         det_bins = np.asarray(det_bins)
         if det_bins.shape[1:] != (self.n_det, self.n_bins):
             raise ValueError(
                 f"expected click arrays of shape {(self.n_det, self.n_bins)}, got {det_bins.shape[1:]}"
             )
-        c = self.n_cells
-        # per shot its clicks, cell sums and the operands of y, and four maps at
-        # once: y, y * y, then the front or rear rows of y and their block
-        step = max(1, _CHUNK_BYTES // (8 * (self.n_det * (self.n_bins + 3 * c) + 4 * c * c)))
+        # doubles per row: its clicks and their cell sums, then its cell sums,
+        # their later-detector sums, the two stacks of products and the third totals
+        n_det, c = self.n_det, self.n_cells
+        per_row = max(n_det * (self.n_bins + c), (2 * n_det - 1 + 2 * len(self._stack)) * c + 6 * n_det)
+        step = max(1, _CHUNK_BYTES // (8 * per_row))
         for lo in range(0, len(det_bins), step):
             self._add_rows(det_bins[lo : lo + step])
 
     def _add_rows(self, det_bins: np.ndarray) -> None:
-        cells = np.add.reduceat(det_bins, self.cell_edges[:-1], axis=2).astype(float)
-        self.shots += len(cells)
-        self.marg_sums += cells.sum(axis=0)
-        by_det = cells.transpose(1, 2, 0)  # (n_det, n_cells, B)
+        n_det, c, rows = self.n_det, self.n_cells, len(det_bins)
+        if self._members is None:
+            cells = np.add.reduceat(det_bins, self.cell_edges[:-1], axis=2)
+        else:
+            cells = det_bins.astype(float) @ self._members
+        # each detector's cell sums, shots last: (n_det, n_cells, B)
+        x = np.ascontiguousarray(cells.transpose(1, 2, 0), dtype=float)
+        del cells
+        self.shots += rows
+        self.marg_sums += x.sum(axis=2)
         for k, (a, b) in enumerate(self.pairs):
-            self.pair_sums[k] += by_det[a] @ cells[:, b]
-        # y = sum over pairs a < b of outer(cells[a], cells[b]), per shot:
-        # each detector against the sum of the detectors after it.
-        later = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1]
-        y = cells[:, :-1].transpose(0, 2, 1) @ later
-        self.y_sq_sum += (y * y).sum(axis=0)
-        y_front = y[:, self._front][:, :, self._front].sum(axis=(1, 2))
-        y_rear = y[:, self._rear][:, :, self._rear].sum(axis=(1, 2))
-        self.front_sq_sum += float((y_front * y_front).sum())
-        self.rear_sq_sum += float((y_rear * y_rear).sum())
+            self.pair_sums[k] += x[a] @ x[b].T
+        # A shot's y is the sum over d of outer(x[d], later[d]), later[d] the sum
+        # of the detectors after d.  So y * y summed over shots is the sum over
+        # d <= e of w * (x[d] x[e]) @ (later[d] later[e]).T, w = 2 off the
+        # diagonal: one GEMM of the products stacked along the shots.
+        later = (self._after @ x.reshape(n_det, -1)).reshape(n_det - 1, c, rows)
+        stacked = np.empty((2, c, len(self._stack), rows))
+        for k, (d, e) in enumerate(self._stack):
+            np.multiply(x[d], x[e], out=stacked[0, :, k])
+            np.multiply(later[d], later[e], out=stacked[1, :, k])
+            if d != e:
+                stacked[1, :, k] *= 2.0
+        self.y_sq_sum += stacked[0].reshape(c, -1) @ stacked[1].reshape(c, -1).T
+        # a shot's front (rear) total of y is the sum over d of (m x[d]) (m later[d]), m the third's mask
+        totals = ((self._thirds @ x[:-1]) * (self._thirds @ later)).sum(axis=0)
+        self.front_sq_sum += float(totals[0] @ totals[0])
+        self.rear_sq_sum += float(totals[1] @ totals[1])
 
     def add(self, det_bins: np.ndarray) -> None:
         """Add one shot's (n_det, n_bins) click array."""

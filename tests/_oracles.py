@@ -3,8 +3,9 @@
 These deliberately avoid the code paths of the package: the absorber oracle
 walks photon by photon with one uniform draw per decision, the Poisson pmf
 uses the multiplicative recurrence, the subtracted-pulse g2 comes from the
-closed-form moments of the shifted distribution, and the dead-time oracle
-walks one detector row click by click.
+closed-form moments of the shifted distribution, the dead-time oracle
+walks one detector row click by click, and the g2 sums are built shot by
+shot from explicit outer products.
 """
 
 from __future__ import annotations
@@ -117,3 +118,38 @@ def dead_time_loop(clicks, dead_bins: int) -> np.ndarray:
             out[i] = 1
             next_live = i + dead_bins
     return out
+
+
+def g2_sums_per_shot(det_bins, bins_per_cell: int, front, rear) -> dict:
+    """The g2 accumulator's sums, shot by shot.
+
+    Per shot: each detector's cell sums, the product map of every detector
+    pair a < b as an explicit outer product, their sum y, y * y, and the
+    squares of y's total over the front-third and the rear-third cells.
+    """
+    det_bins = np.asarray(det_bins)
+    n_det, n_bins = det_bins.shape[1:]
+    starts = list(range(0, n_bins, bins_per_cell))
+    pairs = [(a, b) for a in range(n_det) for b in range(a + 1, n_det)]
+    n_cells = len(starts)
+    sums = {
+        "shots": 0,
+        "marg_sums": np.zeros((n_det, n_cells)),
+        "pair_sums": np.zeros((len(pairs), n_cells, n_cells)),
+        "y_sq_sum": np.zeros((n_cells, n_cells)),
+        "front_sq_sum": 0.0,
+        "rear_sq_sum": 0.0,
+    }
+    for shot in det_bins:
+        cells = np.array([[float(row[lo : lo + bins_per_cell].sum()) for lo in starts] for row in shot])
+        y = np.zeros((n_cells, n_cells))
+        for k, (a, b) in enumerate(pairs):
+            outer = np.outer(cells[a], cells[b])
+            sums["pair_sums"][k] += outer
+            y += outer
+        sums["shots"] += 1
+        sums["marg_sums"] += cells
+        sums["y_sq_sum"] += y * y
+        sums["front_sq_sum"] += float(y[np.ix_(front, front)].sum()) ** 2
+        sums["rear_sq_sum"] += float(y[np.ix_(rear, rear)].sum()) ** 2
+    return sums

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import ideal_ion_stats, mean_out, p_no_absorption, subtracted_poisson_g2_total
-from photonsub.analytic import g2_total_of_pmf, poisson_pmf
+from photonsub.analytic import g2_total_of_pmf, poisson_pmf, var_out
 
+from _oracles import poisson_pmf as oracle_pmf
 from _oracles import subtracted_poisson_g2_closed_form
 
 
@@ -100,3 +101,14 @@ def test_subtracted_pulse_is_super_poissonian(mu):
 def test_subtracted_poisson_g2_needs_mu_above_one():
     with pytest.raises(ValueError):
         subtracted_poisson_g2_total(0.9)
+
+
+@pytest.mark.parametrize("n_in, t, p", [(0.01, 0.99, 0.35), (5.65, 0.99, 0.35), (20.0, 0.9, 0.8), (3.0, 1.0, 1.0)])
+def test_var_out_matches_the_enumerated_output_law(n_in, t, p):
+    # S ~ Poisson(t n_in) survivors, one of which is absorbed with probability 1 - (1 - p)^S
+    pmf = oracle_pmf(t * n_in, 200)
+    s = np.arange(pmf.size)
+    absorbed = 1.0 - (1.0 - p) ** s
+    mean = float((pmf * (s - absorbed)).sum())
+    second = float((pmf * (s**2 - (2 * s - 1) * absorbed)).sum())
+    assert var_out(n_in, t, p) == pytest.approx(second - mean**2, rel=1e-9, abs=1e-15)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from photonsub import AbsorberParams, DetectorConfig, PulseSpec, experiment, simulate_cascade
-from photonsub.cli import MAX_SPECTRUM_POINTS, main
+from photonsub.cli import MAX_SPECTRUM_POINTS, _write_csv, main
 from photonsub.config import (
     KEYS,
     MAX_SEED,
@@ -296,6 +296,15 @@ def test_validate_skips_checks_undefined_without_ions(tmp_path):
     assert (summary["n_checks"], summary["n_failed"], summary["n_skipped"]) == (len(report) - 1, 0, 2)
 
 
+def test_validate_passes_when_a_small_sample_has_no_spread(tmp_path):
+    # 50 shots at 0.01 photons see no output photon and no ion; the model's
+    # standard errors, not the sample's zero ones, set the tolerances
+    assert main(["--shots", "50", "--out", str(tmp_path), "validate", "--n-in", "0.01"]) == 0
+    report = (tmp_path / "validate-001" / "validate_report.csv").read_text().splitlines()
+    tols = {line.split(",")[0]: float(line.split(",")[3]) for line in report[1:]}
+    assert tols["closed_form_mean_out[n_in=0.01]"] > 0 and tols["ion_mean[n_in=0.01]"] > 0
+
+
 def test_validate_fails_on_corrupted_oracle(tmp_path):
     rc = main(
         ["--shots", "4000", "--out", str(tmp_path), "validate", "--oracle-p-ryd", "0.8"]
@@ -474,3 +483,24 @@ def test_readme_configuration_block_lists_every_key():
     mapping = parse_flat(block)
     apply_keys(RunConfig(), mapping)
     assert set(mapping) == {key.name for key in KEYS}
+
+
+def _fmt_reference(value) -> str:
+    """The per-value formatter the CSV writer used before it formatted whole rows."""
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else f"{value:.10g}"
+    return str(value)
+
+
+def test_csv_rows_format_like_the_per_value_formatter(tmp_path):
+    values = [
+        0, -7, 12345678901, -98765432109876, 2**70, np.int64(2**62), np.int32(-5),
+        0.1, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, 123456789012.0,
+        float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+        np.float64(np.nan), np.float64(-0.0), np.float64(2.0 / 3.0), np.float32(0.1),
+        "skip", "", True, False, np.bool_(True),
+    ]
+    rows = [tuple(values), tuple(reversed(values)), (1, "a", 2.0)]
+    _write_csv(tmp_path / "t.csv", ["h"], rows)
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert lines == ["h"] + [",".join(_fmt_reference(v) for v in row) for row in rows] + [""]

@@ -1,6 +1,8 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from photonsub import (
     simulate_cascade,
     substream,
 )
+from photonsub import stats
 from photonsub.stats import (
     MAX_CELLS,
     G2Matrix,
@@ -30,6 +33,8 @@ from photonsub.stats import (
     mandel_q_sem,
     q_over_mean_sem,
 )
+
+from _oracles import g2_sums_per_shot
 
 MEASURED = AbsorberParams()
 DET = DetectorConfig()
@@ -148,6 +153,52 @@ def test_g2_grid_is_capped():
     assert G2Accumulator(MAX_CELLS, 0.05, 1).n_cells == MAX_CELLS
     with pytest.raises(ValueError, match=re.escape("(g2.cell_ns)")):
         G2Accumulator(MAX_CELLS + 1, 0.05, 1)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize(
+    "n_bins, bins_per_cell",
+    [(40, 2), (7, 3), (5, 5), (12, 1), (200, 3)],
+    ids=["20-cells", "ragged-last-cell", "one-cell", "one-bin-cells", "reduceat-cells"],
+)
+def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, chunk_bytes):
+    rng = np.random.default_rng(n_bins * 10 + bins_per_cell)
+    det = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(300, 1, 1)), size=(300, 4, n_bins))
+    det[::7] = 0  # shots without a click
+    acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
+    # the cells come from one GEMM with the membership matrix up to its size bound, from reduceat beyond
+    assert (acc._members is None) == (n_bins == 200)
+    with mock.patch.object(stats, "_CHUNK_BYTES", chunk_bytes or stats._CHUNK_BYTES):
+        acc.add_block(det[:133])
+        acc.add_block(det[133:])
+    ref = g2_sums_per_shot(det, bins_per_cell, acc._front, acc._rear)
+    assert ref.keys() == acc.zero_sums().keys()
+    for name, want in ref.items():
+        assert np.array_equal(getattr(acc, name), want), name
+
+
+def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
+    acc = G2Accumulator(MAX_CELLS, 0.05, 1)
+    det = np.random.default_rng(5).poisson(0.02, size=(20, 4, MAX_CELLS))
+    slices = []
+    add_rows = G2Accumulator._add_rows
+
+    def counted(self, rows):
+        slices.append(len(rows))
+        add_rows(self, rows)
+
+    with mock.patch.object(G2Accumulator, "_add_rows", counted):
+        tracemalloc.start()
+        try:
+            acc.add_block(det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert slices[0] > 1 and sum(slices) == len(det)
+    # the sums are allocated before tracing; one (n_cells, n_cells) GEMM product is allowed
+    assert peak <= stats._CHUNK_BYTES + 8 * MAX_CELLS**2
+    ref = g2_sums_per_shot(det, 1, acc._front, acc._rear)
+    assert all(np.array_equal(getattr(acc, name), want) for name, want in ref.items())
 
 
 def _reference_finalize(acc):
