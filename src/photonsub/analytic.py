@@ -29,12 +29,16 @@ def var_out(n_in: float, t: float, p_ryd: float) -> float:
 
     With mu = t*n_in survivors S ~ Poisson(mu) and A = 1 with probability
     q = 1 - exp(-mu*p_ryd), Var(S) = mu, Var(A) = q(1 - q) and
-    Cov(S, A) = mu*p_ryd*exp(-mu*p_ryd).
+    Cov(S, A) = mu*p_ryd*exp(-mu*p_ryd).  It is summed as
+    mu(1 - p_ryd) + (q - x) + q(2x - q), x = mu*p_ryd, with q from expm1: the
+    terms of order mu cancel exactly, so a variance near zero (small mu at
+    p_ryd = 1, where it is about mu^2/2) keeps its sign.
     """
+    p_no_absorption(n_in, t, p_ryd)  # checks the arguments
     mu = t * n_in
-    none = p_no_absorption(n_in, t, p_ryd)
-    q = 1.0 - none
-    return mu + q * (1.0 - q) - 2.0 * mu * p_ryd * none
+    x = mu * p_ryd
+    q = -math.expm1(-x)
+    return max(0.0, mu * (1.0 - p_ryd) + (q - x) + q * (2.0 * x - q))
 
 
 def p_no_absorption(n_in: float, t: float, p_ryd: float) -> float:
@@ -50,11 +54,6 @@ class IdealIonStats:
     mean_ions: float
     mandel_q: float
     q_over_mean: float
-
-    @property
-    def var_ions(self) -> float:
-        """Variance of the Bernoulli ion count."""
-        return self.mean_ions * (1.0 - self.mean_ions)
 
 
 def ideal_ion_stats(n_in: float, t: float, p_ryd: float, eta: float) -> IdealIonStats:

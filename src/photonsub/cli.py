@@ -346,18 +346,14 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
             ideal = analytic.ideal_ion_stats(n_in, cfg.absorber.t, oracle_p, cfg.detector.eta_ion)
         except ValueError:  # no ion expected, so neither model value is defined
             ideal = analytic.IdealIonStats(math.nan, math.nan, math.nan)
-        record(f"ion_mean[n_in={n_in:g}]", ion_mean, ideal.mean_ions, 3.0 * math.sqrt(ideal.var_ions / ens.shots))
+        var = ideal.mean_ions * (1.0 - ideal.mean_ions)
+        record(f"ion_mean[n_in={n_in:g}]", ion_mean, ideal.mean_ions, 3.0 * math.sqrt(var / ens.shots))
         record(f"ion_mandel_q[n_in={n_in:g}]", ion_q, ideal.mandel_q, 3.0 * ion_q_sem)
     # binomial thinning scales Mandel-Q by the efficiency
     thin_rng = substream(cfg.seed, 900)
     clicks = thin_rng.binomial(2, cfg.detector.eta_ion, size=100000)
     hist = np.bincount(clicks)
-    record(
-        "thinning_q_scaling",
-        stats.mandel_q(hist),
-        -cfg.detector.eta_ion,
-        3.0 * stats.mandel_q_sem(hist),
-    )
+    record("thinning_q_scaling", stats.mandel_q(hist), -cfg.detector.eta_ion, 3.0 * stats.mandel_q_sem(hist))
     # exact photon conservation, row by row over one block
     conserve_rng = substream(cfg.seed, 901)
     pulse = replace(cfg.pulse, mean_photons=10.0)

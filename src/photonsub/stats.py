@@ -121,13 +121,9 @@ class G2Matrix:
 # (tracemalloc, 1000 one-bin cells).
 MAX_CELLS = 1000
 # Transient bytes a block may hold: the shot loop's rows, or a g2 slice's
-# per-row arrays (cell sums and their stacked products, never a per-shot map).
+# per-row arrays (padded clicks, cell sums and their stacked products, never a
+# per-shot map).
 _CHUNK_BYTES = 1 << 20
-# Up to this many (bin, cell) entries one GEMM with the membership matrix sums
-# the clicks into cells; it costs n_bins * n_cells per row, np.add.reduceat
-# about n_cells, and per row the GEMM is 2x faster at 40 bins x 20 cells,
-# 2x slower at 320 x 160 (x86_64, numpy 2.4.6, OpenBLAS).
-_GEMM_CELL_ENTRIES = 1 << 13
 
 
 class G2Accumulator:
@@ -160,13 +156,7 @@ class G2Accumulator:
         self.cell_edges = edges
         self.pairs = [(a, b) for a in range(self.n_det) for b in range(a + 1, self.n_det)]
         self._front, self._rear = pulse_thirds(edges, bin_width_us)
-        # bin-to-cell membership (None: reduceat sums the cells), the sums over
-        # the detectors after each one, the front and rear third masks, and
-        # the detector pairs d <= e of the squared map
-        self._members = None
-        if n_bins * self.n_cells <= _GEMM_CELL_ENTRIES:
-            self._members = (np.arange(n_bins)[:, None] // bins_per_cell == np.arange(self.n_cells)).astype(float)
-        self._after = np.triu(np.ones((self.n_det, self.n_det)), 1)[:-1]
+        # the front and rear third masks, and the detector pairs d <= e of the squared map
         self._thirds = np.array([self._front, self._rear], dtype=float)
         self._stack = [(d, e) for d in range(self.n_det - 1) for e in range(d, self.n_det - 1)]
         vars(self).update(self.zero_sums())
@@ -191,34 +181,36 @@ class G2Accumulator:
         """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
 
         The block is added in slices whose per-row arrays stay within
-        ``_CHUNK_BYTES``: each detector's cell sums, the sums of the detectors
-        after it, and their products stacked for the squared map.  No slice
-        holds a per-shot (n_cells, n_cells) map.  Every sum is over integer
-        products, exact in float64, so it does not depend on how shots are
-        split into blocks or slices.
+        ``_CHUNK_BYTES``: its clicks padded to whole cells, each detector's
+        cell sums, the sums of the detectors after it, and their products
+        stacked for the squared map.  No slice holds a per-shot
+        (n_cells, n_cells) map.  Every sum is over integer products, exact in
+        float64, so it does not depend on how shots are split into blocks or
+        slices.
         """
         det_bins = np.asarray(det_bins)
         if det_bins.shape[1:] != (self.n_det, self.n_bins):
             raise ValueError(
                 f"expected click arrays of shape {(self.n_det, self.n_bins)}, got {det_bins.shape[1:]}"
             )
-        # doubles per row: its clicks and their cell sums, then its cell sums,
-        # their later-detector sums, the two stacks of products and the third totals
+        # doubles per row: its clicks padded to whole cells and their cell sums,
+        # then its cell sums, their later-detector sums, the two stacks of
+        # products and the third totals
         n_det, c = self.n_det, self.n_cells
-        per_row = max(n_det * (self.n_bins + c), (2 * n_det - 1 + 2 * len(self._stack)) * c + 6 * n_det)
+        per_row = max(n_det * c * (self.bins_per_cell + 1), (2 * n_det - 1 + 2 * len(self._stack)) * c + 6 * n_det)
         step = max(1, _CHUNK_BYTES // (8 * per_row))
         for lo in range(0, len(det_bins), step):
             self._add_rows(det_bins[lo : lo + step])
 
     def _add_rows(self, det_bins: np.ndarray) -> None:
-        n_det, c, rows = self.n_det, self.n_cells, len(det_bins)
-        if self._members is None:
-            cells = np.add.reduceat(det_bins, self.cell_edges[:-1], axis=2)
-        else:
-            cells = det_bins.astype(float) @ self._members
-        # each detector's cell sums, shots last: (n_det, n_cells, B)
-        x = np.ascontiguousarray(cells.transpose(1, 2, 0), dtype=float)
-        del cells
+        n_det, c, rows, width = self.n_det, self.n_cells, len(det_bins), self.bins_per_cell
+        # the clicks shots last, zero-padded to whole cells, summed over each
+        # cell's bins into each detector's cell sums: (n_det, n_cells, B)
+        padded = np.empty((n_det, c * width, rows))
+        padded[:, : self.n_bins] = det_bins.transpose(1, 2, 0)
+        padded[:, self.n_bins :] = 0.0
+        x = np.einsum("dcjb->dcb", padded.reshape(n_det, c, width, rows))
+        del padded
         self.shots += rows
         self.marg_sums += x.sum(axis=2)
         for k, (a, b) in enumerate(self.pairs):
@@ -227,7 +219,7 @@ class G2Accumulator:
         # of the detectors after d.  So y * y summed over shots is the sum over
         # d <= e of w * (x[d] x[e]) @ (later[d] later[e]).T, w = 2 off the
         # diagonal: one GEMM of the products stacked along the shots.
-        later = (self._after @ x.reshape(n_det, -1)).reshape(n_det - 1, c, rows)
+        later = np.cumsum(x[:0:-1], axis=0)[::-1]
         stacked = np.empty((2, c, len(self._stack), rows))
         for k, (d, e) in enumerate(self._stack):
             np.multiply(x[d], x[e], out=stacked[0, :, k])
