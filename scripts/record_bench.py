@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark a change against its parent and write the BENCH_*.json record.
 
-    python scripts/record_bench.py PARENT_DIR OUT.json --change "what changed"
+    python scripts/record_bench.py PARENT_DIR OUT.json --change "what changed" [--parent-commit SHA]
 
 PARENT_DIR is a checkout of the parent commit; this checkout is the change.
+The record names the parent commit by ``--parent-commit``, else by the
+``HEAD`` of PARENT_DIR when it is a git checkout, else (a tree exported with
+``git archive``) by this checkout's ``HEAD~1``, which is right once the
+change is committed.
 Each tree runs its own ``perfbench/run.py`` for the ``run_seconds`` that
 ``BENCHMARK.json`` fixes.  Per workload, ten pairs of ``--trace 0`` runs
 alternate between the trees at seeds 101 to 110, parent first in odd pairs
@@ -44,6 +48,16 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 LAYER_SHOTS = 20000
 
 
+def git_commit(tree: Path, rev: str) -> str | None:
+    """The commit id of ``rev`` in ``tree``, or None where ``tree`` is not the top of a git checkout."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", f"{rev}^{{commit}}"],
+                          cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != tree.resolve():
+        return None
+    return lines[1]
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` call in ``tree``; its last output line, parsed."""
     proc = subprocess.run(
@@ -76,9 +90,11 @@ def time_layers() -> dict:
     ``LAYER_SHOTS`` shots per point.  Each layer is timed around the calls
     ``experiment._run_batch`` makes, by wrapping them in this process: the
     block substreams, the Poisson input draw, each stage's absorber, the ion
-    clicks, the detection, ``add_block`` of each stage's ensemble and of the
-    g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's time
-    outside those calls.
+    clicks, the detection, the sums of each stage's ensemble
+    (``add_entries``, recorded as ``add_block_stage[k]``) and ``add_block``
+    of the g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's
+    time outside those calls.  A layer that a workload never calls raises
+    instead of reading 0.
     """
     sys.path.insert(0, str(ROOT / "src"))
     from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, experiment, stats
@@ -112,9 +128,9 @@ def time_layers() -> dict:
         "g2": ([(measured,)], [15.76], 2),
         "cascade": ([(ideal,) * 5], [3.0], None),
     }
-    substream, simulate_shot = experiment.substream, experiment.simulate_shot
+    substream, absorb_entries = experiment.substream, experiment.absorb_entries
     detect_ions, detect_pulse = experiment.detect_ions, experiment.detect_pulse
-    ensemble_add, g2_add = absorber.EnsembleResult.add_block, stats.G2Accumulator.add_block
+    ensemble_add, g2_add = absorber.EnsembleResult.add_entries, stats.G2Accumulator.add_block
     layers = {}
     try:
         for workload, (stage_lists, n_ins, g2_cell_bins) in workloads.items():
@@ -122,10 +138,10 @@ def time_layers() -> dict:
             spent.clear()
             calls.clear()
             experiment.substream = timed("substream", lambda *key: TimedGenerator(substream(*key).bit_generator))
-            experiment.simulate_shot = timed(per_stage("stage", n_stages), simulate_shot)
+            experiment.absorb_entries = timed(per_stage("stage", n_stages), absorb_entries)
             experiment.detect_ions = timed("ions", detect_ions)
             experiment.detect_pulse = timed("detection", detect_pulse)
-            absorber.EnsembleResult.add_block = timed(per_stage("add_block_stage", n_stages), ensemble_add)
+            absorber.EnsembleResult.add_entries = timed(per_stage("add_block_stage", n_stages), ensemble_add)
             stats.G2Accumulator.add_block = timed("add_block_g2", g2_add)
             start = time.perf_counter()
             for stages, n_in in zip(stage_lists, n_ins):
@@ -135,14 +151,22 @@ def time_layers() -> dict:
                 if result.g2 is not None:
                     timed("finalize", result.g2.finalize)()
             total = time.perf_counter() - start
+            expected = ["substream", "input", "ions"] + [
+                f"{name}[{k}]" for name in ("stage", "add_block_stage") for k in range(n_stages)
+            ]
+            if g2_cell_bins is not None:
+                expected += ["detection", "add_block_g2", "finalize"]
+            missing = [name for name in expected if name not in spent]
+            if missing:
+                raise RuntimeError(f"{workload}: layers never called: {', '.join(missing)}")
             spent["rest"] = total - sum(spent.values())
             shots = LAYER_SHOTS * len(n_ins)
             layers[workload] = {name: 1e6 * seconds / shots for name, seconds in sorted(spent.items())}
             layers[workload]["total"] = 1e6 * total / shots
     finally:
-        experiment.substream, experiment.simulate_shot = substream, simulate_shot
+        experiment.substream, experiment.absorb_entries = substream, absorb_entries
         experiment.detect_ions, experiment.detect_pulse = detect_ions, detect_pulse
-        absorber.EnsembleResult.add_block, stats.G2Accumulator.add_block = ensemble_add, g2_add
+        absorber.EnsembleResult.add_entries, stats.G2Accumulator.add_block = ensemble_add, g2_add
     return layers
 
 
@@ -169,11 +193,12 @@ def main() -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("out", type=Path, help="BENCH_*.json file to write")
     parser.add_argument("--change", required=True, help="one line on what the change does")
+    parser.add_argument("--parent-commit", help="commit id of PARENT_DIR (default: its HEAD, else HEAD~1 here)")
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=trees["parent"], capture_output=True, text=True)
+    parent_commit = args.parent_commit or git_commit(trees["parent"], "HEAD") or git_commit(ROOT, "HEAD~1")
 
     pair_lines = []
     for bench in spec["workloads"]:
@@ -209,7 +234,7 @@ def main() -> int:
     }
     record = {
         "change": args.change,
-        "parent_commit": head.stdout.strip() if head.returncode == 0 else None,
+        "parent_commit": parent_commit,
         "machine": {
             "nproc": os.cpu_count(),
             "arch": platform.machine(),

@@ -8,9 +8,14 @@ one, and never once it holds two.  The sequential per-photon Bernoulli trials
 are realized through their run-length (geometric) form, which is identical in
 distribution and takes a handful of vectorized draws for a whole block of
 pulses; the test suite checks the equivalence against a literal per-photon
-reference.  The block loop, for one absorber and for a cascade alike, is in
-``experiment``; an ensemble holds one stage's sums, and the g2 sums of the
-detected light belong to the run result there.
+reference.  A block of pulses is carried as its nonzero entries: flat indices
+into the (B, n_bins) block in row-major order, and their counts.  The stage
+kernel and the ensemble sums touch only those entries; as ``binomial`` draws
+nothing for a zero count, the draws are those of the dense block.
+``simulate_shot`` and ``EnsembleResult.add_block`` are the dense views.  The
+block loop, for one absorber and for a cascade alike, is in ``experiment``;
+an ensemble holds one stage's sums, and the g2 sums of the detected light
+belong to the run result there.
 """
 
 from __future__ import annotations
@@ -64,37 +69,64 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def simulate_shot(
-    params: AbsorberParams, input_bins: np.ndarray, rng: np.random.Generator
-) -> ShotRecord:
-    """Propagate one binned pulse, shape (n_bins,), or a block of them, shape (B, n_bins).
+def absorb_entries(
+    params: AbsorberParams, shape: tuple[int, int], idx: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One absorber stage on a block of ``shape`` (B, n_bins), given as its nonzero entries.
 
-    A block draws in a fixed order whatever its counts: all survivors, then per
-    row the gap to the first absorbed photon and, with leakage, to the second.
-    One pulse is the block of one row.
+    ``idx`` holds the entries' flat indices into the block, ascending (row-major
+    order), and ``counts`` their photon counts; every other entry is zero.
+    Returns the output count of each entry, zeros included, and the absorbed
+    count of each of the B rows.  The draws are those of the dense block in a
+    fixed order: all survivors, then per row the gap to the first absorbed
+    photon and, with leakage, to the second.  ``binomial`` draws nothing for a
+    zero count, so the survivors of the nonzero entries alone take the same
+    draws as those of the whole block.
     """
-    counts = np.asarray(input_bins, dtype=np.int64)
-    if counts.ndim == 1:
-        rec = simulate_shot(params, counts[None], rng)
-        return ShotRecord(counts, rec.output_bins[0], int(rec.absorbed[0]), int(rec.background_lost[0]))
+    n_rows, n_bins = shape
     output = rng.binomial(counts, params.t)
-    cum = np.cumsum(output, axis=1)
-    n_surv = cum[:, -1]
-    absorbed = np.zeros(len(counts), dtype=np.int64)
-    pos = np.full(len(counts), -1)
+    rows = idx // n_bins
+    n_surv = np.zeros(n_rows, dtype=np.int64)
+    np.add.at(n_surv, rows, output)
+    # survivors up to each entry and before each row, before any is absorbed
+    run = np.cumsum(output)
+    before = np.cumsum(n_surv) - n_surv
+    absorbed = np.zeros(n_rows, dtype=np.int64)
+    pos = np.full(n_rows, -1, dtype=np.int64)
     for held, p in enumerate((params.p_ryd, params.p_ryd2)):
         if p == 0.0:
             break
         # In rows holding `held` excitations the next absorbed photon is the first
         # success of Bernoulli(p) trials after the last, gap photons on in the surviving
         # stream; gap < n_surv - pos tests pos + gap < n_surv without an overflowing sum.
-        gap = rng.geometric(p, size=len(counts))
+        gap = rng.geometric(p, size=n_rows)
         hit = (absorbed == held) & (gap < n_surv - pos)
         pos[hit] += gap[hit]
-        # the photon at stream position pos lies in the bin of the first cumulative count above pos
-        output[hit, (cum <= pos[:, None]).sum(axis=1)[hit]] -= 1
+        # the photon at stream position pos of a row is in the first entry whose
+        # running survivor count exceeds the survivors of earlier rows plus pos
+        hit_rows = np.flatnonzero(hit)
+        output[np.searchsorted(run, before[hit_rows] + pos[hit_rows], side="right")] -= 1
         absorbed += hit
-    return ShotRecord(counts, output, absorbed, counts.sum(axis=1) - n_surv)
+    return output, absorbed
+
+
+def simulate_shot(
+    params: AbsorberParams, input_bins: np.ndarray, rng: np.random.Generator
+) -> ShotRecord:
+    """Propagate one binned pulse, shape (n_bins,), or a block of them, shape (B, n_bins).
+
+    The dense view of ``absorb_entries``: the block's nonzero entries go
+    through the stage and come back as rows.  One pulse is the block of one row.
+    """
+    counts = np.asarray(input_bins, dtype=np.int64)
+    if counts.ndim == 1:
+        rec = simulate_shot(params, counts[None], rng)
+        return ShotRecord(counts, rec.output_bins[0], int(rec.absorbed[0]), int(rec.background_lost[0]))
+    idx = np.flatnonzero(counts != 0)
+    entries, absorbed = absorb_entries(params, counts.shape, idx, counts.ravel()[idx], rng)
+    output = np.zeros(counts.shape, dtype=np.int64)
+    output.ravel()[idx] = entries
+    return ShotRecord(counts, output, absorbed, counts.sum(axis=1) - output.sum(axis=1) - absorbed)
 
 
 def _counts(size: int | None = None) -> Any:
@@ -133,26 +165,39 @@ class EnsembleResult:
             if "size" in f.metadata and getattr(self, f.name) is None:
                 setattr(self, f.name, np.zeros(f.metadata["size"] or self.n_bins, dtype=np.int64))
 
-    def add_block(
-        self,
-        inp: np.ndarray,
-        out: np.ndarray,
-        absorbed: np.ndarray,
-        ions: np.ndarray,
+    def add_entries(
+        self, n_rows: int, idx: np.ndarray, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray
     ) -> None:
-        """Add B shots: (B, n_bins) input and output counts, and per shot the
-        absorbed count and the ion clicks."""
+        """Add ``n_rows`` shots given as entries of their (n_rows, n_bins) block:
+        flat indices ``idx`` and the input and output counts there, every other
+        entry zero in both; and per shot the absorbed count and the ion clicks.
+
+        Every sum is an int64 scatter-add, exact however large the counts.
+        """
         size = MAX_EXCITATIONS + 1
-        total_out = out.sum(axis=1)
-        self.shots += len(inp)
+        rows = idx // self.n_bins
+        bins = idx - rows * self.n_bins
+        total_out = np.zeros(n_rows, dtype=np.int64)
+        np.add.at(total_out, rows, out)
+        self.shots += n_rows
         self.out_total_sq_sum += int((total_out * total_out).sum())
-        self.in_bin_sums += inp.sum(axis=0)
-        self.out_bin_sums += out.sum(axis=0)
-        self.in_bin_sq_sums += (inp * inp).sum(axis=0)
-        self.out_bin_sq_sums += (out * out).sum(axis=0)
-        self.inout_bin_sums += (inp * out).sum(axis=0)
+        for sums, values in (
+            (self.in_bin_sums, inp),
+            (self.out_bin_sums, out),
+            (self.in_bin_sq_sums, inp * inp),
+            (self.out_bin_sq_sums, out * out),
+            (self.inout_bin_sums, inp * out),
+        ):
+            np.add.at(sums, bins, values)
         self.absorbed_hist += np.bincount(absorbed, minlength=size)
         self.ion_hist += np.bincount(ions, minlength=size)
+
+    def add_block(self, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray) -> None:
+        """Add B shots: (B, n_bins) input and output counts, and per shot the
+        absorbed count and the ion clicks.  The dense view of ``add_entries``."""
+        inp, out = np.asarray(inp, dtype=np.int64), np.asarray(out, dtype=np.int64)
+        idx = np.flatnonzero((inp != 0) | (out != 0))
+        self.add_entries(len(inp), idx, inp.ravel()[idx], out.ravel()[idx], absorbed, ions)
 
     def add_shot(self, rec: ShotRecord, ions: int) -> None:
         """Add one shot and its ion clicks: the block of one row."""

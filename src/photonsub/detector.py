@@ -85,9 +85,19 @@ def detect_pulse(
     rng: np.random.Generator,
     bin_width_us: float,
 ) -> np.ndarray:
-    """Full photon-detection chain: thin, split, darks, dead time; (N_DETECTORS, n_bins) clicks per shot."""
-    thinned = thin_counts(output_bins, cfg.eta_probe, rng)
-    det = split_hbt(thinned, cfg, rng)
+    """Full photon-detection chain: thin, split, darks, dead time; (N_DETECTORS, n_bins) clicks per shot.
+
+    Only the nonzero entries of ``output_bins`` are thinned and split, in
+    row-major order: ``binomial`` and ``multinomial`` draw nothing for a zero
+    count, so the draws are those of the dense chain.  The dense clicks are
+    formed after the split, for the dark counts and the dead time.
+    """
+    counts = np.asarray(output_bins, dtype=np.int64)
+    idx = np.flatnonzero(counts != 0)
+    clicks = np.zeros((counts.size, N_DETECTORS), dtype=np.int64)
+    # split_hbt gives (N_DETECTORS, entries); the clicks hold one row per entry
+    clicks[idx] = split_hbt(thin_counts(counts.ravel()[idx], cfg.eta_probe, rng), cfg, rng).T
+    det = np.swapaxes(clicks.reshape(*counts.shape, N_DETECTORS), -1, -2)
     if cfg.dark_cps > 0.0:
         det = det + rng.poisson(cfg.dark_cps * bin_width_us * 1e-6, size=det.shape)
     if cfg.dead_time_ns > 0.0:

@@ -6,12 +6,15 @@ by the pulse and the number of stages only.  Block b draws from the substream
 (seed, stream_key, b), each draw for all of its rows at once, in a fixed
 order: the Poisson input, every stage in turn, every stage's ion clicks, then,
 for g2 only, the detection of the last stage's output, so g2 leaves the
-stages unchanged.  Results never depend on batching, worker count or
-execution order.  Every sum an output reads is taken from a block's rows in
-one ``add_block`` call per accumulator, over integers, so it is exact; the
-run result holds one ensemble per stage and, when requested, the g2 sums of
-the light detected behind the last stage.  Batches are whole blocks and
-reduce through the exact merges.
+stages unchanged.  The input is drawn dense; from then on the block passes
+from stage to stage as its nonzero entries in row-major order, and each
+stage draws only on those, which takes the same draws as the dense block
+because ``binomial`` draws nothing for a zero count.  Results never depend
+on batching, worker count or execution order.  Every sum an output reads is
+taken from a block's entries or rows in one call per accumulator, over
+integers, so it is exact; the run result holds one ensemble per stage and,
+when requested, the g2 sums of the light detected behind the last stage.
+Batches are whole blocks and reduce through the exact merges.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import numpy as np
 from .absorber import (
     AbsorberParams,
     EnsembleResult,
+    absorb_entries,
     merge,
-    simulate_shot,
+    simulate_shot,  # noqa: F401  the dense view; perfbench/tracing.py wraps this name here
     substream,
 )
 from .detector import DetectorConfig, detect_ions, detect_pulse
@@ -74,19 +78,26 @@ def _run_batch(args) -> CascadeResult:
     outcomes: Counter = Counter()
     for b in blocks:
         rng = substream(seed, *stream_key, b)
-        # bins[k] holds the input rows of stage k, bins[k + 1] its output rows
-        bins = [rng.poisson(lam, size=(min(rows, shots - b * rows), pulse.n_bins))]
-        absorbed = np.empty((len(stages), len(bins[0])), dtype=np.int64)
+        inp = rng.poisson(lam, size=(min(rows, shots - b * rows), pulse.n_bins))
+        idx = np.flatnonzero(inp != 0)
+        counts = inp.ravel()[idx]
+        absorbed = np.empty((len(stages), len(inp)), dtype=np.int64)
+        # entries[k]: the flat indices, input and output counts of stage k's nonzero
+        # input entries; each stage's nonzero outputs are the next stage's input
+        entries = []
         for k, params in enumerate(stages):
-            rec = simulate_shot(params, bins[k], rng)
-            bins.append(rec.output_bins)
-            absorbed[k] = rec.absorbed
+            out, absorbed[k] = absorb_entries(params, inp.shape, idx, counts, rng)
+            entries.append((idx, counts, out))
+            live = out > 0
+            idx, counts = idx[live], out[live]
         ions = detect_ions(absorbed, detector.eta_ion, rng)
-        for k, ens in enumerate(per_stage):
-            ens.add_block(bins[k], bins[k + 1], absorbed[k], ions[k])
+        for ens, stage_entries, stage_absorbed, stage_ions in zip(per_stage, entries, absorbed, ions):
+            ens.add_entries(len(inp), *stage_entries, stage_absorbed, stage_ions)
         if acc is not None:
-            acc.add_block(detect_pulse(bins[-1], detector, rng, pulse.bin_width_us))
-        outcomes.update(zip(bins[0].sum(axis=1).tolist(), *absorbed.tolist()))
+            last = np.zeros(inp.shape, dtype=np.int64)
+            last.ravel()[idx] = counts
+            acc.add_block(detect_pulse(last, detector, rng, pulse.bin_width_us))
+        outcomes.update(zip(inp.sum(axis=1).tolist(), *absorbed.tolist()))
     return CascadeResult(per_stage, outcomes, acc)
 
 

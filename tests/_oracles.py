@@ -5,7 +5,9 @@ walks photon by photon with one uniform draw per decision, the Poisson pmf
 uses the multiplicative recurrence, the subtracted-pulse g2 comes from the
 closed-form moments of the shifted distribution, the dead-time oracle
 walks one detector row click by click, and the g2 sums are built shot by
-shot from explicit outer products.
+shot from explicit outer products.  The dense block functions keep the
+package's earlier block kernel, ensemble sums and detection draws, frozen,
+so that the random stream of a block is pinned against them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,61 @@ def per_photon_shot(p_ryd: float, p_ryd2: float, t: float, input_bins, rng):
             else:
                 output[b] += 1
     return output, absorbed, lost, absorption_bin
+
+
+def dense_block_stage(p_ryd: float, p_ryd2: float, t: float, counts, rng):
+    """One absorber stage on a dense (B, n_bins) block: the output rows, the
+    absorbed count and the photons lost per row.
+
+    All survivors are drawn, then per row the geometric gap to the first
+    absorbed photon and, with leakage, to the second; the absorbed photon's
+    bin is the number of cumulative survivor counts at or below its position.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    output = rng.binomial(counts, t)
+    cum = np.cumsum(output, axis=1)
+    n_surv = cum[:, -1]
+    absorbed = np.zeros(len(counts), dtype=np.int64)
+    pos = np.full(len(counts), -1)
+    for held, p in enumerate((p_ryd, p_ryd2)):
+        if p == 0.0:
+            break
+        gap = rng.geometric(p, size=len(counts))
+        hit = (absorbed == held) & (gap < n_surv - pos)
+        pos[hit] += gap[hit]
+        output[hit, (cum <= pos[:, None]).sum(axis=1)[hit]] -= 1
+        absorbed += hit
+    return output, absorbed, counts.sum(axis=1) - n_surv
+
+
+def dense_block_sums(inp, out, absorbed, ions, size: int) -> dict:
+    """The ensemble sums of one dense block, from whole-row and whole-column reductions."""
+    total_out = out.sum(axis=1)
+    return {
+        "shots": len(inp),
+        "out_total_sq_sum": int((total_out * total_out).sum()),
+        "in_bin_sums": inp.sum(axis=0),
+        "out_bin_sums": out.sum(axis=0),
+        "in_bin_sq_sums": (inp * inp).sum(axis=0),
+        "out_bin_sq_sums": (out * out).sum(axis=0),
+        "inout_bin_sums": (inp * out).sum(axis=0),
+        "absorbed_hist": np.bincount(absorbed, minlength=size),
+        "ion_hist": np.bincount(ions, minlength=size),
+    }
+
+
+def dense_detection(counts, eta_probe: float, split, dark_mean: float, dead_bins: int, rng):
+    """Clicks of a dense (B, n_bins) block, shape (B, 4, n_bins): every entry
+    thinned and split multinomially, then dark counts on every detector bin,
+    then each detector row's dead time, click by click."""
+    counts = np.asarray(counts, dtype=np.int64)
+    thinned = counts.copy() if eta_probe == 1.0 else rng.binomial(counts, eta_probe)
+    det = np.swapaxes(rng.multinomial(thinned, split), -1, -2)
+    if dark_mean > 0.0:
+        det = det + rng.poisson(dark_mean, size=det.shape)
+    if dead_bins > 0:
+        det = np.array([[dead_time_loop(row, dead_bins) for row in shot] for shot in det])
+    return det
 
 
 def poisson_pmf(mu: float, k_max: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -23,10 +25,18 @@ from photonsub import (
     substream,
 )
 from photonsub import experiment, stats
-from photonsub.absorber import MAX_EXCITATIONS
+from photonsub.absorber import MAX_EXCITATIONS, absorb_entries
 from photonsub.pulses import expected_bin_means
 
-from _oracles import both_stages_fire_probability, chi2_upper, leaky_absorbed_pmf, per_photon_shot
+from _oracles import (
+    both_stages_fire_probability,
+    chi2_upper,
+    dense_block_stage,
+    dense_block_sums,
+    dense_detection,
+    leaky_absorbed_pmf,
+    per_photon_shot,
+)
 
 MEASURED = AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
 DET = DetectorConfig()
@@ -351,26 +361,34 @@ def _g2_reference_sums(acc, det):
     return sums
 
 
-def _block_loop(stages, spec, shots, seed, ensembles, g2=None):
+def _block_loop(stages, spec, shots, seed, ensembles, g2=None, detector=DET, stream_key=()):
     """A run as a literal loop over its blocks, added into ``ensembles`` (one
-    per stage) and ``g2``.  Each block of ``experiment._BLOCK`` rows draws
-    from its own substream: the input, every stage, every stage's ion
-    clicks, then the detection of the last stage's output."""
-    rows = experiment._BLOCK
-    assert 8 * rows * spec.n_bins * (len(stages) + 1) <= stats._CHUNK_BYTES  # the byte cap is not reached
+    per stage) and ``g2``, with the frozen dense oracles; returns the outcome
+    counts.  Each block of ``block_rows`` rows draws from its own substream:
+    the input, every stage, every stage's ion clicks, then the detection of
+    the last stage's output."""
+    rows = experiment.block_rows(spec, len(stages))
     lam = expected_bin_means(spec)
+    dark_mean = detector.dark_cps * spec.bin_width_us * 1e-6
+    dead_bins = max(1, int(np.ceil(detector.dead_time_ns / (spec.bin_width_us * 1e3)))) if detector.dead_time_ns else 0
+    outcomes = Counter()
     for block, lo in enumerate(range(0, shots, rows)):
-        rng = substream(seed, block)
-        bins = rng.poisson(lam, size=(min(rows, shots - lo), spec.n_bins))
-        records = []
+        rng = substream(seed, *stream_key, block)
+        bins = [rng.poisson(lam, size=(min(rows, shots - lo), spec.n_bins))]
+        absorbed = []
         for params in stages:
-            records.append(simulate_shot(params, bins, rng))
-            bins = records[-1].output_bins
-        ions = detect_ions(np.array([rec.absorbed for rec in records]), DET.eta_ion, rng)
-        for ens, rec, clicks in zip(ensembles, records, ions):
-            ens.add_block(rec.input_bins, rec.output_bins, rec.absorbed, clicks)
+            out, stage_absorbed, _ = dense_block_stage(params.p_ryd, params.p_ryd2, params.t, bins[-1], rng)
+            bins.append(out)
+            absorbed.append(stage_absorbed)
+        ions = rng.binomial(np.array(absorbed), detector.eta_ion)
+        for k, ens in enumerate(ensembles):
+            sums = dense_block_sums(bins[k], bins[k + 1], absorbed[k], ions[k], MAX_EXCITATIONS + 1)
+            for name, value in sums.items():
+                setattr(ens, name, getattr(ens, name) + value)
         if g2 is not None:
-            g2.add_block(detect_pulse(bins, DET, rng, spec.bin_width_us))
+            g2.add_block(dense_detection(bins[-1], detector.eta_probe, detector.split, dark_mean, dead_bins, rng))
+        outcomes.update(zip(bins[0].sum(axis=1).tolist(), *np.array(absorbed).tolist()))
+    return outcomes
 
 
 def _one_absorber_with_g2(spec, shots, seed, bins_per_cell):
@@ -424,3 +442,108 @@ def test_block_rows_are_capped_by_the_byte_bound():
     assert experiment.block_rows(long_pulse, 3) == rows < experiment._BLOCK
     result = simulate_cascade((MEASURED,) * 3, long_pulse, DET, 2 * rows + 1, 3)
     assert result.shots == 2 * rows + 1
+
+
+# ---------------------------------------------------------------------------
+# the stage kernel on nonzero entries against the frozen dense block kernel
+
+STAGE = st.tuples(
+    st.sampled_from([0.0, 0.5, 0.99, 1.0]),  # t
+    st.sampled_from([0.0, 0.35, 1.0]),  # p_ryd
+    st.sampled_from([0.0, 0.001, 0.2]),  # p_ryd2
+)
+
+
+def _params(t, p_ryd, p_ryd2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p_ryd2 > p_ryd is allowed with a warning
+        return AbsorberParams(p_ryd=p_ryd, p_ryd2=p_ryd2, t=t)
+
+
+@given(
+    rows=st.integers(1, 40),
+    n_bins=st.integers(1, 12),
+    mean=st.sampled_from([0.0, 0.2, 2.0, 12.0]),
+    chain=st.lists(STAGE, min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
+    data = np.random.default_rng(seed)
+    counts = data.poisson(mean, size=(rows, n_bins))
+    counts[data.random(rows) < 0.3] = 0  # rows without photons
+    rng_entries, rng_view, rng_dense = (substream(seed, 5) for _ in range(3))
+    idx = np.flatnonzero(counts)
+    entries, view, dense = counts.ravel()[idx], counts, counts
+    for t, p_ryd, p_ryd2 in chain:
+        params = _params(t, p_ryd, p_ryd2)
+        out, absorbed = absorb_entries(params, counts.shape, idx, entries, rng_entries)
+        rec = simulate_shot(params, view, rng_view)
+        dense_out, dense_absorbed, dense_lost = dense_block_stage(p_ryd, p_ryd2, t, dense, rng_dense)
+        scattered = np.zeros_like(counts)
+        scattered.ravel()[idx] = out
+        for got in (scattered, rec.output_bins):
+            np.testing.assert_array_equal(got, dense_out)
+        for got in (absorbed, rec.absorbed):
+            np.testing.assert_array_equal(got, dense_absorbed)
+        np.testing.assert_array_equal(rec.background_lost, dense_lost)
+        ions = data.binomial(dense_absorbed, 0.5)
+        from_entries, from_rows = (EnsembleResult(n_bins, 0.05) for _ in range(2))
+        from_entries.add_entries(rows, idx, entries, out, absorbed, ions)
+        from_rows.add_block(view, rec.output_bins, rec.absorbed, ions)
+        for name, value in dense_block_sums(dense, dense_out, dense_absorbed, ions, MAX_EXCITATIONS + 1).items():
+            np.testing.assert_array_equal(getattr(from_entries, name), value, err_msg=name)
+            np.testing.assert_array_equal(getattr(from_rows, name), value, err_msg=name)
+        live = out > 0
+        idx, entries, view, dense = idx[live], out[live], rec.output_bins, dense_out
+    assert rng_entries.random() == rng_view.random() == rng_dense.random()
+
+
+@given(
+    shots=st.integers(1, 50),
+    chain=st.lists(STAGE, min_size=1, max_size=5),
+    mean=st.sampled_from([0.5, 3.0, 15.0]),
+    bins_per_cell=st.sampled_from([None, 1, 3]),
+    detector=st.sampled_from([DET, DetectorConfig(eta_probe=0.7, dead_time_ns=120.0, dark_cps=5e5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_batch_equals_the_dense_reference_loop(shots, chain, mean, bins_per_cell, detector, seed):
+    stages = tuple(_params(*stage) for stage in chain)
+    spec = PulseSpec(mean_photons=mean, duration_us=0.6)
+    with mock.patch.object(experiment, "_BLOCK", 16):
+        n_blocks = -(-shots // experiment.block_rows(spec, len(stages)))
+        result = experiment._run_batch(
+            (stages, spec, detector, seed, (4,), shots, range(n_blocks), bins_per_cell)
+        )
+        ensembles = [EnsembleResult(spec.n_bins, spec.bin_width_us) for _ in stages]
+        g2 = None if bins_per_cell is None else G2Accumulator(spec.n_bins, spec.bin_width_us, bins_per_cell)
+        outcomes = _block_loop(stages, spec, shots, seed, ensembles, g2, detector, stream_key=(4,))
+    assert all(got.equals(want) for got, want in zip(result.stages, ensembles))
+    assert result.outcomes == outcomes
+    assert (result.g2 is None) if g2 is None else result.g2.equals(g2)
+
+
+def test_entry_sums_are_exact_int64():
+    # one row of 2**53 + 1 photons, an empty row, and a row whose first entry's
+    # square passes 2**53: no float path can hold these sums exactly
+    big, large = 2**53 + 1, 10**8
+    counts = np.array([[0, 0, big, 0], [0, 0, 0, 0], [0, large, 0, 5]], dtype=np.int64)
+    idx = np.flatnonzero(counts)
+    out, absorbed = absorb_entries(IDEAL, counts.shape, idx, counts.ravel()[idx], substream(3, 0))
+    assert out.tolist() == [big - 1, large - 1, 5]
+    assert absorbed.tolist() == [1, 0, 1]
+    ens = EnsembleResult(4, 0.05)
+    ens.add_entries(3, idx, counts.ravel()[idx], out, absorbed, np.zeros(3, dtype=np.int64))
+    wrap = 2**64  # a square of 2**53 + 1 passes int64 and wraps, exactly
+    assert ens.in_bin_sums.tolist() == [0, large, big, 5]
+    assert ens.out_bin_sums.tolist() == [0, large - 1, big - 1, 5]
+    assert ens.in_bin_sq_sums[1] == large**2 and ens.in_bin_sq_sums[3] == 25
+    assert ens.out_bin_sq_sums[1] == (large - 1) ** 2
+    assert ens.inout_bin_sums[1] == large * (large - 1)
+    for name, exact in (
+        ("in_bin_sq_sums", big**2), ("out_bin_sq_sums", (big - 1) ** 2), ("inout_bin_sums", big * (big - 1)),
+    ):
+        assert int(getattr(ens, name)[2]) % wrap == exact % wrap, name
+    assert ens.out_total_sq_sum % wrap == ((big - 1) ** 2 + (large + 4) ** 2) % wrap
+    assert ens.absorbed_hist.tolist() == [1, 2, 0]

@@ -17,7 +17,7 @@ from photonsub import (
 from photonsub.detector import _apply_dead_time
 from photonsub.stats import mandel_q_sem
 
-from _oracles import dead_time_loop, pmf_mandel_q, thinned_pmf
+from _oracles import dead_time_loop, dense_detection, pmf_mandel_q, thinned_pmf
 
 CFG = DetectorConfig()
 
@@ -223,3 +223,31 @@ def test_detector_config_validation():
         DetectorConfig(split=(0.25, 0.25, 0.25))  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         DetectorConfig(dead_time_ns=-1.0)
+
+
+@given(
+    rows=st.integers(1, 30),
+    n_bins=st.integers(1, 12),
+    mean=st.sampled_from([0.0, 0.3, 4.0]),
+    eta_probe=st.sampled_from([1.0, 0.6, 0.0]),
+    split=st.sampled_from([CFG.split, (0.5, 0.0, 0.3, 0.2)]),
+    dark_cps=st.sampled_from([0.0, 2e6]),
+    dead_time_ns=st.sampled_from([0.0, 50.0, 120.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_detection_on_entries_draws_the_dense_stream(rows, n_bins, mean, eta_probe, split, dark_cps, dead_time_ns, seed):
+    data = np.random.default_rng(seed)
+    counts = data.poisson(mean, size=(rows, n_bins))
+    counts[data.random(rows) < 0.3] = 0  # rows without photons
+    cfg = DetectorConfig(eta_probe=eta_probe, split=split, dark_cps=dark_cps, dead_time_ns=dead_time_ns)
+    width_us = 0.05
+    dead_bins = max(1, int(np.ceil(dead_time_ns / (width_us * 1e3)))) if dead_time_ns else 0
+    rng, rng_dense = substream(seed, 6), substream(seed, 6)
+    det = detect_pulse(counts, cfg, rng, width_us)
+    want = dense_detection(counts, eta_probe, split, dark_cps * width_us * 1e-6, dead_bins, rng_dense)
+    assert det.shape == (rows, 4, n_bins)
+    np.testing.assert_array_equal(det, want)
+    np.testing.assert_array_equal(detect_pulse(counts[0], cfg, substream(seed, 7), width_us),
+                                  detect_pulse(counts[:1], cfg, substream(seed, 7), width_us)[0])
+    assert rng.random() == rng_dense.random()
