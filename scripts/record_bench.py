@@ -20,8 +20,8 @@ block layers of this checkout are timed in this process (``time_layers``).
 The record holds the machine, every run's JSON result line, per workload
 and end-to-end metric both sides' medians and quartiles, the ratio of the
 medians and the number of pairs the change won, per tree the Tier-1 wall
-time and its passed and failed counts, and this checkout's µs per shot in
-each block layer.
+time and its passed and failed counts, and per workload this checkout's µs
+per shot in each block layer and its minor page faults per shot.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -94,7 +95,10 @@ def time_layers() -> dict:
     (``add_entries``, recorded as ``add_block_stage[k]``) and ``add_block``
     of the g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's
     time outside those calls.  A layer that a workload never calls raises
-    instead of reading 0.
+    instead of reading 0.  ``minor_faults_per_shot`` is the process's minor
+    page faults (``ru_minflt``) over the workload's run, per shot: pages the
+    allocator maps afresh, for example arrays freed back to the system and
+    allocated again every block.
     """
     sys.path.insert(0, str(ROOT / "src"))
     from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, experiment, stats
@@ -143,6 +147,7 @@ def time_layers() -> dict:
             experiment.detect_pulse = timed("detection", detect_pulse)
             absorber.EnsembleResult.add_entries = timed(per_stage("add_block_stage", n_stages), ensemble_add)
             stats.G2Accumulator.add_block = timed("add_block_g2", g2_add)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             for stages, n_in in zip(stage_lists, n_ins):
                 result = experiment.simulate_cascade(
@@ -151,6 +156,7 @@ def time_layers() -> dict:
                 if result.g2 is not None:
                     timed("finalize", result.g2.finalize)()
             total = time.perf_counter() - start
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             expected = ["substream", "input", "ions"] + [
                 f"{name}[{k}]" for name in ("stage", "add_block_stage") for k in range(n_stages)
             ]
@@ -163,6 +169,7 @@ def time_layers() -> dict:
             shots = LAYER_SHOTS * len(n_ins)
             layers[workload] = {name: 1e6 * seconds / shots for name, seconds in sorted(spent.items())}
             layers[workload]["total"] = 1e6 * total / shots
+            layers[workload]["minor_faults_per_shot"] = faults / shots
     finally:
         experiment.substream, experiment.absorb_entries = substream, absorb_entries
         experiment.detect_ions, experiment.detect_pulse = detect_ions, detect_pulse
@@ -261,7 +268,7 @@ def main() -> int:
         },
         "layers": {
             "command": f"time_layers(): in process, {LAYER_SHOTS} shots per point, change tree only",
-            "unit": "us/shot",
+            "unit": "us/shot, but minor_faults_per_shot in faults/shot",
             "workloads": layers,
         },
     }

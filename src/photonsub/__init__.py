@@ -28,13 +28,7 @@ from .bloch import (
     transmission_spectrum,
 )
 from .config import RunConfig, load_config
-from .detector import (
-    DetectorConfig,
-    detect_ions,
-    detect_pulse,
-    split_hbt,
-    thin_counts,
-)
+from .detector import DetectorConfig, detect_ions, detect_pulse
 from .experiment import (
     CascadeResult,
     run_point,

@@ -1,4 +1,5 @@
-"""Detection chain, for one shot or a block of shots: efficiency thinning, four-way fan-out, ion counting."""
+"""Detection chain, for one shot or a block of shots: one uniform per photon for
+efficiency thinning and the four-way fan-out, dark counts, dead time, ion counting."""
 
 from __future__ import annotations
 
@@ -40,26 +41,6 @@ class DetectorConfig:
             raise ValueError("dead_time_ns and dark_cps must be >= 0")
 
 
-def thin_counts(counts: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Binomial thinning: each photon survives independently with probability eta in [0, 1]."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if eta == 1.0:
-        return counts.copy()
-    return rng.binomial(counts, eta)
-
-
-def split_hbt(
-    counts: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Distribute each photon over the four counters multinomially.
-
-    Returns an array of shape (N_DETECTORS, n_bins) per shot; per-bin sums
-    over the detectors equal the input exactly.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    return np.swapaxes(rng.multinomial(counts, cfg.split), -1, -2)
-
-
 def detect_ions(excitations: int | np.ndarray, eta_ion: float, rng: np.random.Generator) -> int | np.ndarray:
     """Ion-counter clicks: binomial thinning of excitation counts, which must be >= 0."""
     return rng.binomial(excitations, eta_ion)
@@ -85,19 +66,40 @@ def detect_pulse(
     rng: np.random.Generator,
     bin_width_us: float,
 ) -> np.ndarray:
-    """Full photon-detection chain: thin, split, darks, dead time; (N_DETECTORS, n_bins) clicks per shot.
+    """Full photon-detection chain: thin and split, darks, dead time; (N_DETECTORS, n_bins) clicks per shot.
 
-    Only the nonzero entries of ``output_bins`` are thinned and split, in
-    row-major order: ``binomial`` and ``multinomial`` draw nothing for a zero
-    count, so the draws are those of the dense chain.  The dense clicks are
-    formed after the split, for the dark counts and the dead time.
+    Each photon draws one uniform, the photons of ``output_bins`` in
+    row-major order: it reaches counter k if the draw lies in the k-th
+    interval of the edges ``eta_probe * cumsum(split)`` and is lost at or
+    above ``eta_probe``.  So each entry's clicks and lost photons are
+    multinomial, and the draws take time linear in the number of photons.
+    The uniforms are drawn in slices of at most ``_CHUNK_BYTES``, which
+    leaves the stream as one draw would.  Dark counts and the dead time
+    follow.
     """
+    from .stats import _CHUNK_BYTES  # stats imports this module
+
     counts = np.asarray(output_bins, dtype=np.int64)
-    idx = np.flatnonzero(counts != 0)
-    clicks = np.zeros((counts.size, N_DETECTORS), dtype=np.int64)
-    # split_hbt gives (N_DETECTORS, entries); the clicks hold one row per entry
-    clicks[idx] = split_hbt(thin_counts(counts.ravel()[idx], cfg.eta_probe, rng), cfg, rng).T
-    det = np.swapaxes(clicks.reshape(*counts.shape, N_DETECTORS), -1, -2)
+    idx = np.flatnonzero(counts)
+    n = counts.ravel()[idx]
+    ends = np.cumsum(n)
+    starts, total = ends - n, int(n.sum())
+    edges = np.minimum(cfg.eta_probe * np.cumsum(cfg.split), cfg.eta_probe)
+    edges[-1] = cfg.eta_probe
+    # counter k of the entry at flat index i is clicks[k * counts.size + i], and
+    # k = N_DETECTORS counts the lost photons; a pass without photons gives zeros
+    step = _CHUNK_BYTES // 8
+    for lo in range(0, max(total, 1), step):
+        hi = min(lo + step, total)
+        # the entries with photons in [lo, hi), and how many each
+        part = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
+        slot = np.searchsorted(edges, rng.random(hi - lo), side="right")
+        slot *= counts.size
+        slot += np.repeat(idx[part], np.minimum(ends[part], hi) - np.maximum(starts[part], lo))
+        hits = np.bincount(slot, minlength=(N_DETECTORS + 1) * counts.size)
+        del slot  # before the next slice's arrays
+        clicks = hits if lo == 0 else clicks + hits
+    det = np.moveaxis(clicks[: N_DETECTORS * counts.size].reshape(N_DETECTORS, *counts.shape), 0, -2)
     if cfg.dark_cps > 0.0:
         det = det + rng.poisson(cfg.dark_cps * bin_width_us * 1e-6, size=det.shape)
     if cfg.dead_time_ns > 0.0:

@@ -5,12 +5,13 @@ loop over shots.  It runs them in blocks of ``block_rows`` rows, a number set
 by the pulse and the number of stages only.  Block b draws from the substream
 (seed, stream_key, b), each draw for all of its rows at once, in a fixed
 order: the Poisson input, every stage in turn, every stage's ion clicks, then,
-for g2 only, the detection of the last stage's output, so g2 leaves the
-stages unchanged.  The input is drawn dense; from then on the block passes
-from stage to stage as its nonzero entries in row-major order, and each
-stage draws only on those, which takes the same draws as the dense block
-because ``binomial`` draws nothing for a zero count.  Results never depend
-on batching, worker count or execution order.  Every sum an output reads is
+for g2 only, the detection of the last stage's output, one uniform per
+surviving photon, so g2 leaves the stages unchanged.  The input is drawn
+dense; from then on the block passes from stage to stage as its nonzero
+entries in row-major order, and each stage draws only on those, which takes
+the same draws as the dense block because ``binomial`` draws nothing for a
+zero count.  Results never depend on batching, worker count or execution
+order.  Every sum an output reads is
 taken from a block's entries or rows in one call per accumulator, over
 integers, so it is exact; the run result holds one ensemble per stage and,
 when requested, the g2 sums of the light detected behind the last stage.

@@ -116,14 +116,18 @@ class G2Matrix:
 
 
 # The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
-# add_block takes 6-row slices and peaks at 8.9 MB: 0.9 MB of slice arrays and
+# add_block takes 2-row slices and peaks at 8.3 MB: 0.3 MB of slice arrays and
 # one 8 MB GEMM product; finalize, one pair's ratio at a time, peaks at 107 MB
 # (tracemalloc, 1000 one-bin cells).
 MAX_CELLS = 1000
-# Transient bytes a block may hold: the shot loop's rows, or a g2 slice's
-# per-row arrays (padded clicks, cell sums and their stacked products, never a
-# per-shot map).
+# Transient bytes a block may hold: the shot loop's rows, or each of
+# detection's per-photon arrays.
 _CHUNK_BYTES = 1 << 20
+# Transient bytes of a g2 slice's per-row arrays (padded clicks, cell sums and
+# their stacked products, never a per-shot map): 101 rows at 20 cells, 2 at
+# MAX_CELLS.  At 20 cells whole 256-row slices took about 0.8 minor page faults
+# a shot, 64 to 121 rows far fewer, and fewer rows cost more calls per row.
+_SLICE_BYTES = 5 << 16
 
 
 class G2Accumulator:
@@ -181,7 +185,7 @@ class G2Accumulator:
         """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
 
         The block is added in slices whose per-row arrays stay within
-        ``_CHUNK_BYTES``: its clicks padded to whole cells, each detector's
+        ``_SLICE_BYTES``: its clicks padded to whole cells, each detector's
         cell sums, the sums of the detectors after it, and their products
         stacked for the squared map.  No slice holds a per-shot
         (n_cells, n_cells) map.  Every sum is over integer products, exact in
@@ -198,7 +202,7 @@ class G2Accumulator:
         # products and the third totals
         n_det, c = self.n_det, self.n_cells
         per_row = max(n_det * c * (self.bins_per_cell + 1), (2 * n_det - 1 + 2 * len(self._stack)) * c + 6 * n_det)
-        step = max(1, _CHUNK_BYTES // (8 * per_row))
+        step = max(1, _SLICE_BYTES // (8 * per_row))
         for lo in range(0, len(det_bins), step):
             self._add_rows(det_bins[lo : lo + step])
 

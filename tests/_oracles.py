@@ -6,8 +6,9 @@ uses the multiplicative recurrence, the subtracted-pulse g2 comes from the
 closed-form moments of the shifted distribution, the dead-time oracle
 walks one detector row click by click, and the g2 sums are built shot by
 shot from explicit outer products.  The dense block functions keep the
-package's earlier block kernel, ensemble sums and detection draws, frozen,
-so that the random stream of a block is pinned against them.
+package's earlier block kernel and ensemble sums, frozen, and detection is
+a loop over photons with one uniform draw each, so that the random stream
+of a block is pinned against them.
 """
 
 from __future__ import annotations
@@ -81,12 +82,26 @@ def dense_block_sums(inp, out, absorbed, ions, size: int) -> dict:
 
 
 def dense_detection(counts, eta_probe: float, split, dark_mean: float, dead_bins: int, rng):
-    """Clicks of a dense (B, n_bins) block, shape (B, 4, n_bins): every entry
-    thinned and split multinomially, then dark counts on every detector bin,
-    then each detector row's dead time, click by click."""
+    """Clicks of a dense (B, n_bins) block, shape (B, 4, n_bins), photon by
+    photon in row-major order: each photon draws one uniform and goes to the
+    first counter whose cumulative share of ``eta_probe`` lies above it, or is
+    lost; then dark counts on every detector bin, then each detector row's
+    dead time, click by click."""
     counts = np.asarray(counts, dtype=np.int64)
-    thinned = counts.copy() if eta_probe == 1.0 else rng.binomial(counts, eta_probe)
-    det = np.swapaxes(rng.multinomial(thinned, split), -1, -2)
+    edges, total = [], 0.0
+    for p in split:
+        total += p
+        edges.append(min(eta_probe * total, eta_probe))
+    edges[-1] = eta_probe
+    det = np.zeros((len(counts), len(edges), counts.shape[1]), dtype=np.int64)
+    for row, shot in enumerate(counts):
+        for b, n in enumerate(shot):
+            for _ in range(int(n)):
+                u = rng.random()
+                for k, edge in enumerate(edges):
+                    if u < edge:
+                        det[row, k, b] += 1
+                        break
     if dark_mean > 0.0:
         det = det + rng.poisson(dark_mean, size=det.shape)
     if dead_bins > 0:

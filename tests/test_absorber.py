@@ -425,8 +425,8 @@ def test_one_row_g2_slices_equal_the_block_loop():
         slices.append(len(det))
         add_rows(acc, det)
 
-    # the g2 slices' bound only: experiment imported its own binding, so blocks keep 256 rows
-    with mock.patch.object(stats, "_CHUNK_BYTES", 1), mock.patch.object(
+    # the g2 slices' bound only, so blocks keep 256 rows
+    with mock.patch.object(stats, "_SLICE_BYTES", 1), mock.patch.object(
         G2Accumulator, "_add_rows", counted
     ):
         result = simulate_cascade((MEASURED,), spec, DET, shots, 17, g2_cell_bins=3)

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,23 +14,28 @@ from photonsub import (
     detect_ions,
     detect_pulse,
     mandel_q,
-    split_hbt,
     substream,
-    thin_counts,
 )
+from photonsub import stats
 from photonsub.detector import _apply_dead_time
 from photonsub.stats import mandel_q_sem
 
-from _oracles import dead_time_loop, dense_detection, pmf_mandel_q, thinned_pmf
+from _oracles import chi2_upper, dead_time_loop, dense_detection, pmf_mandel_q, thinned_pmf
 
 CFG = DetectorConfig()
+WIDTH_US = 0.05
+
+
+def _detected(counts, rng, eta=1.0, split=CFG.split):
+    """Clicks of ``counts`` through thinning and the split alone, no darks or dead time."""
+    return detect_pulse(np.asarray(counts), DetectorConfig(eta_probe=eta, split=split), rng, WIDTH_US)
 
 
 def test_thinning_identity_and_blackout():
     counts = np.array([3, 0, 5, 2])
     rng = substream(1, 0)
-    np.testing.assert_array_equal(thin_counts(counts, 1.0, rng), counts)
-    np.testing.assert_array_equal(thin_counts(counts, 0.0, rng), np.zeros(4, dtype=np.int64))
+    np.testing.assert_array_equal(_detected(counts, rng).sum(axis=0), counts)
+    np.testing.assert_array_equal(_detected(counts, rng, eta=0.0), np.zeros((4, 4), dtype=np.int64))
 
 
 @given(
@@ -37,9 +46,9 @@ def test_thinning_identity_and_blackout():
 @settings(max_examples=80, deadline=None)
 def test_thinning_never_creates_photons(counts, eta, seed):
     counts = np.array(counts)
-    thinned = thin_counts(counts, eta, substream(seed, 0))
-    assert (thinned >= 0).all()
-    assert (thinned <= counts).all()
+    det = _detected(counts, substream(seed, 0), eta)
+    assert (det >= 0).all()
+    assert (det.sum(axis=0) <= counts).all()
 
 
 def test_thinning_scales_mandel_q_exactly_on_pmfs():
@@ -52,8 +61,10 @@ def test_thinning_scales_mandel_q_exactly_on_pmfs():
 
 
 def test_thinning_scales_mandel_q_statistically():
-    rng = substream(5, 0)
-    clicks = rng.binomial(2, 0.29, size=100000)  # thinned deterministic pairs, Q = -eta
+    # thinned deterministic pairs, Q = -eta; 200000 photons draw in two slices
+    counts = np.full((100000, 1), 2)
+    assert counts.sum() > stats._CHUNK_BYTES // 8
+    clicks = _detected(counts, substream(5, 0), eta=0.29).sum(axis=(1, 2))
     hist = np.bincount(clicks, minlength=3)
     assert abs(mandel_q(hist) - (-0.29)) < 3 * mandel_q_sem(hist)
 
@@ -61,7 +72,7 @@ def test_thinning_scales_mandel_q_statistically():
 def test_split_conserves_photons_per_bin():
     rng = substream(6, 0)
     counts = rng.poisson(3.0, size=25)
-    det = split_hbt(counts, CFG, rng)
+    det = _detected(counts, rng)
     assert det.shape == (4, 25)
     np.testing.assert_array_equal(det.sum(axis=0), counts)
 
@@ -73,17 +84,13 @@ def test_split_conserves_photons_per_bin():
 @settings(max_examples=80, deadline=None)
 def test_split_conservation_property(counts, seed):
     counts = np.array(counts)
-    det = split_hbt(counts, CFG, substream(seed, 2))
+    det = _detected(counts, substream(seed, 2))
     np.testing.assert_array_equal(det.sum(axis=0), counts)
 
 
 def test_split_fractions_are_balanced():
-    rng = substream(7, 0)
-    counts = np.full(10, 40)
-    totals = np.zeros(4)
     shots = 2000
-    for _ in range(shots):
-        totals += split_hbt(counts, CFG, rng).sum(axis=1)
+    totals = _detected(np.full((shots, 10), 40), substream(7, 0)).sum(axis=(0, 2))
     n_total = shots * 400
     frac = totals / n_total
     sigma = np.sqrt(0.25 * 0.75 / n_total)
@@ -94,12 +101,8 @@ def test_split_coherent_light_stays_uncorrelated():
     # multinomial splitting of Poisson bins gives independent detector streams
     rng = substream(8, 0)
     shots = 30000
-    records = []
-    for _ in range(shots):
-        counts = rng.poisson(1.2, size=8)
-        records.append(split_hbt(counts, CFG, rng))
     acc = G2Accumulator(n_bins=8, bin_width_us=0.05, bins_per_cell=8)
-    acc.add_block(np.stack(records))
+    acc.add_block(_detected(rng.poisson(1.2, size=(shots, 8)), rng))
     mat = acc.finalize()
     assert abs(mat.values[0, 0] - 1.0) < 3 * mat.sigma[0, 0]
 
@@ -129,29 +132,58 @@ def test_two_ion_double_click_probability():
 
 def test_thin_then_split_matches_split_then_thin():
     shots = 20000
-    counts = np.array([4, 2, 6])
+    counts = np.tile([4, 2, 6], (shots, 1))
     eta = 0.6
-    first = np.zeros(4)
-    second = np.zeros(4)
-    first_sq = np.zeros(4)
-    second_sq = np.zeros(4)
-    rng_a = substream(12, 0)
+    # per-detector totals of each shot: thinned by detection, or split whole and thinned after
+    first = _detected(counts, substream(12, 0), eta).sum(axis=2)
     rng_b = substream(13, 0)
-    for _ in range(shots):
-        det = split_hbt(thin_counts(counts, eta, rng_a), CFG, rng_a)
-        tot = det.sum(axis=1)
-        first += tot
-        first_sq += tot**2
-        det = np.stack([thin_counts(row, eta, rng_b) for row in split_hbt(counts, CFG, rng_b)])
-        tot = det.sum(axis=1)
-        second += tot
-        second_sq += tot**2
-    mean_a, mean_b = first / shots, second / shots
-    var_a = first_sq / shots - mean_a**2
-    var_b = second_sq / shots - mean_b**2
+    second = rng_b.binomial(_detected(counts, rng_b), eta).sum(axis=2)
+    mean_a, mean_b = first.mean(axis=0), second.mean(axis=0)
+    var_a, var_b = first.var(axis=0), second.var(axis=0)
     sigma = np.sqrt((var_a + var_b) / shots)
     assert (np.abs(mean_a - mean_b) < 4 * sigma).all()
     assert (np.abs(var_a - var_b) < 4 * np.sqrt(2.0 / shots) * (var_a + var_b)).all()
+
+
+def _multinomial_pmf(n, probs):
+    """Every way of putting n photons into the categories, with its probability."""
+    if len(probs) == 1:
+        return {(n,): probs[0] ** n}
+    return {
+        (k, *rest): math.comb(n, k) * probs[0] ** k * p
+        for k in range(n + 1)
+        for rest, p in _multinomial_pmf(n - k, probs[1:]).items()
+    }
+
+
+def test_detection_clicks_and_losses_are_multinomial():
+    # each entry's four counters and its lost photons: Multinomial(n, eta * split + [1 - eta])
+    eta, split, n = 0.6, (0.1, 0.2, 0.3, 0.4), 3
+    counts = np.full((20000, 3), n)
+    det = _detected(counts, substream(16, 0), eta, split)
+    per_entry = np.swapaxes(det, 1, 2).reshape(-1, 4)
+    outcomes = np.column_stack([per_entry, n - per_entry.sum(axis=1)])
+    observed = Counter(map(tuple, outcomes.tolist()))
+    pmf = _multinomial_pmf(n, [eta * p for p in split] + [1.0 - eta])
+    assert set(observed) <= set(pmf) and math.isclose(sum(pmf.values()), 1.0)
+    expected = {key: p * len(outcomes) for key, p in pmf.items()}
+    assert min(expected.values()) >= 5
+    chi2 = sum((observed[key] - e) ** 2 / e for key, e in expected.items())
+    assert chi2 < chi2_upper(len(pmf) - 1)
+
+
+def test_detection_memory_is_bounded_for_a_huge_entry():
+    counts = np.array([[0, 10**7, 0]])
+    tracemalloc.start()
+    try:
+        det = _detected(counts, substream(17, 0), eta=0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about two per-photon arrays of one slice at a time; the whole entry at once would take 80 MB an array
+    assert peak <= 4 * stats._CHUNK_BYTES
+    assert det.shape == (1, 4, 3)
+    assert det.sum() <= counts.sum() and det[..., [0, 2]].sum() == 0
 
 
 def test_dead_time_truncates_click_train():

@@ -155,18 +155,18 @@ def test_g2_grid_is_capped():
         G2Accumulator(MAX_CELLS + 1, 0.05, 1)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("slice_bytes", [None, 1])
 @pytest.mark.parametrize(
     "n_bins, bins_per_cell",
     [(40, 2), (7, 3), (5, 5), (12, 1), (200, 3)],
-    ids=["20-cells", "ragged-last-cell", "one-cell", "one-bin-cells", "67-cells-two-slices"],
+    ids=["20-cells", "ragged-last-cell", "one-cell", "one-bin-cells", "67-cells-several-slices"],
 )
-def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, chunk_bytes):
+def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, slice_bytes):
     rng = np.random.default_rng(n_bins * 10 + bins_per_cell)
     det = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(300, 1, 1)), size=(300, 4, n_bins))
     det[::7] = 0  # shots without a click
     acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
-    with mock.patch.object(stats, "_CHUNK_BYTES", chunk_bytes or stats._CHUNK_BYTES):
+    with mock.patch.object(stats, "_SLICE_BYTES", slice_bytes or stats._SLICE_BYTES):
         acc.add_block(det[:133])
         acc.add_block(det[133:])
     ref = g2_sums_per_shot(det, bins_per_cell, acc._front, acc._rear)
@@ -197,6 +197,30 @@ def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
     assert peak <= stats._CHUNK_BYTES + 8 * MAX_CELLS**2
     ref = g2_sums_per_shot(det, 1, acc._front, acc._rear)
     assert all(np.array_equal(getattr(acc, name), want) for name, want in ref.items())
+
+
+@pytest.mark.parametrize("n_bins, bins_per_cell", [(40, 2), (200, 3)], ids=["20-cells", "67-cells"])
+def test_g2_sums_are_bit_identical_at_any_slice_budget(n_bins, bins_per_cell):
+    # one-row slices, the slices of the chosen budget, and the whole block as one slice
+    det = np.random.default_rng(9).poisson(0.3, size=(256, 4, n_bins))
+    add_rows = G2Accumulator._add_rows
+    sums, slices = [], []
+    for slice_bytes in (1, stats._SLICE_BYTES, 1 << 30):
+        acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
+        rows = []
+
+        def counted(self, block, rows=rows):
+            rows.append(len(block))
+            add_rows(self, block)
+
+        with mock.patch.object(stats, "_SLICE_BYTES", slice_bytes), mock.patch.object(
+            G2Accumulator, "_add_rows", counted
+        ):
+            acc.add_block(det)
+        sums.append([np.asarray(getattr(acc, name)).tobytes() for name in acc.zero_sums()])
+        slices.append(rows)
+    assert slices[0] == [1] * len(det) and 1 < len(slices[1]) < len(det) and slices[2] == [len(det)]
+    assert sums[0] == sums[1] == sums[2]
 
 
 def _reference_finalize(acc):
