@@ -15,18 +15,23 @@ and change first in even ones, so slow drift of a shared machine falls on
 both sides alike.  Then each tree makes one ``--trace 1 --seed 1`` run per
 workload for the per-layer metrics.  Then each tree runs its Tier-1 test
 suite once with the verify command of ROADMAP.md, parent first.  Last, the
-block layers of this checkout are timed in this process (``time_layers``).
+block layers of this checkout are timed in this process (``time_layers``),
+and so are whole ``cli.main`` calls of each workload (``time_calls``).
 
 The record holds the machine, every run's JSON result line, per workload
 and end-to-end metric both sides' medians and quartiles, the ratio of the
 medians and the number of pairs the change won, per tree the Tier-1 wall
 time and its passed and failed counts, and per workload this checkout's µs
-per shot in each block layer and its minor page faults per shot.
+per shot in each block layer, its minor page faults per shot and the median
+wall time of one call at a few shots and at its own shot count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import platform
@@ -34,7 +39,9 @@ import re
 import resource
 import statistics
 import subprocess
+import shutil
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -47,6 +54,10 @@ PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # Shots per simulated point when timing the block layers.
 LAYER_SHOTS = 20000
+# Timed cli.main calls per workload and shot count, and the shot count at
+# which a call is nearly all fixed cost.
+CALL_REPEATS = 40
+FEW_SHOTS = 16
 
 
 def git_commit(tree: Path, rev: str) -> str | None:
@@ -177,6 +188,41 @@ def time_layers() -> dict:
     return layers
 
 
+def time_calls() -> dict:
+    """Median wall ms of one in-process ``cli.main`` call of this checkout, per benchmark workload.
+
+    Each workload runs with the argv and config of ``perfbench/workloads.py``,
+    at ``FEW_SHOTS`` shots and at its own shot count, ``CALL_REPEATS`` times
+    each after one warm-up call, with standard output discarded and every
+    run directory removed.  The ``FEW_SHOTS`` time is nearly all the call's
+    fixed cost: parsing, config, run directory, statistics and output files.
+    """
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from photonsub import cli
+    from workloads import CONFIG_TEXT, WORKLOADS
+
+    calls = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "workload.cfg"
+        config.write_text(CONFIG_TEXT)
+        for name, workload in WORKLOADS.items():
+            calls[name] = {}
+            for shots in (FEW_SHOTS, workload.shots):
+                argv = dataclasses.replace(workload, shots=shots).argv(config, Path(tmp) / "out", FIRST_SEED)
+                walls = []
+                for _ in range(CALL_REPEATS + 1):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        start = time.perf_counter()
+                        code = cli.main(argv)
+                        walls.append(time.perf_counter() - start)
+                    shutil.rmtree(Path(tmp) / "out")
+                    if code != 0:
+                        raise RuntimeError(f"{name} at {shots} shots: exit code {code}")
+                calls[name][f"call_ms_at_{shots}_shots"] = 1e3 * statistics.median(walls[1:])
+    return calls
+
+
 def summarize(lines: list[dict], metric: str, better: str) -> dict:
     """Medians, quartiles and pairs won by the change for one workload's metric."""
     side = {
@@ -230,6 +276,7 @@ def main() -> int:
         print(f"tier-1 {side}: {tier1[side]['last_line']}", file=sys.stderr, flush=True)
 
     layers = time_layers()
+    calls = time_calls()
 
     summary = {
         bench["name"]: {
@@ -270,6 +317,14 @@ def main() -> int:
             "command": f"time_layers(): in process, {LAYER_SHOTS} shots per point, change tree only",
             "unit": "us/shot, but minor_faults_per_shot in faults/shot",
             "workloads": layers,
+        },
+        "calls": {
+            "command": (
+                f"time_calls(): in process, {CALL_REPEATS} cli.main calls per workload at "
+                f"{FEW_SHOTS} shots and at its own shot count, change tree only"
+            ),
+            "unit": "ms per call, median",
+            "workloads": calls,
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

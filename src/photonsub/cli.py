@@ -10,6 +10,7 @@ fixed config and seed the emitted files are byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -106,21 +107,6 @@ def _sweep_points(cfg: RunConfig, text: str, absorber: AbsorberParams):
         )
 
 
-def _ion_columns(ion_hist) -> tuple[float, float, float, float, float, float]:
-    """Ion mean and its error, then Mandel-Q and Q/mean with theirs; the Q
-    columns are nan where no ion was counted, since they divide by the mean."""
-    nan = float("nan")
-    mean = stats.hist_mean(ion_hist)
-    mean_sem = stats.hist_mean_sem(ion_hist)
-    if mean == 0.0:
-        return mean, mean_sem, nan, nan, nan, nan
-    q = stats.mandel_q(ion_hist)
-    q_sem = stats.mandel_q_sem(ion_hist)
-    ratio = stats.q_over_mean(ion_hist)
-    ratio_sem = stats.q_over_mean_sem(ion_hist)
-    return mean, mean_sem, q, q_sem, ratio, ratio_sem
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -132,9 +118,11 @@ def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
             deficit, deficit_sem = stats.photon_deficit(ens, cfg.absorber.t)
         else:
             deficit = deficit_sem = float("nan")
-        ion = _ion_columns(ens.ion_hist)
-        rows.append((n_in, ens.mean_out, ens.sem_out, model, deficit, deficit_sem) + ion)
-        print(f"n_in={n_in:g}: n_out={ens.mean_out:.4f} (model {model:.4f}), ion_mean={ion[0]:.4f}, ion_q={ion[2]:.4f}")
+        # the Q columns are nan where no ion was counted, since they divide by the mean
+        ion = stats.hist_stats(ens.ion_hist)
+        rows.append((n_in, ens.mean_out, ens.sem_out, model, deficit, deficit_sem, *ion))
+        print(f"n_in={n_in:g}: n_out={ens.mean_out:.4f} (model {model:.4f}), "
+              f"ion_mean={ion.mean:.4f}, ion_q={ion.mandel_q:.4f}")
     _write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     points = [{name: v for name, v in zip(SWEEP_COLUMNS, row) if name in SWEEP_SUMMARY} for row in rows]
     return _finish(run_dir, {"command": "sweep", "shots": cfg.shots, "seed": cfg.seed, "points": points})
@@ -276,10 +264,10 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
     for k, (params, ens) in enumerate(zip(stages, result.stages)):
         fired = float(1.0 - ens.absorbed_hist[0] / ens.shots)
         mean_absorbed = stats.hist_mean(ens.absorbed_hist)
-        ion = _ion_columns(ens.ion_hist)
+        ion = stats.hist_stats(ens.ion_hist)
         stage_rows.append(
             (k, params.p_ryd, params.p_ryd2, params.t, ens.mean_in, ens.mean_out, fired, mean_absorbed,
-             ion[0], ion[2])
+             ion.mean, ion.mandel_q)
         )
     _write_csv(
         run_dir / "cascade_stages.csv",
@@ -341,19 +329,19 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
         expected = analytic.mean_out(n_in, cfg.absorber.t, oracle_p)
         var = analytic.var_out(n_in, cfg.absorber.t, oracle_p)
         record(f"closed_form_mean_out[n_in={n_in:g}]", ens.mean_out, expected, 3.0 * math.sqrt(var / ens.shots))
-        ion_mean, _, ion_q, ion_q_sem, *_ = _ion_columns(ens.ion_hist)
+        ion = stats.hist_stats(ens.ion_hist)
         try:
             ideal = analytic.ideal_ion_stats(n_in, cfg.absorber.t, oracle_p, cfg.detector.eta_ion)
         except ValueError:  # no ion expected, so neither model value is defined
             ideal = analytic.IdealIonStats(math.nan, math.nan, math.nan)
         var = ideal.mean_ions * (1.0 - ideal.mean_ions)
-        record(f"ion_mean[n_in={n_in:g}]", ion_mean, ideal.mean_ions, 3.0 * math.sqrt(var / ens.shots))
-        record(f"ion_mandel_q[n_in={n_in:g}]", ion_q, ideal.mandel_q, 3.0 * ion_q_sem)
+        record(f"ion_mean[n_in={n_in:g}]", ion.mean, ideal.mean_ions, 3.0 * math.sqrt(var / ens.shots))
+        record(f"ion_mandel_q[n_in={n_in:g}]", ion.mandel_q, ideal.mandel_q, 3.0 * ion.mandel_q_sem)
     # binomial thinning scales Mandel-Q by the efficiency
     thin_rng = substream(cfg.seed, 900)
     clicks = thin_rng.binomial(2, cfg.detector.eta_ion, size=100000)
-    hist = np.bincount(clicks)
-    record("thinning_q_scaling", stats.mandel_q(hist), -cfg.detector.eta_ion, 3.0 * stats.mandel_q_sem(hist))
+    thinned = stats.hist_stats(np.bincount(clicks))
+    record("thinning_q_scaling", thinned.mandel_q, -cfg.detector.eta_ion, 3.0 * thinned.mandel_q_sem)
     # exact photon conservation, row by row over one block
     conserve_rng = substream(cfg.seed, 901)
     pulse = replace(cfg.pulse, mean_photons=10.0)
@@ -392,7 +380,9 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="photonsub",
         description="Monte-Carlo simulator and analysis toolkit for a saturable single-photon absorber.",
@@ -409,41 +399,35 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore the config file and use the built-in parameter table",
     )
+    # main runs the command's cmd_* function, looked up by name at each call
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="transmitted photons and ion statistics versus input")
     p.add_argument("--n-in", default=DEFAULT_SWEEP, help="comma-separated input photon numbers")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pulse", help="input/output pulse shapes with ideal-absorber overlay")
     p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
-    p.set_defaults(func=cmd_pulse)
 
     p = sub.add_parser("g2", help="time-resolved pair-averaged intensity correlations")
     p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
     p.add_argument("--cell-ns", dest="g2.cell_ns", help="override g2.cell_ns")
-    p.set_defaults(func=cmd_g2)
 
     p = sub.add_parser("spectrum", help="weak-probe transmission spectrum")
     p.add_argument("--delta-min", type=float, default=-10.0, help="two-photon detuning start (MHz)")
     p.add_argument("--delta-max", type=float, default=10.0, help="two-photon detuning end (MHz)")
     p.add_argument("--points", type=int, default=401)
     p.add_argument("--control-off", action="store_true", help="two-level reference spectrum")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fit-gamma", help="fit the dephasing rate to a spectrum CSV")
     p.add_argument("data", help="CSV with columns delta_mhz,transmission")
-    p.set_defaults(func=cmd_fit_gamma)
 
     p = sub.add_parser("cascade", help="chain of absorbers and number-resolving statistics")
     p.add_argument("--stages", dest="cascade.stages", help="override cascade.stages 'p_ryd,p_ryd2,t;...'")
     p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
-    p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("validate", help="Monte-Carlo versus closed-form oracle report")
     p.add_argument("--n-in", default="5.65,20", help="comma-separated input photon numbers")
     p.add_argument("--oracle-p-ryd", type=float, help="override the oracle p_ryd (negative control)")
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
@@ -455,7 +439,7 @@ def main(argv=None) -> int:
         cfg = load_config(None if args.paper_defaults else args.config, overrides)
         tmp = _prepare_run_dir(cfg, args.command)
         try:
-            code = args.func(cfg, args, tmp)
+            code = globals()["cmd_" + args.command.replace("-", "_")](cfg, args, tmp)
             print(f"written to {_publish(tmp, args.command)}")
             return code
         finally:

@@ -30,6 +30,9 @@ from .pulses import PulseSpec
 MAX_SEED = 2**64 - 1
 # Every stage adds a row per shot to each accumulation block.
 MAX_STAGES = 100
+# run.workers is bounded by the cores, read once per process: load_config
+# builds a RunConfig for every key it applies.
+_MAX_WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,8 @@ class RunConfig:
             raise ValueError(f"run.shots must be >= 1, got {self.shots}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"run.seed must be an unsigned 64-bit value, got {self.seed}")
-        max_workers = os.cpu_count() or 1
-        if not 1 <= self.workers <= max_workers:
-            raise ValueError(f"run.workers must lie in [1, {max_workers}] (cores), got {self.workers}")
+        if not 1 <= self.workers <= _MAX_WORKERS:
+            raise ValueError(f"run.workers must lie in [1, {_MAX_WORKERS}] (cores), got {self.workers}")
         check_finite(**{"g2.cell_ns": self.g2_cell_ns})
         if self.g2_cell_ns <= 0:
             raise ValueError(f"g2.cell_ns must be > 0, got {self.g2_cell_ns}")

@@ -1,10 +1,15 @@
-"""Ensemble statistics: Mandel-Q, pair-averaged g2 maps, pulse shapes, deficits."""
+"""Ensemble statistics: Mandel-Q, pair-averaged g2 maps, pulse shapes, deficits.
+
+``hist_stats`` gives a count histogram's mean, Mandel-Q and Q/mean with their
+standard errors from one moments pass; ``hist_mean``, ``mandel_q`` and the
+other single-value functions are views of it.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -33,23 +38,6 @@ def _hist_moments(hist: np.ndarray) -> tuple[float, float, float, float, float, 
     return n, mean, var, mu2, mu3, mu4
 
 
-def hist_mean(hist: np.ndarray) -> float:
-    return _hist_moments(hist)[1]
-
-
-def hist_mean_sem(hist: np.ndarray) -> float:
-    n, _, var, *_ = _hist_moments(hist)
-    return math.sqrt(var / n)
-
-
-def mandel_q(hist: np.ndarray) -> float:
-    """Mandel-Q = Var(n)/<n> - 1 of a count histogram (unbiased variance)."""
-    _, mean, var, *_ = _hist_moments(hist)
-    if mean == 0.0:
-        raise ValueError("Mandel-Q undefined for zero-mean counts")
-    return var / mean - 1.0
-
-
 def _mean_var_cov(hist: np.ndarray) -> tuple[float, float, float, float, float, float]:
     """Moments plus the sampling (co)variances of (mean, variance) estimates."""
     n, mean, var, mu2, mu3, mu4 = _hist_moments(hist)
@@ -59,29 +47,71 @@ def _mean_var_cov(hist: np.ndarray) -> tuple[float, float, float, float, float, 
     return n, mean, var, var_mean, var_var, cov
 
 
-def mandel_q_sem(hist: np.ndarray) -> float:
-    """Delta-method standard error of the Mandel-Q estimate."""
-    _, mean, var, var_mean, var_var, cov = _mean_var_cov(hist)
+class HistStats(NamedTuple):
+    """Mean, Mandel-Q and Q/mean of a count histogram, each with its standard
+    error; Q/mean is -1 for Bernoulli counts."""
+
+    mean: float
+    mean_sem: float
+    mandel_q: float
+    mandel_q_sem: float
+    q_over_mean: float
+    q_over_mean_sem: float
+
+
+def hist_stats(hist: np.ndarray) -> HistStats:
+    """All six statistics from one moments pass.
+
+    Mandel-Q = Var(n)/<n> - 1 (unbiased variance) and Q/mean divide by the
+    mean, so those four are nan for zero-mean counts.  The errors are
+    delta-method standard errors.
+    """
+    n, mean, var, var_mean, var_var, cov = _mean_var_cov(hist)
+    mean_sem = math.sqrt(var / n)
     if mean == 0.0:
-        raise ValueError("Mandel-Q undefined for zero-mean counts")
+        return HistStats(mean, mean_sem, math.nan, math.nan, math.nan, math.nan)
+    q = var / mean - 1.0
     d_var = 1.0 / mean
     d_mean = -var / mean**2
-    return math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+    q_sem = math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+    d_var = 1.0 / mean**2
+    d_mean = (mean - 2.0 * var) / mean**3
+    ratio_sem = math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+    return HistStats(mean, mean_sem, q, q_sem, q / mean, ratio_sem)
+
+
+def _nonzero_mean(hist: np.ndarray, what: str) -> HistStats:
+    """``hist_stats(hist)``, raising where ``what`` is undefined for zero-mean counts."""
+    result = hist_stats(hist)
+    if result.mean == 0.0:
+        raise ValueError(f"{what} undefined for zero-mean counts")
+    return result
+
+
+# One-line views of hist_stats, for callers that need one value.
+
+def hist_mean(hist: np.ndarray) -> float:
+    return hist_stats(hist).mean
+
+
+def hist_mean_sem(hist: np.ndarray) -> float:
+    return hist_stats(hist).mean_sem
+
+
+def mandel_q(hist: np.ndarray) -> float:
+    return _nonzero_mean(hist, "Mandel-Q").mandel_q
+
+
+def mandel_q_sem(hist: np.ndarray) -> float:
+    return _nonzero_mean(hist, "Mandel-Q").mandel_q_sem
 
 
 def q_over_mean(hist: np.ndarray) -> float:
-    """Ratio of Mandel-Q to the mean count; -1 for Bernoulli statistics."""
-    return mandel_q(hist) / hist_mean(hist)
+    return _nonzero_mean(hist, "Mandel-Q").q_over_mean
 
 
 def q_over_mean_sem(hist: np.ndarray) -> float:
-    """Delta-method standard error of the Q/mean estimate."""
-    _, mean, var, var_mean, var_var, cov = _mean_var_cov(hist)
-    if mean == 0.0:
-        raise ValueError("Q/mean undefined for zero-mean counts")
-    d_var = 1.0 / mean**2
-    d_mean = (mean - 2.0 * var) / mean**3
-    return math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+    return _nonzero_mean(hist, "Q/mean").q_over_mean_sem
 
 
 # ---------------------------------------------------------------------------

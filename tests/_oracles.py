@@ -8,7 +8,9 @@ walks one detector row click by click, and the g2 sums are built shot by
 shot from explicit outer products.  The dense block functions keep the
 package's earlier block kernel and ensemble sums, frozen, and detection is
 a loop over photons with one uniform draw each, so that the random stream
-of a block is pinned against them.
+of a block is pinned against them.  The histogram statistics keep the
+package's earlier one-moments-pass-per-value functions, frozen, so that the
+one-pass ``stats.hist_stats`` is pinned bit for bit against them.
 """
 
 from __future__ import annotations
@@ -107,6 +109,77 @@ def dense_detection(counts, eta_probe: float, split, dark_mean: float, dead_bins
     if dead_bins > 0:
         det = np.array([[dead_time_loop(row, dead_bins) for row in shot] for shot in det])
     return det
+
+
+def _frozen_moments(hist):
+    """(n, mean, unbiased variance, mu2, mu3, mu4) of a count histogram."""
+    hist = np.asarray(hist, dtype=float)
+    if hist.ndim != 1 or (hist < 0).any():
+        raise ValueError("histogram must be a 1-D array of non-negative counts")
+    n = float(hist.sum())
+    if n < 1:
+        raise ValueError("empty histogram")
+    k = np.arange(hist.size)
+    mean = float((k * hist).sum() / n)
+    d = k - mean
+    mu2 = float((hist * d**2).sum() / n)
+    mu3 = float((hist * d**3).sum() / n)
+    mu4 = float((hist * d**4).sum() / n)
+    var = mu2 * n / (n - 1) if n > 1 else 0.0
+    return n, mean, var, mu2, mu3, mu4
+
+
+def _frozen_mean_var_cov(hist):
+    n, mean, var, mu2, mu3, mu4 = _frozen_moments(hist)
+    var_mean = mu2 / n
+    var_var = max(0.0, (mu4 - mu2**2 * (n - 3) / (n - 1)) / n) if n > 1 else 0.0
+    return n, mean, var, var_mean, var_var, mu3 / n
+
+
+def frozen_hist_mean(hist) -> float:
+    return _frozen_moments(hist)[1]
+
+
+def frozen_hist_mean_sem(hist) -> float:
+    n, _, var, *_ = _frozen_moments(hist)
+    return math.sqrt(var / n)
+
+
+def frozen_mandel_q(hist) -> float:
+    _, mean, var, *_ = _frozen_moments(hist)
+    if mean == 0.0:
+        raise ValueError("Mandel-Q undefined for zero-mean counts")
+    return var / mean - 1.0
+
+
+def frozen_mandel_q_sem(hist) -> float:
+    _, mean, var, var_mean, var_var, cov = _frozen_mean_var_cov(hist)
+    if mean == 0.0:
+        raise ValueError("Mandel-Q undefined for zero-mean counts")
+    d_var = 1.0 / mean
+    d_mean = -var / mean**2
+    return math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+
+
+def frozen_q_over_mean(hist) -> float:
+    return frozen_mandel_q(hist) / frozen_hist_mean(hist)
+
+
+def frozen_q_over_mean_sem(hist) -> float:
+    _, mean, var, var_mean, var_var, cov = _frozen_mean_var_cov(hist)
+    if mean == 0.0:
+        raise ValueError("Q/mean undefined for zero-mean counts")
+    d_var = 1.0 / mean**2
+    d_mean = (mean - 2.0 * var) / mean**3
+    return math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+
+
+# The package's six single-value histogram statistics before hist_stats, in
+# the order of the HistStats fields.
+FROZEN_HIST_STATS = (
+    frozen_hist_mean, frozen_hist_mean_sem, frozen_mandel_q, frozen_mandel_q_sem,
+    frozen_q_over_mean, frozen_q_over_mean_sem,
+)
 
 
 def poisson_pmf(mu: float, k_max: int) -> np.ndarray:

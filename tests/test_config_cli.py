@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from photonsub import AbsorberParams, DetectorConfig, PulseSpec, experiment, simulate_cascade
+from photonsub import AbsorberParams, DetectorConfig, PulseSpec, cli, experiment, simulate_cascade
 from photonsub.cli import MAX_SPECTRUM_POINTS, _write_csv, main
 from photonsub.config import (
     KEYS,
@@ -125,6 +125,40 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert _read(first / "sweep.csv") == _read(second / "sweep.csv")
     assert _read(first / "summary.json") == _read(second / "summary.json")
     assert _read(first / "config.txt") == _read(second / "config.txt")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["g2", "--n-in", "15.76", "--cell-ns", "100"],
+        ["cascade", "--stages", "1,0,1;0.35,0.001,0.99;1,0,1", "--n-in", "3"],
+    ],
+    ids=["g2", "cascade"],
+)
+def test_repeated_in_process_calls_write_identical_files(tmp_path, command):
+    # as test_sweep_writes_deterministic_csv for sweep; the second call parses
+    # with the parser that the first call built
+    args = ["--shots", "300", "--out", str(tmp_path), *command]
+    assert main(args) == 0
+    assert main(args) == 0
+    assert cli.build_parser() is cli.build_parser()
+    first, second = sorted(tmp_path.iterdir())
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert "summary.json" in names and "config.txt" in names
+    for name in names:
+        assert _read(first / name) == _read(second / name), name
+
+
+@pytest.mark.parametrize(
+    "command, function",
+    [(["spectrum"], "cmd_spectrum"), (["fit-gamma", "data.csv"], "cmd_fit_gamma")],
+)
+def test_main_runs_the_command_function_bound_at_call_time(tmp_path, command, function):
+    cli.build_parser()
+    with mock.patch.object(cli, function, return_value=7) as patched:
+        assert main(["--out", str(tmp_path), *command]) == 7
+    patched.assert_called_once()
 
 
 def test_pulse_command_reports_distortion(tmp_path):
@@ -294,6 +328,21 @@ def test_validate_skips_checks_undefined_without_ions(tmp_path):
     assert skipped == ["ion_mean[n_in=0]", "ion_mandel_q[n_in=0]"]
     summary = _strict_json(tmp_path / "validate-001" / "summary.json")
     assert (summary["n_checks"], summary["n_failed"], summary["n_skipped"]) == (len(report) - 1, 0, 2)
+
+
+def test_validate_skips_checks_undefined_without_ion_detection(tmp_path):
+    # eta_ion = 0 counts no ion, so every Mandel-Q is undefined, the thinning check's too
+    cfg = tmp_path / "eta0.cfg"
+    cfg.write_text("detector.eta_ion = 0\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--shots", "50", "--out", str(out), "validate"]) == 0
+    report = (out / "validate-001" / "validate_report.csv").read_text().splitlines()
+    skipped = [line.split(",")[0] for line in report if line.endswith(",skip")]
+    assert skipped == [
+        f"{check}[n_in={n_in}]" for n_in in ("5.65", "20") for check in ("ion_mean", "ion_mandel_q")
+    ] + ["thinning_q_scaling"]
+    summary = _strict_json(out / "validate-001" / "summary.json")
+    assert (summary["n_checks"], summary["n_failed"], summary["n_skipped"]) == (len(report) - 1, 0, 5)
 
 
 def test_validate_passes_when_a_small_sample_has_no_spread(tmp_path):

@@ -34,7 +34,7 @@ from photonsub.stats import (
     q_over_mean_sem,
 )
 
-from _oracles import g2_sums_per_shot
+from _oracles import FROZEN_HIST_STATS, g2_sums_per_shot
 
 MEASURED = AbsorberParams()
 DET = DetectorConfig()
@@ -77,6 +77,46 @@ def test_hist_mean_helpers():
     hist = np.array([10, 30, 60])
     assert hist_mean(hist) == pytest.approx(1.5)
     assert hist_mean_sem(hist) > 0
+
+
+def _outcome(fn, hist):
+    """The bytes of ``fn(hist)``'s float, or the type and text of what it raised."""
+    try:
+        return np.float64(fn(hist)).tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# counts up to 10**12, one to six bins; leading mass alone gives a zero mean
+# and a single count gives n = 1
+_HISTS = st.one_of(
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=6),
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=6).map(lambda h: [h[0] + 1] + [0] * (len(h) - 1)),
+    st.integers(0, 5).map(lambda k: [0] * k + [1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=_HISTS)
+def test_one_pass_statistics_equal_the_single_value_functions_bit_for_bit(counts):
+    hist = np.array(counts, dtype=np.int64)
+    views = (hist_mean, hist_mean_sem, mandel_q, mandel_q_sem, q_over_mean, q_over_mean_sem)
+    frozen = [_outcome(fn, hist) for fn in FROZEN_HIST_STATS]
+    # the public single-value functions raise, or not, and read as before
+    assert [_outcome(fn, hist) for fn in views] == frozen
+    try:
+        one_pass = stats.hist_stats(hist)
+    except ValueError as err:
+        # only an empty histogram raises, with the message every function gives
+        assert sum(counts) == 0 and all(out == (ValueError, str(err)) for out in frozen)
+        return
+    assert len(one_pass) == len(frozen)
+    for value, out in zip(one_pass, frozen):
+        if isinstance(out, tuple):
+            # undefined for zero-mean counts: the one-pass value is nan
+            assert one_pass.mean == 0.0 and math.isnan(value)
+        else:
+            assert np.float64(value).tobytes() == out
 
 
 # ---------------------------------------------------------------------------
