@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Run every photonsub command at a fixed seed into one directory, for a byte-identity check.
 
-    python scripts/check_identity.py OUT [--src SRC] [--workers N]
+    python scripts/check_identity.py OUT [--src SRC] [--against REF] [--workers N]
 
 Each command runs in a fresh interpreter with ``PYTHONPATH=SRC`` (default:
 the ``src`` directory of this checkout), writes its run directory into
-``OUT/runs`` and its standard output into ``OUT/stdout/<label>.txt``.  Run it
-once with the sources of one tree and once with those of another, into the
-same ``OUT`` path (move the first result aside in between), then compare the
-two copies with ``diff -r``: output paths printed on stdout and recorded in
-``summary.json`` are then the same.
+``OUT/runs`` and its standard output into ``OUT/stdout/<label>.txt``.
+
+With ``--against REF`` (another tree's ``src`` directory) the commands run
+twice into the same ``OUT`` path, so that output paths printed on stdout and
+recorded in ``summary.json`` are the same: first with REF, whose result is
+then moved aside to ``OUT.against``, then with SRC.  Every file that differs
+between the two results, or exists in one only, is listed, and the script
+exits 1 on any difference.
 
 The config sets dead time, dark counts, a dephasing rate, a leaky 3-stage
 cascade and ``--workers`` workers (default two, one on a single core), with
@@ -20,6 +23,7 @@ enough shots for two batches, so the merge paths run.  Runs with different
 from __future__ import annotations
 
 import argparse
+import filecmp
 import os
 import subprocess
 import sys
@@ -56,17 +60,12 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="output directory; must not exist yet")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="photonsub sources to run")
-    parser.add_argument("--workers", type=int, default=min(2, os.cpu_count() or 1), help="run.workers")
-    args = parser.parse_args()
-    out = args.out.resolve()
+def run_all(src: Path, out: Path, workers: int) -> int:
+    """Run every command with the sources ``src`` into ``out``; the number of failed runs."""
     out.mkdir(parents=True)
     (out / "stdout").mkdir()
-    (out / "identity.cfg").write_text(CONFIG.format(workers=args.workers))
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    (out / "identity.cfg").write_text(CONFIG.format(workers=workers))
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = 0
     for label, argv in commands(out):
         proc = subprocess.run(
@@ -77,7 +76,42 @@ def main() -> int:
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
             failed += 1
-    return 1 if failed else 0
+    return failed
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Paths, relative to the roots, of the files that differ between trees ``a`` and ``b``."""
+    first, second = ({path.relative_to(root) for path in root.rglob("*") if path.is_file()} for root in (a, b))
+    both = first & second
+    return sorted(
+        str(name) for name in first | second
+        if name not in both or not filecmp.cmp(a / name, b / name, shallow=False)
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="output directory; must not exist yet")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="photonsub sources to run")
+    parser.add_argument("--against", type=Path, help="reference sources to compare the outputs with")
+    parser.add_argument("--workers", type=int, default=min(2, os.cpu_count() or 1), help="run.workers")
+    args = parser.parse_args()
+    out = args.out.resolve()
+    if args.against is None:
+        return 1 if run_all(args.src, out, args.workers) else 0
+    aside = out.with_name(out.name + ".against")
+    if aside.exists():
+        parser.error(f"{aside} exists")
+    print(f"reference: {args.against}")
+    failed = run_all(args.against, out, args.workers)
+    out.rename(aside)
+    print(f"sources: {args.src}")
+    failed += run_all(args.src, out, args.workers)
+    diff = differences(aside, out)
+    for name in diff:
+        print(f"differs: {name}")
+    print(f"{len(diff)} files differ from {aside}")
+    return 1 if failed or diff else 0
 
 
 if __name__ == "__main__":

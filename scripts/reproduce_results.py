@@ -41,8 +41,9 @@ def cli() -> None:
     run(base + ["pulse", "--n-in", "15.76"])
     run(base + ["g2", "--n-in", "15.76"])
     run(base + ["spectrum"])
-    spectrum_csv = sorted(Path(args.out).glob("spectrum-*/spectrum.csv"))[-1]
-    run(base + ["fit-gamma", str(spectrum_csv)])
+    # the newest run has the highest index; a lexical sort would put spectrum-999 after spectrum-1000
+    spectrum = max(Path(args.out).glob("spectrum-*"), key=lambda path: int(path.name.removeprefix("spectrum-")))
+    run(base + ["fit-gamma", str(spectrum / "spectrum.csv")])
     run(base + ["cascade", "--stages", "1,0,1;1,0,1;1,0,1;1,0,1;1,0,1", "--n-in", "3"])
     run(base + ["validate"])
     print(f"all datasets written under {args.out}/")

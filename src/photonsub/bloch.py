@@ -177,12 +177,19 @@ def fit_dephasing(
     Minimizes the summed squared transmission residual over gamma_deph > 0,
     at probe detuning ``phys.delta_e``, by bracketing on a log grid followed
     by golden-section refinement to ``_FIT_REL_TOL``.  Deterministic for
-    fixed data.
+    fixed data.  A NaN or infinite value is rejected, naming the first
+    data row (counted from 1) that holds one.
     """
     deltas = np.asarray(deltas, dtype=float)
     measured = np.asarray(transmissions, dtype=float)
     if deltas.size != measured.size:
         raise ValueError("deltas and transmissions differ in length")
+    bad = ~(np.isfinite(deltas) & np.isfinite(measured))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"data row {i + 1} is not finite: delta_mhz={deltas[i]:g}, transmission={measured[i]:g}"
+        )
     if deltas.size < 5:
         raise ValueError("need at least 5 spectrum points to fit the dephasing rate")
     if np.ptp(measured) < 1e-9:

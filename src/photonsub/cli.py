@@ -1,10 +1,15 @@
 """Command-line harness: sweep, pulse, g2, spectrum, fit-gamma, cascade, validate.
 
-Every invocation writes into a fresh subdirectory of the output directory,
-containing a config snapshot, the CSV data files and a summary.json.  The run
-is written into a hidden temporary sibling first and renamed into place once
-the command finishes, so a failed run leaves no directory behind.  With a
-fixed config and seed the emitted files are byte-identical across reruns.
+Each ``cmd_<name>(cfg, args)`` computes its datasets and returns them as an
+``Output``; no command writes a file.  ``main`` is the one writer.  Before the
+command runs it creates a hidden temporary directory in the output directory
+holding the config snapshot ``config.txt``, so a bad ``--out`` fails before any
+shot is drawn.  Afterwards it writes the command's CSV tables and its
+``summary.json`` (``"command"`` first, undefined values as null) there, prints
+the report lines and renames the directory onto ``<command>-NNN``, one past the
+highest index in the output directory.  A failed run leaves no directory
+behind.  With a fixed config and seed the emitted files are byte-identical
+across reruns.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,13 +69,14 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _finish(run_dir: Path, summary: dict, *lines: str, code: int = 0) -> int:
-    """Write summary.json, undefined values as null, print the report lines, return ``code``."""
-    text = json.dumps(_json_value(summary), indent=2, allow_nan=False)
-    (run_dir / "summary.json").write_text(text + "\n")
-    for line in lines:
-        print(line)
-    return code
+class Output(NamedTuple):
+    """What a command produced: CSV tables as (file name, header, rows), the
+    summary.json entries after ``"command"``, report lines and exit code."""
+
+    tables: list[tuple[str, list[str], list[tuple]]]
+    summary: dict
+    lines: list[str]
+    code: int = 0
 
 
 def _prepare_run_dir(cfg: RunConfig, command: str) -> Path:
@@ -81,12 +89,14 @@ def _prepare_run_dir(cfg: RunConfig, command: str) -> Path:
 
 
 def _publish(tmp: Path, command: str) -> Path:
-    """Rename a finished run onto the first ``<command>-NNN`` name this call creates."""
-    for index in itertools.count(1):
+    """Rename a finished run onto ``<command>-NNN``, one past the highest index in its directory."""
+    pattern = re.compile(re.escape(command) + "-([0-9]+)")
+    last = max((int(m[1]) for name in os.listdir(tmp.parent) if (m := pattern.fullmatch(name))), default=0)
+    for index in itertools.count(last + 1):
         run_dir = tmp.parent / f"{command}-{index:03d}"
         try:
             run_dir.mkdir()
-        except FileExistsError:
+        except FileExistsError:  # a concurrent run took the name
             continue
         # mkdtemp made tmp private; give it the mode a plain mkdir gets
         os.chmod(tmp, run_dir.stat().st_mode)
@@ -110,8 +120,8 @@ def _sweep_points(cfg: RunConfig, text: str, absorber: AbsorberParams):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
-    rows = []
+def cmd_sweep(cfg: RunConfig, args) -> Output:
+    rows, lines = [], []
     for n_in, ens in _sweep_points(cfg, args.n_in, cfg.absorber):
         model = analytic.mean_out(n_in, cfg.absorber.t, cfg.absorber.p_ryd)
         if ens.shots >= 2:
@@ -121,20 +131,24 @@ def cmd_sweep(cfg: RunConfig, args, run_dir: Path) -> int:
         # the Q columns are nan where no ion was counted, since they divide by the mean
         ion = stats.hist_stats(ens.ion_hist)
         rows.append((n_in, ens.mean_out, ens.sem_out, model, deficit, deficit_sem, *ion))
-        print(f"n_in={n_in:g}: n_out={ens.mean_out:.4f} (model {model:.4f}), "
-              f"ion_mean={ion.mean:.4f}, ion_q={ion.mandel_q:.4f}")
-    _write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
+        lines.append(f"n_in={n_in:g}: n_out={ens.mean_out:.4f} (model {model:.4f}), "
+                     f"ion_mean={ion.mean:.4f}, ion_q={ion.mandel_q:.4f}")
     points = [{name: v for name, v in zip(SWEEP_COLUMNS, row) if name in SWEEP_SUMMARY} for row in rows]
-    return _finish(run_dir, {"command": "sweep", "shots": cfg.shots, "seed": cfg.seed, "points": points})
+    summary = {"shots": cfg.shots, "seed": cfg.seed, "points": points}
+    return Output([("sweep.csv", SWEEP_COLUMNS, rows)], summary, lines)
 
 
-def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
+def cmd_pulse(cfg: RunConfig, args) -> Output:
     n_in = cfg.pulse.mean_photons
     ideal_params = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=cfg.absorber.t)
     ens = run_point(cfg.pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
     ideal = run_point(cfg.pulse, ideal_params, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
     shape = stats.pulse_shape(ens)
     ideal_shape = stats.pulse_shape(ideal)
+    header = [
+        "bin_start_us", "in_rate", "out_rate", "transmission", "transmission_sem",
+        "ideal_out_rate", "ideal_transmission",
+    ]
     rows = [
         (
             shape.bin_starts_us[i], shape.in_rate[i], shape.out_rate[i],
@@ -143,17 +157,8 @@ def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
         )
         for i in range(shape.bin_starts_us.size)
     ]
-    _write_csv(
-        run_dir / "pulse_shape.csv",
-        [
-            "bin_start_us", "in_rate", "out_rate", "transmission", "transmission_sem",
-            "ideal_out_rate", "ideal_transmission",
-        ],
-        rows,
-    )
     p_none = float(ens.absorbed_hist[0] / ens.shots)
     summary = {
-        "command": "pulse",
         "n_in": n_in,
         "shots": cfg.shots,
         "seed": cfg.seed,
@@ -166,15 +171,12 @@ def cmd_pulse(cfg: RunConfig, args, run_dir: Path) -> int:
         "ideal_front_third_transmission": ideal_shape.band_transmission(ideal_shape.front),
         "ideal_rear_third_transmission": ideal_shape.band_transmission(ideal_shape.rear),
     }
-    return _finish(
-        run_dir,
-        summary,
-        f"n_in={n_in:g}: P(no absorption)={p_none:.4f}, "
-        f"rear-third transmission={summary['rear_third_transmission']:.4f}",
-    )
+    line = (f"n_in={n_in:g}: P(no absorption)={p_none:.4f}, "
+            f"rear-third transmission={summary['rear_third_transmission']:.4f}")
+    return Output([("pulse_shape.csv", header, rows)], summary, [line])
 
 
-def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
+def cmd_g2(cfg: RunConfig, args) -> Output:
     n_in = cfg.pulse.mean_photons
     bin_ns = cfg.pulse.bin_width_us * 1000.0
     bins_per_cell = max(1, round(cfg.g2_cell_ns / bin_ns))
@@ -191,9 +193,7 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
                 (starts[i], starts[j], float(mat.values[i, j]), float(mat.sigma[i, j]),
                  float(mat.counts[i, j]))
             )
-    _write_csv(run_dir / "g2_matrix.csv", ["t1_us", "t2_us", "g2", "g2_sigma", "n_pairs"], rows)
     summary = {
-        "command": "g2",
         "n_in": n_in,
         "shots": cfg.shots,
         "seed": cfg.seed,
@@ -203,60 +203,46 @@ def cmd_g2(cfg: RunConfig, args, run_dir: Path) -> int:
         "rear_g2": mat.rear_g2,
         "rear_sigma": mat.rear_sigma,
     }
-    return _finish(
-        run_dir,
-        summary,
-        f"n_in={n_in:g}: front-block g2={mat.front_g2:.4f}+-{mat.front_sigma:.4f}, "
-        f"rear-block g2={mat.rear_g2:.4f}+-{mat.rear_sigma:.4f}",
-    )
+    line = (f"n_in={n_in:g}: front-block g2={mat.front_g2:.4f}+-{mat.front_sigma:.4f}, "
+            f"rear-block g2={mat.rear_g2:.4f}+-{mat.rear_sigma:.4f}")
+    return Output([("g2_matrix.csv", ["t1_us", "t2_us", "g2", "g2_sigma", "n_pairs"], rows)], summary, [line])
 
 
-def cmd_spectrum(cfg: RunConfig, args, run_dir: Path) -> int:
+def cmd_spectrum(cfg: RunConfig, args) -> Output:
     check_finite(**{"--delta-min": args.delta_min, "--delta-max": args.delta_max})
     if not 1 <= args.points <= MAX_SPECTRUM_POINTS:
         raise ValueError(f"--points must lie in [1, {MAX_SPECTRUM_POINTS}], got {args.points}")
     grid = np.linspace(args.delta_min, args.delta_max, args.points)
     phys = replace(cfg.physics, omega_c=0.0) if args.control_off else cfg.physics
     spectrum = bloch.transmission_spectrum(phys, grid)
-    _write_csv(
-        run_dir / "spectrum.csv",
-        ["delta_mhz", "transmission"],
-        [(float(d), float(t)) for d, t in spectrum],
-    )
+    rows = [(float(d), float(t)) for d, t in spectrum]
     summary = {
-        "command": "spectrum",
         "control_off": bool(args.control_off),
         "gamma_gr_mhz": bloch.ground_rydberg_linewidth(cfg.physics),
         "scattering_probability": bloch.scattering_probability(cfg.physics),
         "conversion_probability": bloch.conversion_probability(cfg.physics),
         "min_transmission": float(spectrum[:, 1].min()),
     }
-    return _finish(
-        run_dir,
-        summary,
-        f"p_scatt={summary['scattering_probability']:.4f}, "
-        f"line-center conversion={summary['conversion_probability']:.4f}",
-    )
+    line = (f"p_scatt={summary['scattering_probability']:.4f}, "
+            f"line-center conversion={summary['conversion_probability']:.4f}")
+    return Output([("spectrum.csv", ["delta_mhz", "transmission"], rows)], summary, [line])
 
 
-def cmd_fit_gamma(cfg: RunConfig, args, run_dir: Path) -> int:
+def cmd_fit_gamma(cfg: RunConfig, args) -> Output:
     data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
         raise ValueError("expected CSV columns delta_mhz,transmission")
     fit = bloch.fit_dephasing(data[:, 0], data[:, 1], cfg.physics)
     summary = {
-        "command": "fit-gamma",
         "data": str(args.data),
         "gamma_deph_mhz": fit.gamma_deph,
         "residual": fit.residual,
         "iterations": fit.iterations,
     }
-    return _finish(
-        run_dir, summary, f"gamma_deph = {fit.gamma_deph:.6g} MHz (residual {fit.residual:.3g})"
-    )
+    return Output([], summary, [f"gamma_deph = {fit.gamma_deph:.6g} MHz (residual {fit.residual:.3g})"])
 
 
-def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
+def cmd_cascade(cfg: RunConfig, args) -> Output:
     stages = (cfg.absorber,) if cfg.cascade is None else cfg.cascade
     n_in = cfg.pulse.mean_photons
     result = simulate_cascade(stages, cfg.pulse, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
@@ -269,14 +255,6 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
             (k, params.p_ryd, params.p_ryd2, params.t, ens.mean_in, ens.mean_out, fired, mean_absorbed,
              ion.mean, ion.mandel_q)
         )
-    _write_csv(
-        run_dir / "cascade_stages.csv",
-        [
-            "stage", "p_ryd", "p_ryd2", "t", "mean_in", "mean_out", "p_fired", "mean_absorbed",
-            "ion_mean", "ion_q",
-        ],
-        stage_rows,
-    )
     # outcome keys are (n_in, absorbed per stage); the number of stages that
     # fired is the inferred photon number
     joint: Counter = Counter()
@@ -286,20 +264,19 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         joint[tuple(absorbed)] += count
         confusion[true_n, sum(a > 0 for a in absorbed)] += count
         per_n[true_n] += count
-    _write_csv(
-        run_dir / "confusion.csv",
-        ["true_n", "inferred_n", "count", "fraction"],
-        [(n, fired, count, count / per_n[n]) for (n, fired), count in sorted(confusion.items())],
-    )
-    _write_csv(
-        run_dir / "joint_absorbed.csv",
-        [f"absorbed_stage_{k}" for k in range(len(stages))] + ["count"],
-        [absorbed + (count,) for absorbed, count in sorted(joint.items())],
-    )
+    stage_header = [
+        "stage", "p_ryd", "p_ryd2", "t", "mean_in", "mean_out", "p_fired", "mean_absorbed", "ion_mean", "ion_q",
+    ]
+    tables = [
+        ("cascade_stages.csv", stage_header, stage_rows),
+        ("confusion.csv", ["true_n", "inferred_n", "count", "fraction"],
+         [(n, fired, count, count / per_n[n]) for (n, fired), count in sorted(confusion.items())]),
+        ("joint_absorbed.csv", [f"absorbed_stage_{k}" for k in range(len(stages))] + ["count"],
+         [absorbed + (count,) for absorbed, count in sorted(joint.items())]),
+    ]
     all_fired = sum(count for absorbed, count in joint.items() if all(absorbed)) / result.shots
     correct = sum(count for (n, fired), count in confusion.items() if fired == min(n, len(stages)))
     summary = {
-        "command": "cascade",
         "n_in": n_in,
         "shots": cfg.shots,
         "seed": cfg.seed,
@@ -307,15 +284,12 @@ def cmd_cascade(cfg: RunConfig, args, run_dir: Path) -> int:
         "p_all_stages_fired": all_fired,
         "count_accuracy": correct / result.shots,
     }
-    return _finish(
-        run_dir,
-        summary,
-        f"{len(stages)} stages, n_in={n_in:g}: P(all fired)={all_fired:.4f}, "
-        f"count accuracy={summary['count_accuracy']:.4f}",
-    )
+    line = (f"{len(stages)} stages, n_in={n_in:g}: P(all fired)={all_fired:.4f}, "
+            f"count accuracy={summary['count_accuracy']:.4f}")
+    return Output(tables, summary, [line])
 
 
-def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
+def cmd_validate(cfg: RunConfig, args) -> Output:
     checks: list[tuple[str, float, float, float, str]] = []
 
     def record(name: str, value: float, expected: float, tol: float = 0.0) -> None:
@@ -360,10 +334,8 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
     record("fixed_seed_determinism", float(e1.equals(rerun)), 1.0)
 
     rows = [(*check[:4], {"PASS": 1, "FAIL": 0}.get(check[4], "skip")) for check in checks]
-    _write_csv(run_dir / "validate_report.csv", ["check", "value", "expected", "tolerance", "passed"], rows)
     verdicts = Counter(verdict for *_, verdict in checks)
     summary = {
-        "command": "validate",
         "shots": cfg.shots,
         "seed": cfg.seed,
         "n_checks": len(checks),
@@ -374,7 +346,8 @@ def cmd_validate(cfg: RunConfig, args, run_dir: Path) -> int:
         f"{verdict} {name}: value={value:.6g} expected={expected:.6g} tol={tol:.3g}"
         for name, value, expected, tol, verdict in checks
     ]
-    return _finish(run_dir, summary, *report, code=2 if verdicts["FAIL"] else 0)
+    header = ["check", "value", "expected", "tolerance", "passed"]
+    return Output([("validate_report.csv", header, rows)], summary, report, 2 if verdicts["FAIL"] else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +412,15 @@ def main(argv=None) -> int:
         cfg = load_config(None if args.paper_defaults else args.config, overrides)
         tmp = _prepare_run_dir(cfg, args.command)
         try:
-            code = globals()["cmd_" + args.command.replace("-", "_")](cfg, args, tmp)
+            out = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
+            for name, header, rows in out.tables:
+                _write_csv(tmp / name, header, rows)
+            summary = _json_value({"command": args.command, **out.summary})
+            (tmp / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+            for line in out.lines:
+                print(line)
             print(f"written to {_publish(tmp, args.command)}")
-            return code
+            return out.code
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
     except (ValueError, OSError, RuntimeError) as err:

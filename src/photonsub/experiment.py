@@ -65,8 +65,14 @@ class CascadeResult:
 
 
 def block_rows(pulse: PulseSpec, n_stages: int) -> int:
-    """Rows per block: ``_BLOCK``, fewer where the input and every stage's
-    output rows would exceed ``_CHUNK_BYTES``."""
+    """Rows per block: ``_BLOCK``, fewer where dense int64 rows of the input
+    and of every stage's output would exceed ``_CHUNK_BYTES``.
+
+    Only the input is dense now (and, for g2, the last stage's output and its
+    clicks); the stages pass nonzero entries.  The bound stays as it was
+    because the block size is part of the stream definition: changing it
+    redraws every sample.
+    """
     return max(1, min(_BLOCK, _CHUNK_BYTES // (8 * pulse.n_bins * (n_stages + 1))))
 
 

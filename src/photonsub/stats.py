@@ -20,33 +20,6 @@ from .detector import N_DETECTORS
 # ---------------------------------------------------------------------------
 # counting statistics from histograms
 
-def _hist_moments(hist: np.ndarray) -> tuple[float, float, float, float, float, float]:
-    """(n, mean, unbiased variance, mu2, mu3, mu4) of a count histogram."""
-    hist = np.asarray(hist, dtype=float)
-    if hist.ndim != 1 or (hist < 0).any():
-        raise ValueError("histogram must be a 1-D array of non-negative counts")
-    n = float(hist.sum())
-    if n < 1:
-        raise ValueError("empty histogram")
-    k = np.arange(hist.size)
-    mean = float((k * hist).sum() / n)
-    d = k - mean
-    mu2 = float((hist * d**2).sum() / n)
-    mu3 = float((hist * d**3).sum() / n)
-    mu4 = float((hist * d**4).sum() / n)
-    var = mu2 * n / (n - 1) if n > 1 else 0.0
-    return n, mean, var, mu2, mu3, mu4
-
-
-def _mean_var_cov(hist: np.ndarray) -> tuple[float, float, float, float, float, float]:
-    """Moments plus the sampling (co)variances of (mean, variance) estimates."""
-    n, mean, var, mu2, mu3, mu4 = _hist_moments(hist)
-    var_mean = mu2 / n
-    var_var = max(0.0, (mu4 - mu2**2 * (n - 3) / (n - 1)) / n) if n > 1 else 0.0
-    cov = mu3 / n
-    return n, mean, var, var_mean, var_var, cov
-
-
 class HistStats(NamedTuple):
     """Mean, Mandel-Q and Q/mean of a count histogram, each with its standard
     error; Q/mean is -1 for Bernoulli counts."""
@@ -66,7 +39,23 @@ def hist_stats(hist: np.ndarray) -> HistStats:
     mean, so those four are nan for zero-mean counts.  The errors are
     delta-method standard errors.
     """
-    n, mean, var, var_mean, var_var, cov = _mean_var_cov(hist)
+    hist = np.asarray(hist, dtype=float)
+    if hist.ndim != 1 or (hist < 0).any():
+        raise ValueError("histogram must be a 1-D array of non-negative counts")
+    n = float(hist.sum())
+    if n < 1:
+        raise ValueError("empty histogram")
+    k = np.arange(hist.size)
+    mean = float((k * hist).sum() / n)
+    d = k - mean
+    mu2 = float((hist * d**2).sum() / n)
+    mu3 = float((hist * d**3).sum() / n)
+    mu4 = float((hist * d**4).sum() / n)
+    var = mu2 * n / (n - 1) if n > 1 else 0.0
+    # sampling (co)variances of the mean and variance estimates
+    var_mean = mu2 / n
+    var_var = max(0.0, (mu4 - mu2**2 * (n - 3) / (n - 1)) / n) if n > 1 else 0.0
+    cov = mu3 / n
     mean_sem = math.sqrt(var / n)
     if mean == 0.0:
         return HistStats(mean, mean_sem, math.nan, math.nan, math.nan, math.nan)
@@ -150,8 +139,11 @@ class G2Matrix:
 # one 8 MB GEMM product; finalize, one pair's ratio at a time, peaks at 107 MB
 # (tracemalloc, 1000 one-bin cells).
 MAX_CELLS = 1000
-# Transient bytes a block may hold: the shot loop's rows, or each of
-# detection's per-photon arrays.
+# Transient bytes of a block's dense rows, and of each slice of detection's
+# per-photon arrays.  experiment.block_rows still sizes blocks for dense int64
+# input and output rows of every stage, although stages now pass only their
+# nonzero entries; the bound stays because the block size is part of the
+# stream definition.
 _CHUNK_BYTES = 1 << 20
 # Transient bytes of a g2 slice's per-row arrays (padded clicks, cell sums and
 # their stacked products, never a per-shot map): 101 rows at 20 cells, 2 at

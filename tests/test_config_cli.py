@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from photonsub import AbsorberParams, DetectorConfig, PulseSpec, cli, experiment, simulate_cascade
-from photonsub.cli import MAX_SPECTRUM_POINTS, _write_csv, main
+from photonsub.cli import MAX_SPECTRUM_POINTS, Output, _write_csv, main
 from photonsub.config import (
     KEYS,
     MAX_SEED,
@@ -156,9 +156,45 @@ def test_repeated_in_process_calls_write_identical_files(tmp_path, command):
 )
 def test_main_runs_the_command_function_bound_at_call_time(tmp_path, command, function):
     cli.build_parser()
-    with mock.patch.object(cli, function, return_value=7) as patched:
+    with mock.patch.object(cli, function, return_value=Output([], {}, [], 7)) as patched:
         assert main(["--out", str(tmp_path), *command]) == 7
     patched.assert_called_once()
+
+
+@pytest.mark.parametrize("present, created", [("sweep-002", "sweep-003"), ("sweep-999", "sweep-1000")])
+def test_a_run_is_named_one_past_the_highest_index(tmp_path, present, created):
+    # the gap below the highest index is not filled, so the newest run has the highest index
+    (tmp_path / present).mkdir()
+    (tmp_path / "sweep-x").mkdir()
+    (tmp_path / "pulse-5000").mkdir()
+    with mock.patch.object(cli, "cmd_sweep", return_value=Output([], {}, [])):
+        assert main(["--out", str(tmp_path), "sweep"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [present, created, "sweep-x", "pulse-5000"]
+    )
+    assert json.loads((tmp_path / created / "summary.json").read_text()) == {"command": "sweep"}
+
+
+def test_an_out_path_that_is_a_file_fails_before_the_command_runs(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("kept\n")
+    with mock.patch.object(cli, "cmd_sweep") as patched:
+        assert main(["--out", str(target), "sweep"]) == 1
+    patched.assert_not_called()
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "kept\n"
+
+
+def test_a_command_returns_its_output_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(["spectrum", "--points", "7"])
+    out = cli.cmd_spectrum(RunConfig(), args)
+    assert isinstance(out, Output) and out.code == 0
+    [(name, header, rows)] = out.tables
+    assert (name, header, len(rows)) == ("spectrum.csv", ["delta_mhz", "transmission"], 7)
+    assert "command" not in out.summary and len(out.lines) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pulse_command_reports_distortion(tmp_path):
@@ -216,6 +252,19 @@ def test_spectrum_fit_gamma_roundtrip(tmp_path):
     assert main(["--out", str(tmp_path), "fit-gamma", str(csv)]) == 0
     summary = json.loads((tmp_path / "fit-gamma-001" / "summary.json").read_text())
     assert abs(summary["gamma_deph_mhz"] - 0.5) / 0.5 < 1e-6
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_gamma_rejects_non_finite_data(tmp_path, capsys, column, value):
+    rows = [[f"{d:g}", f"{0.5 + 0.05 * d:g}"] for d in range(-3, 4)]
+    rows[4][column] = value
+    data = tmp_path / "data.csv"
+    data.write_text("delta_mhz,transmission\n" + "".join(",".join(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit-gamma", str(data)]) == 1
+    assert "error: data row 5 is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
