@@ -34,7 +34,7 @@ from .experiment import (
     run_point,
     simulate_cascade,
 )
-from .pulses import PulseSpec, sample_input, tukey_envelope
+from .pulses import PulseSpec, tukey_envelope
 from .stats import (
     G2Accumulator,
     G2Matrix,

@@ -12,7 +12,7 @@ reference.  A block of pulses is carried as its nonzero entries: flat indices
 into the (B, n_bins) block in row-major order, and their counts.  The stage
 kernel and the ensemble sums touch only those entries; as ``binomial`` draws
 nothing for a zero count, the draws are those of the dense block.
-``simulate_shot`` and ``EnsembleResult.add_block`` are the dense views.  The
+``simulate_shot`` and ``EnsembleResult.add_shot`` are the dense views.  The
 block loop, for one absorber and for a cascade alike, is in ``experiment``;
 an ensemble holds one stage's sums, and the g2 sums of the detected light
 belong to the run result there.
@@ -50,14 +50,13 @@ class AbsorberParams:
 
 @dataclass
 class ShotRecord:
-    """Pulses through the absorber, one shot (1-D rows, integer counts) or a block (2-D
-    rows, one count per row): input and output rows, excitations created and photons
-    lost to background scattering.  Totals and positions follow from the rows."""
+    """Pulses through the absorber, one shot (1-D rows, integer count) or a block (2-D
+    rows, one count per row): input and output rows and excitations created.  Totals,
+    positions and the photons lost to background scattering follow from these."""
 
     input_bins: np.ndarray
     output_bins: np.ndarray
     absorbed: int | np.ndarray
-    background_lost: int | np.ndarray
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -121,12 +120,12 @@ def simulate_shot(
     counts = np.asarray(input_bins, dtype=np.int64)
     if counts.ndim == 1:
         rec = simulate_shot(params, counts[None], rng)
-        return ShotRecord(counts, rec.output_bins[0], int(rec.absorbed[0]), int(rec.background_lost[0]))
+        return ShotRecord(counts, rec.output_bins[0], int(rec.absorbed[0]))
     idx = np.flatnonzero(counts != 0)
     entries, absorbed = absorb_entries(params, counts.shape, idx, counts.ravel()[idx], rng)
     output = np.zeros(counts.shape, dtype=np.int64)
     output.ravel()[idx] = entries
-    return ShotRecord(counts, output, absorbed, counts.sum(axis=1) - output.sum(axis=1) - absorbed)
+    return ShotRecord(counts, output, absorbed)
 
 
 def _counts(size: int | None = None) -> Any:
@@ -192,16 +191,11 @@ class EnsembleResult:
         self.absorbed_hist += np.bincount(absorbed, minlength=size)
         self.ion_hist += np.bincount(ions, minlength=size)
 
-    def add_block(self, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray) -> None:
-        """Add B shots: (B, n_bins) input and output counts, and per shot the
-        absorbed count and the ion clicks.  The dense view of ``add_entries``."""
-        inp, out = np.asarray(inp, dtype=np.int64), np.asarray(out, dtype=np.int64)
-        idx = np.flatnonzero((inp != 0) | (out != 0))
-        self.add_entries(len(inp), idx, inp.ravel()[idx], out.ravel()[idx], absorbed, ions)
-
     def add_shot(self, rec: ShotRecord, ions: int) -> None:
-        """Add one shot and its ion clicks: the block of one row."""
-        self.add_block(rec.input_bins[None], rec.output_bins[None], np.array([rec.absorbed]), np.array([ions]))
+        """Add one shot and its ion clicks: the dense view of ``add_entries``."""
+        inp, out = np.asarray(rec.input_bins, dtype=np.int64), np.asarray(rec.output_bins, dtype=np.int64)
+        idx = np.flatnonzero((inp != 0) | (out != 0))
+        self.add_entries(1, idx, inp[idx], out[idx], np.array([rec.absorbed]), np.array([ions]))
 
     @property
     def mean_in(self) -> float:

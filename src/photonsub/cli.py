@@ -24,6 +24,7 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -229,7 +230,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> Output:
 
 
 def cmd_fit_gamma(cfg: RunConfig, args) -> Output:
-    data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file without rows
+        data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{args.data} has no data rows")
     if data.shape[1] < 2:
         raise ValueError("expected CSV columns delta_mhz,transmission")
     fit = bloch.fit_dephasing(data[:, 0], data[:, 1], cfg.physics)
@@ -316,13 +321,15 @@ def cmd_validate(cfg: RunConfig, args) -> Output:
     clicks = thin_rng.binomial(2, cfg.detector.eta_ion, size=100000)
     thinned = stats.hist_stats(np.bincount(clicks))
     record("thinning_q_scaling", thinned.mandel_q, -cfg.detector.eta_ion, 3.0 * thinned.mandel_q_sem)
-    # exact photon conservation, row by row over one block
+    # no photon created, over one block: 0 <= out <= in in every bin, and in every
+    # row the absorbed photons are among those missing from the output
     conserve_rng = substream(cfg.seed, 901)
     pulse = replace(cfg.pulse, mean_photons=10.0)
     inp = conserve_rng.poisson(expected_bin_means(pulse), size=(block_rows(pulse, 1), pulse.n_bins))
     rec = simulate_shot(cfg.absorber, inp, conserve_rng)
-    conserved = rec.output_bins.sum(axis=1) + rec.absorbed + rec.background_lost == inp.sum(axis=1)
-    record("photon_conservation", float(conserved.all()), 1.0)
+    out = rec.output_bins
+    conserved = ((0 <= out) & (out <= inp)).all() and (rec.absorbed <= inp.sum(axis=1) - out.sum(axis=1)).all()
+    record("photon_conservation", float(conserved), 1.0)
     # exact merge algebra and fixed-seed determinism
     e1, e2, e3 = (
         run_point(pulse, cfg.absorber, cfg.detector, 300, cfg.seed, stream_key=(key,))

@@ -1,5 +1,5 @@
-"""Detection chain, for one shot or a block of shots: one uniform per photon for
-efficiency thinning and the four-way fan-out, dark counts, dead time, ion counting."""
+"""Detection chain, for a block of shots given as its entries: one uniform per photon
+for efficiency thinning and the four-way fan-out, dark counts, dead time, ion counting."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ import numpy as np
 from ._checks import check_finite, check_unit_interval
 
 N_DETECTORS = 4
+# Transient bytes of each slice of detection's per-photon arrays; the slices
+# leave the stream unchanged, so this bound is free to tune.
+_DRAW_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,45 +64,46 @@ def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
 
 
 def detect_pulse(
-    output_bins: np.ndarray,
+    shape: tuple[int, ...],
+    idx: np.ndarray,
+    counts: np.ndarray,
     cfg: DetectorConfig,
     rng: np.random.Generator,
     bin_width_us: float,
 ) -> np.ndarray:
-    """Full photon-detection chain: thin and split, darks, dead time; (N_DETECTORS, n_bins) clicks per shot.
+    """Full photon-detection chain: thin and split, darks, dead time.
 
-    Each photon draws one uniform, the photons of ``output_bins`` in
-    row-major order: it reaches counter k if the draw lies in the k-th
-    interval of the edges ``eta_probe * cumsum(split)`` and is lost at or
-    above ``eta_probe``.  So each entry's clicks and lost photons are
-    multinomial, and the draws take time linear in the number of photons.
-    The uniforms are drawn in slices of at most ``_CHUNK_BYTES``, which
-    leaves the stream as one draw would.  Dark counts and the dead time
-    follow.
+    The light is a block of ``shape``, (B, n_bins) or one shot's (n_bins,),
+    given as its entries: ascending flat indices ``idx`` into the block and
+    their photon counts ``counts``; every other entry is zero.  Each photon
+    draws one uniform, the photons in row-major order: it reaches counter k
+    if the draw lies in the k-th interval of the edges
+    ``eta_probe * cumsum(split)`` and is lost at or above ``eta_probe``.  So
+    each entry's clicks and lost photons are multinomial, and the draws take
+    time linear in the number of photons.  The uniforms are drawn in slices
+    of at most ``_DRAW_BYTES``, which leaves the stream as one draw would.
+    Dark counts and the dead time follow on the dense clicks, an
+    (N_DETECTORS, n_bins) array per shot.
     """
-    from .stats import _CHUNK_BYTES  # stats imports this module
-
-    counts = np.asarray(output_bins, dtype=np.int64)
-    idx = np.flatnonzero(counts)
-    n = counts.ravel()[idx]
-    ends = np.cumsum(n)
-    starts, total = ends - n, int(n.sum())
+    size = int(np.prod(shape))
+    ends = np.cumsum(counts)
+    starts, total = ends - counts, int(counts.sum())
     edges = np.minimum(cfg.eta_probe * np.cumsum(cfg.split), cfg.eta_probe)
     edges[-1] = cfg.eta_probe
-    # counter k of the entry at flat index i is clicks[k * counts.size + i], and
+    # counter k of the entry at flat index i is clicks[k * size + i], and
     # k = N_DETECTORS counts the lost photons; a pass without photons gives zeros
-    step = _CHUNK_BYTES // 8
+    step = _DRAW_BYTES // 8
     for lo in range(0, max(total, 1), step):
         hi = min(lo + step, total)
         # the entries with photons in [lo, hi), and how many each
         part = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
         slot = np.searchsorted(edges, rng.random(hi - lo), side="right")
-        slot *= counts.size
+        slot *= size
         slot += np.repeat(idx[part], np.minimum(ends[part], hi) - np.maximum(starts[part], lo))
-        hits = np.bincount(slot, minlength=(N_DETECTORS + 1) * counts.size)
+        hits = np.bincount(slot, minlength=(N_DETECTORS + 1) * size)
         del slot  # before the next slice's arrays
         clicks = hits if lo == 0 else clicks + hits
-    det = np.moveaxis(clicks[: N_DETECTORS * counts.size].reshape(N_DETECTORS, *counts.shape), 0, -2)
+    det = np.moveaxis(clicks[: N_DETECTORS * size].reshape(N_DETECTORS, *shape), 0, -2)
     if cfg.dark_cps > 0.0:
         det = det + rng.poisson(cfg.dark_cps * bin_width_us * 1e-6, size=det.shape)
     if cfg.dead_time_ns > 0.0:

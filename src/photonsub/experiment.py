@@ -6,15 +6,15 @@ by the pulse and the number of stages only.  Block b draws from the substream
 (seed, stream_key, b), each draw for all of its rows at once, in a fixed
 order: the Poisson input, every stage in turn, every stage's ion clicks, then,
 for g2 only, the detection of the last stage's output, one uniform per
-surviving photon, so g2 leaves the stages unchanged.  The input is drawn
-dense; from then on the block passes from stage to stage as its nonzero
-entries in row-major order, and each stage draws only on those, which takes
+surviving photon, so g2 leaves the stages unchanged.  A block is dense only at
+the input draw and at the counters: in between it passes through the stages
+and on to detection as its nonzero entries in row-major order, which takes
 the same draws as the dense block because ``binomial`` draws nothing for a
-zero count.  Results never depend on batching, worker count or execution
-order.  Every sum an output reads is
-taken from a block's entries or rows in one call per accumulator, over
-integers, so it is exact; the run result holds one ensemble per stage and,
-when requested, the g2 sums of the light detected behind the last stage.
+zero count.  The block size and its byte bound live here.  Results never
+depend on batching, worker count or execution order.  Every sum an output
+reads is taken from a block's entries or rows in one call per accumulator,
+over integers, so it is exact; the run result holds one ensemble per stage
+and, when requested, the g2 sums of the light detected behind the last stage.
 Batches are whole blocks and reduce through the exact merges.
 """
 
@@ -37,10 +37,13 @@ from .absorber import (
 )
 from .detector import DetectorConfig, detect_ions, detect_pulse
 from .pulses import PulseSpec, expected_bin_means
-from .stats import _CHUNK_BYTES, G2Accumulator
+from .stats import G2Accumulator
 
-# Rows per block, the unit of randomness: part of the stream definition.
+# Rows per block, the unit of randomness, and the bound on a block's dense
+# int64 rows of the input and of every stage's output, by which block_rows
+# first sized blocks: both are part of the stream definition.
 _BLOCK = 256
+_BLOCK_BYTES = 1 << 20
 # Shots per batch, in whole blocks; batches are the unit of work handed to the worker pool.
 _BATCH_SHOTS = 20000
 
@@ -66,14 +69,14 @@ class CascadeResult:
 
 def block_rows(pulse: PulseSpec, n_stages: int) -> int:
     """Rows per block: ``_BLOCK``, fewer where dense int64 rows of the input
-    and of every stage's output would exceed ``_CHUNK_BYTES``.
+    and of every stage's output would exceed ``_BLOCK_BYTES``.
 
-    Only the input is dense now (and, for g2, the last stage's output and its
-    clicks); the stages pass nonzero entries.  The bound stays as it was
-    because the block size is part of the stream definition: changing it
+    A block is dense only at the input draw and, for g2, at the counters'
+    clicks; the stages and detection take its entries.  The bound stays as it
+    was because the block size is part of the stream definition: changing it
     redraws every sample.
     """
-    return max(1, min(_BLOCK, _CHUNK_BYTES // (8 * pulse.n_bins * (n_stages + 1))))
+    return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * pulse.n_bins * (n_stages + 1))))
 
 
 def _run_batch(args) -> CascadeResult:
@@ -101,9 +104,7 @@ def _run_batch(args) -> CascadeResult:
         for ens, stage_entries, stage_absorbed, stage_ions in zip(per_stage, entries, absorbed, ions):
             ens.add_entries(len(inp), *stage_entries, stage_absorbed, stage_ions)
         if acc is not None:
-            last = np.zeros(inp.shape, dtype=np.int64)
-            last.ravel()[idx] = counts
-            acc.add_block(detect_pulse(last, detector, rng, pulse.bin_width_us))
+            acc.add_block(detect_pulse(inp.shape, idx, counts, detector, rng, pulse.bin_width_us))
         outcomes.update(zip(inp.sum(axis=1).tolist(), *absorbed.tolist()))
     return CascadeResult(per_stage, outcomes, acc)
 

@@ -1,4 +1,4 @@
-"""Input pulse envelopes and per-bin photon sampling of the coherent probe."""
+"""Input pulse envelopes and per-bin photon means of the coherent probe."""
 
 from __future__ import annotations
 
@@ -71,8 +71,3 @@ def tukey_envelope(spec: PulseSpec) -> np.ndarray:
 def expected_bin_means(spec: PulseSpec) -> np.ndarray:
     """Mean photon number per bin: ``mean_photons`` times the envelope weight."""
     return spec.mean_photons * tukey_envelope(spec)
-
-
-def sample_input(spec: PulseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw one input pulse: independent Poisson photon numbers per bin."""
-    return rng.poisson(expected_bin_means(spec))

@@ -139,12 +139,6 @@ class G2Matrix:
 # one 8 MB GEMM product; finalize, one pair's ratio at a time, peaks at 107 MB
 # (tracemalloc, 1000 one-bin cells).
 MAX_CELLS = 1000
-# Transient bytes of a block's dense rows, and of each slice of detection's
-# per-photon arrays.  experiment.block_rows still sizes blocks for dense int64
-# input and output rows of every stage, although stages now pass only their
-# nonzero entries; the bound stays because the block size is part of the
-# stream definition.
-_CHUNK_BYTES = 1 << 20
 # Transient bytes of a g2 slice's per-row arrays (padded clicks, cell sums and
 # their stacked products, never a per-shot map): 101 rows at 20 cells, 2 at
 # MAX_CELLS.  At 20 cells whole 256-row slices took about 0.8 minor page faults

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from photonsub import AbsorberParams, DetectorConfig, PulseSpec, cli, experiment, simulate_cascade
+from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, cli, experiment, simulate_cascade
 from photonsub.cli import MAX_SPECTRUM_POINTS, Output, _write_csv, main
 from photonsub.config import (
     KEYS,
@@ -267,6 +268,17 @@ def test_fit_gamma_rejects_non_finite_data(tmp_path, capsys, column, value):
     assert list(out.iterdir()) == []
 
 
+def test_fit_gamma_reports_a_csv_without_data_rows(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("delta_mhz,transmission\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warning on an empty file would escape as an error
+        assert main(["--out", str(out), "fit-gamma", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {data} has no data rows\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -408,6 +420,22 @@ def test_validate_fails_on_corrupted_oracle(tmp_path):
         ["--shots", "4000", "--out", str(tmp_path), "validate", "--oracle-p-ryd", "0.8"]
     )
     assert rc == 2
+
+
+def test_validate_fails_when_a_stage_creates_a_photon(tmp_path, capsys):
+    absorb_entries = absorber.absorb_entries
+
+    def creating(params, shape, idx, counts, rng):
+        # one more photon in the first entry that lost none
+        out, absorbed = absorb_entries(params, shape, idx, counts, rng)
+        out[np.flatnonzero(out == counts)[0]] += 1
+        return out, absorbed
+
+    with mock.patch.object(absorber, "absorb_entries", creating):
+        assert main(["--shots", "50", "--out", str(tmp_path), "validate", "--n-in", "5.65"]) == 2
+    assert "FAIL photon_conservation" in capsys.readouterr().out
+    report = (tmp_path / "validate-001" / "validate_report.csv").read_text().splitlines()
+    assert [line for line in report if line.startswith("photon_conservation,")] == ["photon_conservation,0,1,0,0"]
 
 
 def test_cli_rejects_zero_shots(tmp_path):

@@ -16,7 +16,7 @@ from photonsub import (
     mandel_q,
     substream,
 )
-from photonsub import stats
+from photonsub import detector
 from photonsub.detector import _apply_dead_time
 from photonsub.stats import mandel_q_sem
 
@@ -26,9 +26,16 @@ CFG = DetectorConfig()
 WIDTH_US = 0.05
 
 
+def _detect(counts, cfg, rng, width_us=WIDTH_US):
+    """``detect_pulse`` on a dense block, or one shot, given as its nonzero entries."""
+    counts = np.asarray(counts)
+    idx = np.flatnonzero(counts)
+    return detect_pulse(counts.shape, idx, counts.ravel()[idx], cfg, rng, width_us)
+
+
 def _detected(counts, rng, eta=1.0, split=CFG.split):
     """Clicks of ``counts`` through thinning and the split alone, no darks or dead time."""
-    return detect_pulse(np.asarray(counts), DetectorConfig(eta_probe=eta, split=split), rng, WIDTH_US)
+    return _detect(counts, DetectorConfig(eta_probe=eta, split=split), rng)
 
 
 def test_thinning_identity_and_blackout():
@@ -63,7 +70,7 @@ def test_thinning_scales_mandel_q_exactly_on_pmfs():
 def test_thinning_scales_mandel_q_statistically():
     # thinned deterministic pairs, Q = -eta; 200000 photons draw in two slices
     counts = np.full((100000, 1), 2)
-    assert counts.sum() > stats._CHUNK_BYTES // 8
+    assert counts.sum() > detector._DRAW_BYTES // 8
     clicks = _detected(counts, substream(5, 0), eta=0.29).sum(axis=(1, 2))
     hist = np.bincount(clicks, minlength=3)
     assert abs(mandel_q(hist) - (-0.29)) < 3 * mandel_q_sem(hist)
@@ -181,7 +188,7 @@ def test_detection_memory_is_bounded_for_a_huge_entry():
     finally:
         tracemalloc.stop()
     # about two per-photon arrays of one slice at a time; the whole entry at once would take 80 MB an array
-    assert peak <= 4 * stats._CHUNK_BYTES
+    assert peak <= 4 * detector._DRAW_BYTES
     assert det.shape == (1, 4, 3)
     assert det.sum() <= counts.sum() and det[..., [0, 2]].sum() == 0
 
@@ -227,7 +234,7 @@ def test_dead_time_matches_the_per_bin_reference(shots, n_bins, rate, dead_bins,
 def test_dead_time_through_detection_chain():
     cfg = DetectorConfig(dead_time_ns=100.0)
     rng = substream(14, 0)
-    det = detect_pulse(np.full(12, 20), cfg, rng, bin_width_us=0.05)
+    det = _detect(np.full(12, 20), cfg, rng, width_us=0.05)
     assert det.max() <= 1
     for row in det:
         fired = np.flatnonzero(row)
@@ -239,7 +246,7 @@ def test_dark_counts_add_poisson_background():
     cfg = DetectorConfig(dark_cps=2e6)
     rng = substream(15, 0)
     shots = 4000
-    det = detect_pulse(np.zeros((shots, 10), dtype=np.int64), cfg, rng, bin_width_us=0.05)
+    det = _detect(np.zeros((shots, 10), dtype=np.int64), cfg, rng, width_us=0.05)
     assert det.shape == (shots, 4, 10)
     total = det.sum()
     expected = 4 * 10 * 2e6 * 0.05e-6  # detectors * bins * rate * bin seconds
@@ -276,10 +283,11 @@ def test_detection_on_entries_draws_the_dense_stream(rows, n_bins, mean, eta_pro
     width_us = 0.05
     dead_bins = max(1, int(np.ceil(dead_time_ns / (width_us * 1e3)))) if dead_time_ns else 0
     rng, rng_dense = substream(seed, 6), substream(seed, 6)
-    det = detect_pulse(counts, cfg, rng, width_us)
+    idx = np.flatnonzero(counts)
+    det = detect_pulse(counts.shape, idx, counts.ravel()[idx], cfg, rng, width_us)
     want = dense_detection(counts, eta_probe, split, dark_cps * width_us * 1e-6, dead_bins, rng_dense)
     assert det.shape == (rows, 4, n_bins)
     np.testing.assert_array_equal(det, want)
-    np.testing.assert_array_equal(detect_pulse(counts[0], cfg, substream(seed, 7), width_us),
-                                  detect_pulse(counts[:1], cfg, substream(seed, 7), width_us)[0])
+    np.testing.assert_array_equal(_detect(counts[0], cfg, substream(seed, 7), width_us),
+                                  _detect(counts[:1], cfg, substream(seed, 7), width_us)[0])
     assert rng.random() == rng_dense.random()

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from photonsub import (
     AbsorberParams,
     DetectorConfig,
+    EnsembleResult,
     G2Accumulator,
     PulseSpec,
+    ShotRecord,
     mandel_q,
     photon_deficit,
     pulse_shape,
@@ -31,6 +33,7 @@ from photonsub.stats import (
     hist_mean,
     hist_mean_sem,
     mandel_q_sem,
+    pulse_thirds,
     q_over_mean_sem,
 )
 
@@ -189,6 +192,15 @@ def test_g2_grid_is_uniform_with_a_ragged_last_cell():
         G2Accumulator(4, 0.05, 0)
 
 
+def test_a_cell_centred_at_two_thirds_of_the_pulse_is_in_the_rear_third():
+    # 15 bins in 4-bin cells: centres 2, 6, 10 and 13.5 bins, and 10 is 2/3 of 15
+    front, rear = pulse_thirds(np.array([0, 4, 8, 12, 15]), 0.05)
+    assert front.tolist() == [True, False, False, False]
+    assert rear.tolist() == [False, False, True, True]
+    acc = G2Accumulator(15, 0.05, 4)
+    assert (acc._front.tolist(), acc._rear.tolist()) == (front.tolist(), rear.tolist())
+
+
 def test_g2_grid_is_capped():
     assert G2Accumulator(MAX_CELLS, 0.05, 1).n_cells == MAX_CELLS
     with pytest.raises(ValueError, match=re.escape("(g2.cell_ns)")):
@@ -233,8 +245,8 @@ def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
         finally:
             tracemalloc.stop()
     assert slices[0] > 1 and sum(slices) == len(det)
-    # the sums are allocated before tracing; one (n_cells, n_cells) GEMM product is allowed
-    assert peak <= stats._CHUNK_BYTES + 8 * MAX_CELLS**2
+    # the sums are allocated before tracing; 1 MiB and one (n_cells, n_cells) GEMM product are allowed
+    assert peak <= (1 << 20) + 8 * MAX_CELLS**2
     ref = g2_sums_per_shot(det, 1, acc._front, acc._rear)
     assert all(np.array_equal(getattr(acc, name), want) for name, want in ref.items())
 
@@ -353,6 +365,31 @@ def test_pulse_shape_never_shows_gain():
     shape = pulse_shape(ens)
     ok = np.isfinite(shape.transmission)
     assert (shape.transmission[ok] <= MEASURED.t + 3 * shape.transmission_sem[ok]).all()
+
+
+def _ensemble(inputs, outputs):
+    """An ensemble of hand-written shots, nothing absorbed."""
+    ens = EnsembleResult(len(inputs[0]), 0.05)
+    for inp, out in zip(inputs, outputs):
+        ens.add_shot(ShotRecord(np.array(inp), np.array(out), 0), 0)
+    return ens
+
+
+def test_sem_out_is_the_sample_standard_error():
+    # output totals 1, 2 and 6: mean 3, squared deviations 14, sample variance 14 / 2
+    ens = _ensemble([[1, 0], [1, 1], [2, 4]], [[1, 0], [1, 1], [2, 4]])
+    assert ens.sem_out == pytest.approx(math.sqrt(7 / 3), rel=1e-12)
+    assert photon_deficit(ens, 1.0) == (0.0, ens.sem_out)
+
+
+def test_transmission_sem_is_the_delta_method_error():
+    # bin 0: in 1, 2, 3 and out 1, 1, 2, so the rates are 2 and 4/3, the sample
+    # variances 1 and 1/3 and the covariance 1/2; Var(out/in) is
+    # 1/3 / 4 + (16/9) / 16 - 2 (4/3) (1/2) / 8 = 1/36.  Bin 1 has no input.
+    shape = pulse_shape(_ensemble([[1, 0], [2, 0], [3, 0]], [[1, 0], [1, 0], [2, 0]]))
+    assert shape.transmission[0] == pytest.approx(2 / 3, rel=1e-12)
+    assert shape.transmission_sem[0] == pytest.approx(math.sqrt(1 / 36 / 3), rel=1e-12)
+    assert np.isnan(shape.transmission[1]) and np.isnan(shape.transmission_sem[1])
 
 
 def test_photon_deficit_of_linear_medium_is_zero():
