@@ -16,7 +16,8 @@ exits 1 on any difference.
 
 The config sets dead time, dark counts, a dephasing rate, a leaky 3-stage
 cascade and ``--workers`` workers (default two, one on a single core), with
-enough shots for two batches, so the merge paths run.  Runs with different
+enough shots for two batches, so the merge paths run.  A last ``g2`` run
+without ``--config`` covers the built-in parameter table.  Runs with different
 ``--workers`` must give the same files.
 """
 
@@ -56,7 +57,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
         ("cascade-ideal", cfg + ["cascade", "--stages", IDEAL_FIVE, "--n-in", "3"]),
         ("cascade-leaky", cfg + ["cascade"]),
         ("validate", cfg + ["validate"]),
-        ("paper-defaults-g2", ["--paper-defaults", *runs, "g2"]),
+        ("builtin-g2", [*runs, "g2"]),
     ]
 
 

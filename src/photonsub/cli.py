@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic, bloch, stats
-from ._checks import check_finite
+from ._checks import check_finite, check_unit_interval
 from .absorber import AbsorberParams, merge, simulate_shot, substream
-from .config import KEYS, RunConfig, load_config, to_flat
+from .config import RunConfig, load_config, to_flat
 from .experiment import block_rows, run_point, simulate_cascade
 from .pulses import expected_bin_means
 
@@ -107,14 +107,15 @@ def _publish(tmp: Path, command: str) -> Path:
 
 def _sweep_points(cfg: RunConfig, text: str, absorber: AbsorberParams):
     """(n_in, ensemble) for each number of an ``--n-in`` list, the k-th on stream key (k,)."""
-    values = [float(v) for v in text.split(",") if v.strip()]
-    if not values:
-        raise ValueError(f"expected a comma-separated number list, got {text!r}")
-    for k, n_in in enumerate(values):
-        pulse = replace(cfg.pulse, mean_photons=n_in)
-        yield n_in, run_point(
-            pulse, absorber, cfg.detector, cfg.shots, cfg.seed,
-            stream_key=(k,), workers=cfg.workers,
+    try:  # every point is checked before the first shot
+        pulses = [replace(cfg.pulse, mean_photons=float(v)) for v in text.split(",") if v.strip()]
+        if not pulses:
+            raise ValueError(f"expected a comma-separated number list, got {text!r}")
+    except ValueError as err:
+        raise ValueError(f"--n-in: {err}") from None
+    for k, pulse in enumerate(pulses):
+        yield pulse.mean_photons, run_point(
+            pulse, absorber, cfg.detector, cfg.shots, cfg.seed, stream_key=(k,), workers=cfg.workers
         )
 
 
@@ -303,6 +304,7 @@ def cmd_validate(cfg: RunConfig, args) -> Output:
         checks.append((name, value, expected, tol, "SKIP" if math.isnan(value) or math.isnan(expected) else verdict))
 
     oracle_p = cfg.absorber.p_ryd if args.oracle_p_ryd is None else args.oracle_p_ryd
+    check_unit_interval(**{"--oracle-p-ryd": oracle_p})
     for n_in, ens in _sweep_points(cfg, args.n_in, replace(cfg.absorber, p_ryd2=0.0)):
         # a mean check allows 3 standard errors of the model, which a sample without spread cannot shrink
         expected = analytic.mean_out(n_in, cfg.absorber.t, oracle_p)
@@ -367,18 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="photonsub",
         description="Monte-Carlo simulator and analysis toolkit for a saturable single-photon absorber.",
     )
-    # A flag whose dest is a config key overrides that key and is parsed and
-    # checked by the key table.
+    # A flag whose dest is a (dotted) config key overrides that key and is
+    # parsed and checked by the key table; no other dest holds a dot.
     parser.add_argument("--config", help="flat-key config file")
     parser.add_argument("--seed", dest="run.seed", help="override run.seed")
     parser.add_argument("--shots", dest="run.shots", help="override run.shots")
     parser.add_argument("--out", dest="run.out_dir", help="override run.out_dir")
     parser.add_argument("--workers", dest="run.workers", help="override run.workers")
-    parser.add_argument(
-        "--paper-defaults",
-        action="store_true",
-        help="ignore the config file and use the built-in parameter table",
-    )
     # main runs the command's cmd_* function, looked up by name at each call
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -413,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    names = {key.name for key in KEYS}
-    overrides = {name: text for name, text in vars(args).items() if name in names and text is not None}
+    overrides = {name: text for name, text in vars(args).items() if "." in name and text is not None}
     try:
-        cfg = load_config(None if args.paper_defaults else args.config, overrides)
+        cfg = load_config(args.config, overrides)
         tmp = _prepare_run_dir(cfg, args.command)
         try:
             out = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)

@@ -10,7 +10,8 @@ The config file format is a flat list of dotted keys, one per line::
 Defaults reproduce the reference experiment's parameter set exactly.  The
 table ``KEYS`` lists every key; it drives both reading (``apply_keys``) and
 writing (``to_flat``).  Numbers must be finite, except that
-``physics.tau_ryd_us`` may be inf (no Rydberg decay).
+``physics.tau_ryd_us`` may be inf (no Rydberg decay).  The file's keys and the
+overrides form one mapping, the overrides winning; only its final values are checked.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .pulses import PulseSpec
 MAX_SEED = 2**64 - 1
 # Every stage adds a row per shot to each accumulation block.
 MAX_STAGES = 100
-# run.workers is bounded by the cores, read once per process: load_config
-# builds a RunConfig for every key it applies.
-_MAX_WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -49,12 +47,16 @@ class RunConfig:
     g2_cell_ns: float = 100.0
 
     def __post_init__(self) -> None:
+        # each message starts with the name of its key, which apply_keys reports
         if self.shots < 1:
             raise ValueError(f"run.shots must be >= 1, got {self.shots}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"run.seed must be an unsigned 64-bit value, got {self.seed}")
-        if not 1 <= self.workers <= _MAX_WORKERS:
-            raise ValueError(f"run.workers must lie in [1, {_MAX_WORKERS}] (cores), got {self.workers}")
+        if not 1 <= self.workers <= (cores := os.cpu_count() or 1):
+            raise ValueError(f"run.workers must lie in [1, {cores}] (cores), got {self.workers}")
+        # config.txt must read the directory back from one 'key = value' line
+        if "#" in self.out_dir or len(self.out_dir.splitlines()) > 1 or self.out_dir != self.out_dir.strip():
+            raise ValueError(f"run.out_dir must hold no '#', line break or edge whitespace, got {self.out_dir!r}")
         check_finite(**{"g2.cell_ns": self.g2_cell_ns})
         if self.g2_cell_ns <= 0:
             raise ValueError(f"g2.cell_ns must be > 0, got {self.g2_cell_ns}")
@@ -126,14 +128,6 @@ class ConfigKey:
     def read(self, cfg: RunConfig) -> Any:
         return reduce(getattr, self._attrs, cfg)
 
-    def apply(self, cfg: RunConfig, text: str) -> RunConfig:
-        return _replace_path(cfg, self._attrs, self.parse(text))
-
-
-def _replace_path(obj: Any, attrs: list[str], value: Any) -> Any:
-    head, *rest = attrs
-    return replace(obj, **{head: _replace_path(getattr(obj, head), rest, value) if rest else value})
-
 
 # Every config key, in the order of the snapshot that to_flat writes.
 KEYS = (
@@ -172,24 +166,34 @@ _BY_NAME = {key.name: key for key in KEYS}
 
 
 def apply_keys(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
-    """Return a new config with the given flat keys applied."""
+    """Return a new config with the given flat keys applied, each section built once from its final values."""
+    sections: dict[str, dict[str, Any]] = {}
     for name, text in mapping.items():
         try:
             if name not in _BY_NAME:
                 raise ValueError(f"unknown config key {name!r}")
-            cfg = _BY_NAME[name].apply(cfg, text)
+            value = _BY_NAME[name].parse(text)
         except ValueError as err:
             raise ValueError(f"config key {name!r}: {err}") from None
-    return cfg
+        *head, attr = _BY_NAME[name]._attrs
+        sections.setdefault(".".join(head), {})[attr] = value
+    top = sections.pop("", {})
+    for head, values in sections.items():
+        try:
+            top[head] = replace(getattr(cfg, head), **values)
+        except ValueError as err:
+            names = ", ".join(repr(name) for name in mapping if _BY_NAME[name]._attrs[0] == head)
+            raise ValueError(f"config key {names}: {err}") from None
+    try:
+        return replace(cfg, **top)
+    except ValueError as err:
+        raise ValueError(f"config key {str(err).split()[0]!r}: {err}") from None
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    cfg = RunConfig()
-    if path is not None:
-        cfg = apply_keys(cfg, parse_flat(Path(path).read_text()))
-    if overrides:
-        cfg = apply_keys(cfg, overrides)
-    return cfg
+    """The built-in config with the file's keys and ``overrides`` applied as one mapping, overrides winning."""
+    mapping = parse_flat(Path(path).read_text()) if path is not None else {}
+    return apply_keys(RunConfig(), {**mapping, **(overrides or {})})
 
 
 def to_flat(cfg: RunConfig) -> str:

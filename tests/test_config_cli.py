@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, cli, experiment, simulate_cascade
@@ -24,6 +24,7 @@ from photonsub.config import (
     parse_stages,
     to_flat,
 )
+from photonsub.pulses import MAX_BINS
 
 
 def test_defaults_hold_reference_parameter_table():
@@ -489,16 +490,36 @@ def test_cli_flags_set_the_keys_they_shadow(tmp_path):
     assert len(lines) == 1 + 40 * 40
 
 
-def test_cli_paper_defaults_ignores_config(tmp_path):
-    cfg = tmp_path / "alt.cfg"
-    cfg.write_text("absorber.p_ryd = 0.9\n")
-    args = [
-        "--config", str(cfg), "--paper-defaults", "--shots", "50",
-        "--out", str(tmp_path), "sweep", "--n-in", "1",
-    ]
-    assert main(args) == 0
-    snapshot = (tmp_path / "sweep-001" / "config.txt").read_text()
-    assert "absorber.p_ryd = 0.35" in snapshot
+@pytest.mark.parametrize("out_dir", ["res#1", " pad", "pad ", "pad\t", "a\nb", "a\rb", "a\n"])
+def test_cli_rejects_an_out_dir_that_config_txt_cannot_write_back(tmp_path, monkeypatch, capsys, out_dir):
+    # config.txt holds the directory on one 'key = value' line, where '#' starts a
+    # comment and the value is stripped
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(cli, "cmd_sweep") as patched:
+        assert main(["--out", out_dir, "sweep"]) == 1
+    patched.assert_not_called()
+    assert "config key 'run.out_dir'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["sweep", "--n-in", "1,nan"], "--n-in"),
+        (["sweep", "--n-in", "1,x"], "--n-in"),
+        (["sweep", "--n-in", "1,-2"], "--n-in"),
+        (["validate", "--n-in", "5.65,inf"], "--n-in"),
+        (["validate", "--oracle-p-ryd", "nan"], "--oracle-p-ryd"),
+        (["validate", "--oracle-p-ryd", "1.5"], "--oracle-p-ryd"),
+    ],
+    ids=["sweep-nan", "sweep-text", "sweep-negative", "validate-inf", "oracle-nan", "oracle-above-one"],
+)
+def test_list_flags_are_checked_before_the_first_shot(tmp_path, capsys, command, flag):
+    with mock.patch.object(cli, "run_point") as patched:
+        assert main(["--shots", "10", "--out", str(tmp_path), *command]) == 1
+    patched.assert_not_called()
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_fit_data(tmp_path):
@@ -521,8 +542,50 @@ def test_cli_rejects_too_many_bins(tmp_path, capsys, text):
     cfg.write_text(text)
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 1
-    assert re.search(r"error: config key 'pulse\.(duration_us|bin_ns)': .*bins", capsys.readouterr().err)
+    # a check over several given keys names each of them, in the file's order
+    names = ", ".join(repr(line.split(" = ")[0]) for line in text.splitlines())
+    assert re.search(f"error: config key {re.escape(names)}: .*bins", capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("duration_us, bin_ns, bins", [("0.01", "5", 2), ("10000", "1000", 10000)])
+def test_a_run_snapshot_reloads_whatever_its_key_order(tmp_path, duration_us, bin_ns, bins):
+    # config.txt lists pulse.duration_us before pulse.bin_ns, and neither value
+    # fits the other's default
+    cfg = tmp_path / "pulse.cfg"
+    cfg.write_text(f"pulse.bin_ns = {bin_ns}\npulse.duration_us = {duration_us}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--shots", "1", "--out", str(out), "pulse"]) == 0
+    loaded = load_config(out / "pulse-001" / "config.txt")
+    assert loaded == load_config(cfg, {"run.shots": "1", "run.out_dir": str(out)})
+    assert loaded.pulse.n_bins == bins
+
+
+def test_a_flag_replaces_an_invalid_file_value_unchecked(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("pulse.mean_photons = -1\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--shots", "10", "--out", str(out), "cascade", "--n-in", "3"]) == 0
+    assert "pulse.mean_photons = 3\n" in (out / "cascade-001" / "config.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, warned",
+    [
+        ("absorber.p_ryd2 = 0.5\nabsorber.p_ryd = 0.9\n", 0),
+        ("absorber.p_ryd2 = 0.9\nabsorber.p_ryd = 0.5\n", 1),
+        ("absorber.p_ryd = 0.5\nabsorber.p_ryd2 = 0.9\n", 1),
+    ],
+)
+def test_only_the_final_leakage_is_checked(tmp_path, text, warned):
+    cfg = tmp_path / "leak.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_config(cfg)
+    assert [str(w.message) for w in caught] == [
+        "p_ryd2 exceeds p_ryd: second absorption more likely than first"
+    ] * warned
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +646,21 @@ def test_every_key_roundtrips_through_the_snapshot(data, tmp_path):
     text = data.draw(VALID_TEXT[key.name])
     cfg = apply_keys(RunConfig(), {key.name: text})
     assert key.read(cfg) == key.parse(text)
+    snapshot = tmp_path / "config.txt"
+    snapshot.write_text(to_flat(cfg))
+    assert load_config(snapshot) == cfg
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.filterwarnings("ignore:p_ryd2 exceeds p_ryd")
+def test_a_whole_config_applies_in_any_order_and_roundtrips(data, tmp_path):
+    mapping = {name: data.draw(text, label=name) for name, text in VALID_TEXT.items()}
+    bins = float(mapping["pulse.duration_us"]) / (float(mapping["pulse.bin_ns"]) / 1000.0)
+    assume(bins < MAX_BINS + 0.5 and round(bins) >= 1)
+    cfg = apply_keys(RunConfig(), mapping)
+    order = data.draw(st.permutations(list(mapping)), label="order")
+    assert apply_keys(RunConfig(), {name: mapping[name] for name in order}) == cfg
     snapshot = tmp_path / "config.txt"
     snapshot.write_text(to_flat(cfg))
     assert load_config(snapshot) == cfg
