@@ -16,9 +16,11 @@ exits 1 on any difference.
 
 The config sets dead time, dark counts, a dephasing rate, a leaky 3-stage
 cascade and ``--workers`` workers (default two, one on a single core), with
-enough shots for two batches, so the merge paths run.  A last ``g2`` run
-without ``--config`` covers the built-in parameter table.  Runs with different
-``--workers`` must give the same files.
+enough shots for two batches, so the merge paths run.  A ``g2-fine`` run maps
+a 1000-bin pulse in one-bin cells, with the same dead time and dark counts, at
+``FINE_SHOTS`` shots.  A last ``g2`` run without ``--config`` covers the
+built-in parameter table.  Runs with different ``--workers`` must give the
+same files.
 """
 
 from __future__ import annotations
@@ -41,17 +43,24 @@ cascade.stages = 0.35,0.001,0.99; 0.5,0.01,0.95; 0.8,0.05,0.9
 run.workers = {workers}
 """
 IDEAL_FIVE = "1,0,1;1,0,1;1,0,1;1,0,1;1,0,1"
+# The default 2 us pulse in 2 ns bins: the largest g2 map, 1000 one-bin cells.
+# Few shots, so that sums dense in cells squared finish in seconds.
+FINE_CONFIG = "pulse.bin_ns = 2\n"
+FINE_SHOTS = 2000
 
 
 def commands(out: Path) -> list[tuple[str, list[str]]]:
     """(label, argv) of every run, in order; later runs may read earlier outputs."""
     runs = ["--seed", str(SEED), "--shots", str(SHOTS), "--out", str(out / "runs")]
     cfg = ["--config", str(out / "identity.cfg"), *runs]
+    fine = ["--config", str(out / "identity-fine.cfg"), "--seed", str(SEED), "--shots", str(FINE_SHOTS),
+            "--out", str(out / "runs")]
     return [
         ("sweep", cfg + ["sweep"]),
         ("pulse", cfg + ["pulse"]),
         ("g2", cfg + ["g2"]),
         ("g2-cell-70", cfg + ["g2", "--cell-ns", "70"]),
+        ("g2-fine", fine + ["g2", "--cell-ns", "2"]),
         ("spectrum", cfg + ["spectrum"]),
         ("fit-gamma", cfg + ["fit-gamma", str(out / "runs" / "spectrum-001" / "spectrum.csv")]),
         ("cascade-ideal", cfg + ["cascade", "--stages", IDEAL_FIVE, "--n-in", "3"]),
@@ -66,6 +75,7 @@ def run_all(src: Path, out: Path, workers: int) -> int:
     out.mkdir(parents=True)
     (out / "stdout").mkdir()
     (out / "identity.cfg").write_text(CONFIG.format(workers=workers))
+    (out / "identity-fine.cfg").write_text(CONFIG.format(workers=workers) + FINE_CONFIG)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = 0
     for label, argv in commands(out):

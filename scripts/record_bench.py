@@ -14,16 +14,24 @@ alternate between the trees at seeds 101 to 110, parent first in odd pairs
 and change first in even ones, so slow drift of a shared machine falls on
 both sides alike.  Then each tree makes one ``--trace 1 --seed 1`` run per
 workload for the per-layer metrics.  Then each tree runs its Tier-1 test
-suite once with the verify command of ROADMAP.md, parent first.  Last, the
+suite once with the verify command of ROADMAP.md, parent first.  Then the
 block layers of this checkout are timed in this process (``time_layers``),
-and so are whole ``cli.main`` calls of each workload (``time_calls``).
+and so are whole ``cli.main`` calls of each workload (``time_calls``).  Last,
+each tree times its g2 sums on grids finer than the benchmark's, and its
+detection on a 1000-bin pulse with dead time and dark counts, in a fresh
+interpreter (``time_g2_grids``).
 
 The record holds the machine, every run's JSON result line, per workload
 and end-to-end metric both sides' medians and quartiles, the ratio of the
 medians and the number of pairs the change won, per tree the Tier-1 wall
 time and its passed and failed counts, and per workload this checkout's µs
 per shot in each block layer, its minor page faults per shot and the median
-wall time of one call at a few shots and at its own shot count.
+wall time of one call at a few shots and at its own shot count, and per
+tree the g2 sums' µs per shot and tracemalloc peak on each grid.
+
+    python scripts/record_bench.py --g2-grids
+
+prints ``time_g2_grids()`` of the ``photonsub`` on ``PYTHONPATH`` as JSON.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -58,6 +67,11 @@ LAYER_SHOTS = 20000
 # which a call is nearly all fixed cost.
 CALL_REPEATS = 40
 FEW_SHOTS = 16
+# g2 grids (cells: bins of the default 2 us pulse, bins per cell), the shots
+# each is timed on, and the detector of the detection timing.
+G2_GRIDS = {20: (40, 2, 2560), 200: (200, 1, 512), 500: (500, 1, 262), 1000: (1000, 1, 130)}
+G2_GRID_REPEATS = 3
+DEAD_TIME_NS, DARK_CPS = 20.0, 500.0
 
 
 def git_commit(tree: Path, rev: str) -> str | None:
@@ -223,6 +237,64 @@ def time_calls() -> dict:
     return calls
 
 
+def time_g2_grids() -> dict:
+    """µs per shot and tracemalloc peak bytes of ``G2Accumulator.add_block`` on each of ``G2_GRIDS``.
+
+    Runs the ``photonsub`` on the path, so that one script times either tree.
+    The clicks are fixed-seed detections of the default pulse at 15.76 photons
+    without absorber, in blocks of ``experiment.block_rows``; the time is the
+    best of ``G2_GRID_REPEATS`` passes over them, and the peak is that of the
+    first block added to a fresh accumulator.  ``detection_1000_bins`` is
+    ``detect_pulse`` on the 1000-bin blocks with ``DEAD_TIME_NS`` and
+    ``DARK_CPS``, µs per shot, best of as many passes.
+    """
+    import tracemalloc
+
+    from photonsub import DetectorConfig, G2Accumulator, PulseSpec, experiment
+    from photonsub.detector import detect_pulse
+    from photonsub.pulses import expected_bin_means
+
+    def best_us_per_shot(step, blocks, shots):
+        best = math.inf
+        for _ in range(G2_GRID_REPEATS):
+            start = time.perf_counter()
+            for block in blocks:
+                step(block)
+            best = min(best, time.perf_counter() - start)
+        return 1e6 * best / shots
+
+    out = {}
+    for cells, (n_bins, bins_per_cell, shots) in G2_GRIDS.items():
+        spec = PulseSpec(mean_photons=15.76, bin_width_us=2.0 / n_bins)
+        rows = experiment.block_rows(spec, 1)
+        rng = np.random.default_rng(cells)
+        inputs = [rng.poisson(expected_bin_means(spec), size=(min(rows, shots - lo), n_bins))
+                  for lo in range(0, shots, rows)]
+        entries = [(inp.shape, np.flatnonzero(inp), inp[inp != 0]) for inp in inputs]
+        blocks = [detect_pulse(*entry, DetectorConfig(), rng, spec.bin_width_us) for entry in entries]
+        acc = G2Accumulator(n_bins, spec.bin_width_us, bins_per_cell)
+        tracemalloc.start()
+        acc.add_block(blocks[0])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out[str(cells)] = {"add_block_us_per_shot": best_us_per_shot(acc.add_block, blocks, shots),
+                           "add_block_peak_bytes": peak}
+        if n_bins == 1000:
+            detector = DetectorConfig(dead_time_ns=DEAD_TIME_NS, dark_cps=DARK_CPS)
+            out["detection_1000_bins_us_per_shot"] = best_us_per_shot(
+                lambda entry: detect_pulse(*entry, detector, rng, spec.bin_width_us), entries, shots)
+    return out
+
+
+def run_g2_grids(tree: Path) -> dict:
+    """``time_g2_grids`` of ``tree``'s sources, in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--g2-grids"], cwd=tree,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def summarize(lines: list[dict], metric: str, better: str) -> dict:
     """Medians, quartiles and pairs won by the change for one workload's metric."""
     side = {
@@ -242,6 +314,9 @@ def summarize(lines: list[dict], metric: str, better: str) -> dict:
 
 
 def main() -> int:
+    if sys.argv[1:] == ["--g2-grids"]:
+        print(json.dumps(time_g2_grids()))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("out", type=Path, help="BENCH_*.json file to write")
@@ -277,6 +352,7 @@ def main() -> int:
 
     layers = time_layers()
     calls = time_calls()
+    g2_grids = {side: run_g2_grids(tree) for side, tree in trees.items()}
 
     summary = {
         bench["name"]: {
@@ -325,6 +401,15 @@ def main() -> int:
             ),
             "unit": "ms per call, median",
             "workloads": calls,
+        },
+        "g2_grids": {
+            "command": (
+                f"time_g2_grids(): in a fresh interpreter per tree, G2Accumulator.add_block on "
+                f"{', '.join(map(str, G2_GRIDS))} cells, and detect_pulse on 1000 bins with "
+                f"dead_time_ns = {DEAD_TIME_NS:g} and dark_cps = {DARK_CPS:g}, best of {G2_GRID_REPEATS} passes"
+            ),
+            "unit": "us/shot, but add_block_peak_bytes in tracemalloc bytes",
+            **g2_grids,
         },
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -52,14 +52,25 @@ def detect_ions(excitations: int | np.ndarray, eta_ion: float, rng: np.random.Ge
 def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
     # After a recorded click the detector is blind for the rest of its bin and
     # the following dead_bins - 1 bins, so each dead window yields one click.
-    # The scan steps through the bins with a click in any row, for all rows at once.
-    live = clicks.reshape(-1, clicks.shape[-1]) > 0
-    out = np.zeros(live.shape, dtype=np.int64)
+    # The pass steps through each detector row's clicks in bin order, the k-th
+    # click of every row at once: as many steps as one row has clicks at most,
+    # whatever the number of bins.
+    live = clicks.reshape(-1, clicks.shape[-1])
+    idx = np.flatnonzero(live)
+    row, col = np.divmod(idx, live.shape[1])
+    per_row = np.bincount(row, minlength=len(live))
+    start = np.cumsum(per_row) - per_row
+    rows = np.flatnonzero(per_row)
     next_live = np.zeros(len(live), dtype=np.int64)
-    for i in np.flatnonzero(live.any(axis=0)):
-        fire = live[:, i] & (next_live <= i)
-        out[:, i] = fire
-        next_live[fire] = i + dead_bins
+    fired = np.zeros(len(idx), dtype=bool)
+    for k in range(per_row.max(initial=0)):
+        rows = rows[per_row[rows] > k]
+        at = start[rows] + k
+        fire = col[at] >= next_live[rows]
+        next_live[rows[fire]] = col[at[fire]] + dead_bins
+        fired[at[fire]] = True
+    out = np.zeros(live.size, dtype=np.int64)
+    out[idx[fired]] = 1
     return out.reshape(clicks.shape)
 
 

@@ -135,15 +135,32 @@ class G2Matrix:
 
 
 # The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
-# add_block takes 2-row slices and peaks at 8.3 MB: 0.3 MB of slice arrays and
-# one 8 MB GEMM product; finalize, one pair's ratio at a time, peaks at 107 MB
-# (tracemalloc, 1000 one-bin cells).
+# add_block takes 6-row slices and peaks at 1.5 MB on the clicks of a
+# 15.76-photon pulse, at 5.0 MB with 80 clicks a row and at 3.9 MB when every
+# cell clicks: the 0.9 MB slice buffer and one chunk of products; finalize, one
+# pair's ratio at a time, peaks at 107 MB (tracemalloc, 1000 one-bin cells).
 MAX_CELLS = 1000
-# Transient bytes of a g2 slice's per-row arrays (padded clicks, cell sums and
-# their stacked products, never a per-shot map): 101 rows at 20 cells, 2 at
-# MAX_CELLS.  At 20 cells whole 256-row slices took about 0.8 minor page faults
-# a shot, 64 to 121 rows far fewer, and fewer rows cost more calls per row.
-_SLICE_BYTES = 5 << 16
+# Bytes of a g2 slice's per-row arrays (padded clicks, cell sums, their
+# later-detector sums and stacked products, never a per-shot map), which live
+# in one buffer the accumulator keeps: a whole 256-row block at 20 cells, 29
+# rows at 200 cells, 6 at MAX_CELLS.  The buffer is kept between blocks
+# because arrays freed after each slice are faulted in again: whole 256-row
+# slices at 20 cells took 0.8 minor faults a shot that way.  Kept, a larger
+# slice costs no faults and fewer calls per row.
+_SLICE_BYTES = 7 << 17
+# Bytes of a chunk of the products over the touched cells and their flat
+# indices, which are scattered into the sums: half of one MAX_CELLS map.
+_PRODUCT_BYTES = 4 * MAX_CELLS**2
+
+
+def _scatter_add(total: np.ndarray, where: slice | np.ndarray, product: np.ndarray) -> None:
+    """Add the (n, rows, cols) ``product`` to the rows ``where`` of the (n, c, c)
+    ``total``, or, given flat indices of each map, to those entries."""
+    if isinstance(where, slice):
+        total[:, where] += product
+        return
+    for one_map, one_product in zip(total, product):
+        np.add.at(one_map.reshape(-1), where, one_product.reshape(-1))
 
 
 class G2Accumulator:
@@ -176,10 +193,20 @@ class G2Accumulator:
         self.cell_edges = edges
         self.pairs = [(a, b) for a in range(self.n_det) for b in range(a + 1, self.n_det)]
         self._front, self._rear = pulse_thirds(edges, bin_width_us)
-        # the front and rear third masks, and the detector pairs d <= e of the squared map
+        # the front and rear third masks, and the number of detector pairs d <= e of the squared map
         self._thirds = np.array([self._front, self._rear], dtype=float)
-        self._stack = [(d, e) for d in range(self.n_det - 1) for e in range(d, self.n_det - 1)]
+        self._n_stack = self.n_det * (self.n_det - 1) // 2
+        # doubles per row of the slice buffer: its clicks padded to whole cells and
+        # their cell sums, then x over the touched cells and the two third
+        # columns, later and the two stacks of products
+        c = self.n_cells
+        self._row_doubles = max(self.n_det * c * (bins_per_cell + 1), (2 * self.n_det - 1 + 2 * self._n_stack) * (c + 2))
+        self._work = np.empty(0)
         vars(self).update(self.zero_sums())
+
+    def __getstate__(self) -> dict[str, Any]:
+        # the slice buffer is scratch space: pickles, and so worker results, leave it out
+        return {**vars(self), "_work": np.empty(0)}
 
     def zero_sums(self) -> dict[str, Any]:
         """Every summed field at zero; ``merged`` and ``equals`` walk the same names."""
@@ -204,53 +231,88 @@ class G2Accumulator:
         ``_SLICE_BYTES``: its clicks padded to whole cells, each detector's
         cell sums, the sums of the detectors after it, and their products
         stacked for the squared map.  No slice holds a per-shot
-        (n_cells, n_cells) map.  Every sum is over integer products, exact in
-        float64, so it does not depend on how shots are split into blocks or
-        slices.
+        (n_cells, n_cells) map.  The products are taken only over the cells
+        that some row of the slice clicked in and scattered into the sums,
+        so on a fine grid a slice costs what its clicks touch.  Every sum is
+        over integer products, exact in float64, so it does not depend on how
+        shots are split into blocks or slices.
         """
         det_bins = np.asarray(det_bins)
         if det_bins.shape[1:] != (self.n_det, self.n_bins):
             raise ValueError(
                 f"expected click arrays of shape {(self.n_det, self.n_bins)}, got {det_bins.shape[1:]}"
             )
-        # doubles per row: its clicks padded to whole cells and their cell sums,
-        # then its cell sums, their later-detector sums, the two stacks of
-        # products and the third totals
-        n_det, c = self.n_det, self.n_cells
-        per_row = max(n_det * c * (self.bins_per_cell + 1), (2 * n_det - 1 + 2 * len(self._stack)) * c + 6 * n_det)
-        step = max(1, _SLICE_BYTES // (8 * per_row))
+        step = max(1, _SLICE_BYTES // (8 * self._row_doubles))
         for lo in range(0, len(det_bins), step):
             self._add_rows(det_bins[lo : lo + step])
 
     def _add_rows(self, det_bins: np.ndarray) -> None:
         n_det, c, rows, width = self.n_det, self.n_cells, len(det_bins), self.bins_per_cell
-        # the clicks shots last, zero-padded to whole cells, summed over each
-        # cell's bins into each detector's cell sums: (n_det, n_cells, B)
-        padded = np.empty((n_det, c * width, rows))
-        padded[:, : self.n_bins] = det_bins.transpose(1, 2, 0)
-        padded[:, self.n_bins :] = 0.0
-        x = np.einsum("dcjb->dcb", padded.reshape(n_det, c, width, rows))
-        del padded
+        size = rows * self._row_doubles
+        if self._work.size < size:
+            self._work = np.empty(size)
+        work = self._work[:size]
+        # the clicks zero-padded to whole cells at the start of the buffer, and
+        # each detector's cell sums x, (n_det, rows, n_cells), at its end
+        x = work[size - n_det * rows * c :]
+        padded = (x if width == 1 else work[: n_det * rows * c * width]).reshape(n_det, rows, c * width)
+        padded[..., : self.n_bins] = det_bins.transpose(1, 0, 2)
+        padded[..., self.n_bins :] = 0.0
+        if width > 1:
+            np.matmul(padded.reshape(-1, width), np.ones(width), out=x)
+        x = x.reshape(n_det, rows, c)
         self.shots += rows
-        self.marg_sums += x.sum(axis=2)
-        for k, (a, b) in enumerate(self.pairs):
-            self.pair_sums[k] += x[a] @ x[b].T
-        # A shot's y is the sum over d of outer(x[d], later[d]), later[d] the sum
-        # of the detectors after d.  So y * y summed over shots is the sum over
-        # d <= e of w * (x[d] x[e]) @ (later[d] later[e]).T, w = 2 off the
-        # diagonal: one GEMM of the products stacked along the shots.
-        later = np.cumsum(x[:0:-1], axis=0)[::-1]
-        stacked = np.empty((2, c, len(self._stack), rows))
-        for k, (d, e) in enumerate(self._stack):
-            np.multiply(x[d], x[e], out=stacked[0, :, k])
-            np.multiply(later[d], later[e], out=stacked[1, :, k])
-            if d != e:
-                stacked[1, :, k] *= 2.0
-        self.y_sq_sum += stacked[0].reshape(c, -1) @ stacked[1].reshape(c, -1).T
-        # a shot's front (rear) total of y is the sum over d of (m x[d]) (m later[d]), m the third's mask
-        totals = ((self._thirds @ x[:-1]) * (self._thirds @ later)).sum(axis=0)
-        self.front_sq_sum += float(totals[0] @ totals[0])
-        self.rear_sq_sum += float(totals[1] @ totals[1])
+        counts = np.ones(rows) @ x
+        self.marg_sums += counts
+        # Every product is zero outside the cells some row clicked in.  From the
+        # start of the buffer: x over those t cells and two more columns, each
+        # detector's front and rear third totals, so that y's entry at those two
+        # columns is the third's total of y; then later[d], the sum of the
+        # detectors after d; then the stacked products.
+        cells = np.flatnonzero(counts.any(axis=0))
+        t = len(cells)
+        ext = work[: n_det * rows * (t + 2)].reshape(n_det, rows, t + 2)
+        np.matmul(x.reshape(n_det * rows, c), self._thirds.T, out=ext.reshape(n_det * rows, t + 2)[:, t:])
+        if t < c:
+            ext[..., :t] = x[..., cells]
+        else:
+            ext[..., :t] = x
+            cells = None
+        x = ext
+        later = work[x.size : x.size + (n_det - 1) * rows * (t + 2)].reshape(n_det - 1, rows, t + 2)
+        later[-1] = x[-1]
+        for d in range(n_det - 3, -1, -1):
+            np.add(later[d + 1], x[d + 1], out=later[d])
+        # A shot's y is the sum over d of outer(x[d], later[d]).  So y * y summed
+        # over shots is the sum over d <= e of w * (x[d] x[e]).T @ (later[d] later[e]),
+        # w = 2 for d < e: one GEMM of the products stacked along the shots, the
+        # pairs d = e first.
+        used = x.size + later.size
+        stacked = work[used : used + 2 * self._n_stack * rows * (t + 2)].reshape(2, self._n_stack, rows, t + 2)
+        np.multiply(x[:-1], x[:-1], out=stacked[0, : n_det - 1])
+        np.multiply(later, later, out=stacked[1, : n_det - 1])
+        k = n_det - 1
+        for d in range(n_det - 2):
+            np.multiply(x[d], x[d + 1 : -1], out=stacked[0, k : k + n_det - 2 - d])
+            np.multiply(later[d], later[d + 1 :], out=stacked[1, k : k + n_det - 2 - d])
+            k += n_det - 2 - d
+        stacked[1, n_det - 1 :] *= 2.0
+        left, right = stacked.reshape(2, self._n_stack * rows, t + 2)
+        self.front_sq_sum += float(left[:, t] @ right[:, t])
+        self.rear_sq_sum += float(left[:, t + 1] @ right[:, t + 1])
+        # the products over the touched cells, scattered into the sums a chunk of
+        # their rows at a time, so that a chunk's products and flat indices stay
+        # within _PRODUCT_BYTES
+        step = max(1, _PRODUCT_BYTES // (8 * n_det * max(t, 1)))
+        for lo in range(0, t, step):
+            part = slice(lo, min(lo + step, t))
+            where = part if cells is None else (cells[part, None] * c + cells).ravel()
+            k = 0
+            for a in range(n_det - 1):
+                maps = self.pair_sums[k : k + n_det - 1 - a]
+                _scatter_add(maps, where, np.matmul(x[a][:, part].T, x[a + 1 :, :, :t]))
+                k += len(maps)
+            _scatter_add(self.y_sq_sum[None], where, (left[:, part].T @ right[:, :t])[None])
 
     def add(self, det_bins: np.ndarray) -> None:
         """Add one shot's (n_det, n_bins) click array."""

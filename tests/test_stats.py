@@ -171,6 +171,30 @@ def test_g2_of_coherent_light_is_flat():
     assert abs(mat.rear_g2 - 1.0) < 3 * mat.rear_sigma
 
 
+def test_g2_error_bars_are_the_sample_standard_errors():
+    # Five one-bin cells: the front third is cells 0 and 1, the rear third cells
+    # 3 and 4.  Only detectors 0 and 1 click, so the one pair (0, 1) makes y and
+    # every marginal product: both marginals are (2, 1, 0, 1, 1) / 3.
+    d0 = [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 0]]
+    d1 = [[0, 1, 0, 1, 0], [1, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
+    acc = G2Accumulator(5, 0.05, 1)
+    acc.add_block(np.array([[a, b, [0] * 5, [0] * 5] for a, b in zip(d0, d1)]))
+    mat = acc.finalize()
+    # a cell's error is sqrt(s^2 / 3) over the marginal product, s^2 the sample
+    # variance (divisor 2) of y over the shots.  y[0, 0] is 0, 0, 1: s^2 = 1/3,
+    # so sqrt(1/9) / (4/9).  y[0, 1] is 1, 0, 0 over 2/9, and y[1, 0] is always
+    # 0, so the symmetrized error is sqrt((9/4 + 0) / 2).  y[4, 4] is 0, 1, 0 over 1/9.
+    assert mat.sigma[0, 0] == pytest.approx(3 / 4, rel=1e-12)
+    assert mat.sigma[0, 1] == mat.sigma[1, 0] == pytest.approx(math.sqrt(9 / 8), rel=1e-12)
+    assert mat.sigma[4, 4] == pytest.approx(3.0, rel=1e-12)
+    assert np.isnan(mat.sigma[2]).all()
+    # the front total of y is (2, 0, 1) over a marginal product of 1, the rear
+    # total (0, 2, 0) over (2/3)^2: s^2 = 1 and 4/3
+    assert (mat.front_g2, mat.rear_g2) == (pytest.approx(1.0, rel=1e-12), pytest.approx(3 / 2, rel=1e-12))
+    assert mat.front_sigma == pytest.approx(math.sqrt(1 / 3), rel=1e-12)
+    assert mat.rear_sigma == pytest.approx(3 / 2, rel=1e-12)
+
+
 def test_g2_rejects_empty_ensemble():
     acc = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
     acc.add_block(np.zeros((0, 4, 4), dtype=np.int64))
@@ -209,27 +233,27 @@ def test_g2_grid_is_capped():
 
 @pytest.mark.parametrize("slice_bytes", [None, 1])
 @pytest.mark.parametrize(
-    "n_bins, bins_per_cell",
-    [(40, 2), (7, 3), (5, 5), (12, 1), (200, 3)],
-    ids=["20-cells", "ragged-last-cell", "one-cell", "one-bin-cells", "67-cells-several-slices"],
+    "n_bins, bins_per_cell, shots",
+    [(40, 2, 300), (7, 3, 300), (5, 5, 300), (12, 1, 300), (200, 3, 300), (200, 1, 30), (MAX_CELLS, 1, 8)],
+    ids=["20-cells", "ragged-last-cell", "one-cell", "one-bin-cells", "67-cells-several-slices", "200-cells",
+         "1000-cells"],
 )
-def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, slice_bytes):
+def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, shots, slice_bytes):
     rng = np.random.default_rng(n_bins * 10 + bins_per_cell)
-    det = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(300, 1, 1)), size=(300, 4, n_bins))
+    det = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(shots, 1, 1)), size=(shots, 4, n_bins))
     det[::7] = 0  # shots without a click
     acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
     with mock.patch.object(stats, "_SLICE_BYTES", slice_bytes or stats._SLICE_BYTES):
-        acc.add_block(det[:133])
-        acc.add_block(det[133:])
+        acc.add_block(det[: shots * 4 // 9])
+        acc.add_block(det[shots * 4 // 9 :])
     ref = g2_sums_per_shot(det, bins_per_cell, acc._front, acc._rear)
     assert ref.keys() == acc.zero_sums().keys()
     for name, want in ref.items():
         assert np.array_equal(getattr(acc, name), want), name
 
 
-def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
-    acc = G2Accumulator(MAX_CELLS, 0.05, 1)
-    det = np.random.default_rng(5).poisson(0.02, size=(20, 4, MAX_CELLS))
+def _traced_add_block(acc, det):
+    """Add ``det`` to ``acc``: the rows of each slice and the tracemalloc peak."""
     slices = []
     add_rows = G2Accumulator._add_rows
 
@@ -244,8 +268,27 @@ def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return slices, peak
+
+
+def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
+    acc = G2Accumulator(MAX_CELLS, 0.05, 1)
+    det = np.random.default_rng(5).poisson(0.02, size=(20, 4, MAX_CELLS))
+    slices, peak = _traced_add_block(acc, det)
     assert slices[0] > 1 and sum(slices) == len(det)
     # the sums are allocated before tracing; 1 MiB and one (n_cells, n_cells) GEMM product are allowed
+    assert peak <= (1 << 20) + 8 * MAX_CELLS**2
+    ref = g2_sums_per_shot(det, 1, acc._front, acc._rear)
+    assert all(np.array_equal(getattr(acc, name), want) for name, want in ref.items())
+
+
+def test_g2_sums_at_the_largest_grid_stay_within_the_bound_when_every_cell_clicks():
+    # every cell of every row clicks, so no cell is left out of the products
+    acc = G2Accumulator(MAX_CELLS, 0.05, 1)
+    det = np.random.default_rng(6).poisson(3.0, size=(12, 4, MAX_CELLS))
+    assert (det.sum(axis=1) > 0).all()
+    slices, peak = _traced_add_block(acc, det)
+    assert sum(slices) == len(det)
     assert peak <= (1 << 20) + 8 * MAX_CELLS**2
     ref = g2_sums_per_shot(det, 1, acc._front, acc._rear)
     assert all(np.array_equal(getattr(acc, name), want) for name, want in ref.items())
@@ -254,7 +297,7 @@ def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
 @pytest.mark.parametrize("n_bins, bins_per_cell", [(40, 2), (200, 3)], ids=["20-cells", "67-cells"])
 def test_g2_sums_are_bit_identical_at_any_slice_budget(n_bins, bins_per_cell):
     # one-row slices, the slices of the chosen budget, and the whole block as one slice
-    det = np.random.default_rng(9).poisson(0.3, size=(256, 4, n_bins))
+    det = np.random.default_rng(9).poisson(0.3, size=(600, 4, n_bins))
     add_rows = G2Accumulator._add_rows
     sums, slices = [], []
     for slice_bytes in (1, stats._SLICE_BYTES, 1 << 30):
