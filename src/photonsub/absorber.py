@@ -15,14 +15,16 @@ nothing for a zero count, the draws are those of the dense block.
 ``simulate_shot`` and ``EnsembleResult.add_shot`` are the dense views.  The
 block loop, for one absorber and for a cascade alike, is in ``experiment``;
 an ensemble holds one stage's sums, and the g2 sums of the detected light
-belong to the run result there.
+belong to the run result there.  Both run accumulators, ``EnsembleResult``
+and ``stats.G2Accumulator``, follow one ``Accumulator`` protocol: each lists
+its summed fields once, in ``zero_sums``, and ``merge`` adds them exactly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -128,41 +130,51 @@ def simulate_shot(
     return ShotRecord(counts, output, absorbed)
 
 
-def _counts(size: int | None = None) -> Any:
-    """An int64 array field, zero-filled with ``size`` entries or one per time bin."""
-    return field(default=None, metadata={"size": size})
+class Accumulator:
+    """Exact-sum protocol of the run accumulators.
 
-
-@dataclass
-class EnsembleResult:
-    """Mergeable accumulator of per-shot absorber statistics.
-
-    Every field after the bin structure is an integer sum of fixed shape over
-    shots, listed in ``SUMMED``; ``merge`` adds and ``equals`` compares that
-    list field by field, so two results merge exactly and adding shots in
-    blocks gives the same fields as adding them one at a time.
+    A subclass lists every summed field at zero in ``zero_sums`` and the
+    structure two accumulators must share to combine in ``_grid``, which is
+    also its constructor's arguments; its constructor sets the fields from
+    ``zero_sums``.  ``merged`` adds and ``equals`` compares those fields one
+    by one, so merging is exact, associative and commutative.
     """
 
-    SUMMED: ClassVar[tuple[str, ...]]
+    def merged(self, other: "Accumulator") -> "Accumulator":
+        if type(self) is not type(other) or self._grid() != other._grid():
+            raise ValueError("cannot merge accumulators of different types or grids")
+        out = type(self)(*self._grid())
+        vars(out).update({name: getattr(self, name) + getattr(other, name) for name in self.zero_sums()})
+        return out
 
-    n_bins: int
-    bin_width_us: float
-    shots: int = 0
-    out_total_sq_sum: int = 0
-    in_bin_sums: np.ndarray = _counts()
-    out_bin_sums: np.ndarray = _counts()
-    in_bin_sq_sums: np.ndarray = _counts()
-    out_bin_sq_sums: np.ndarray = _counts()
-    inout_bin_sums: np.ndarray = _counts()
-    absorbed_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
-    ion_hist: np.ndarray = _counts(MAX_EXCITATIONS + 1)
+    def equals(self, other: "Accumulator") -> bool:
+        return type(self) is type(other) and self._grid() == other._grid() and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
+        )
 
-    def __post_init__(self) -> None:
-        if self.n_bins < 1:
+
+class EnsembleResult(Accumulator):
+    """Mergeable accumulator of per-shot absorber statistics: integer sums of
+    fixed shape over shots, on a grid of ``n_bins`` bins of ``bin_width_us``."""
+
+    def __init__(self, n_bins: int, bin_width_us: float) -> None:
+        if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        for f in fields(self):
-            if "size" in f.metadata and getattr(self, f.name) is None:
-                setattr(self, f.name, np.zeros(f.metadata["size"] or self.n_bins, dtype=np.int64))
+        self.n_bins = n_bins
+        self.bin_width_us = bin_width_us
+        vars(self).update(self.zero_sums())
+
+    def zero_sums(self) -> dict[str, Any]:
+        bins = ("in_bin_sums", "out_bin_sums", "in_bin_sq_sums", "out_bin_sq_sums", "inout_bin_sums")
+        return {
+            "shots": 0,
+            "out_total_sq_sum": 0,
+            **{name: np.zeros(self.n_bins, dtype=np.int64) for name in bins},
+            **{name: np.zeros(MAX_EXCITATIONS + 1, dtype=np.int64) for name in ("absorbed_hist", "ion_hist")},
+        }
+
+    def _grid(self) -> tuple:
+        return (self.n_bins, self.bin_width_us)
 
     def add_entries(
         self, n_rows: int, idx: np.ndarray, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray
@@ -212,18 +224,7 @@ class EnsembleResult:
             return 0.0
         return float(np.sqrt((self.out_total_sq_sum - n * self.mean_out**2) / (n - 1) / n))
 
-    def equals(self, other: "EnsembleResult") -> bool:
-        return (self.n_bins, self.bin_width_us) == (other.n_bins, other.bin_width_us) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.SUMMED
-        )
 
-
-EnsembleResult.SUMMED = tuple(f.name for f in fields(EnsembleResult))[2:]
-
-
-def merge(a: EnsembleResult, b: EnsembleResult) -> EnsembleResult:
-    """Combine two ensembles shot-for-shot; associative and commutative."""
-    if a.n_bins != b.n_bins or a.bin_width_us != b.bin_width_us:
-        raise ValueError("cannot merge ensembles with different bin structure")
-    sums = {name: getattr(a, name) + getattr(b, name) for name in a.SUMMED}
-    return EnsembleResult(a.n_bins, a.bin_width_us, **sums)
+def merge(a: Accumulator, b: Accumulator) -> Accumulator:
+    """Combine two accumulators shot for shot; associative and commutative."""
+    return a.merged(b)

@@ -36,6 +36,7 @@ from . import analytic, bloch, stats
 from ._checks import check_finite, check_unit_interval
 from .absorber import AbsorberParams, merge, simulate_shot, substream
 from .config import RunConfig, load_config, to_flat
+from .detector import detect_ions
 from .experiment import block_rows, run_point, simulate_cascade
 from .pulses import expected_bin_means
 
@@ -320,7 +321,7 @@ def cmd_validate(cfg: RunConfig, args) -> Output:
         record(f"ion_mandel_q[n_in={n_in:g}]", ion.mandel_q, ideal.mandel_q, 3.0 * ion.mandel_q_sem)
     # binomial thinning scales Mandel-Q by the efficiency
     thin_rng = substream(cfg.seed, 900)
-    clicks = thin_rng.binomial(2, cfg.detector.eta_ion, size=100000)
+    clicks = detect_ions(np.full(100000, 2), cfg.detector.eta_ion, thin_rng)
     thinned = stats.hist_stats(np.bincount(clicks))
     record("thinning_q_scaling", thinned.mandel_q, -cfg.detector.eta_ion, 3.0 * thinned.mandel_q_sem)
     # no photon created, over one block: 0 <= out <= in in every bin, and in every

@@ -15,7 +15,8 @@ depend on batching, worker count or execution order.  Every sum an output
 reads is taken from a block's entries or rows in one call per accumulator,
 over integers, so it is exact; the run result holds one ensemble per stage
 and, when requested, the g2 sums of the light detected behind the last stage.
-Batches are whole blocks and reduce through the exact merges.
+Batches are whole blocks and reduce through ``absorber.merge``, which adds
+every summed field of a stage ensemble or of the g2 sums exactly.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class CascadeResult:
 
     def merged(self, other: "CascadeResult") -> "CascadeResult":
         stages = [merge(a, b) for a, b in zip(self.stages, other.stages)]
-        g2 = None if self.g2 is None else self.g2.merged(other.g2)
+        g2 = None if self.g2 is None else merge(self.g2, other.g2)
         return CascadeResult(stages, self.outcomes + other.outcomes, g2)
 
 

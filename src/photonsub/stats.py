@@ -13,7 +13,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .absorber import EnsembleResult
+from .absorber import Accumulator, EnsembleResult
 from .detector import N_DETECTORS
 
 
@@ -96,7 +96,7 @@ def mandel_q_sem(hist: np.ndarray) -> float:
 
 
 def q_over_mean(hist: np.ndarray) -> float:
-    return _nonzero_mean(hist, "Mandel-Q").q_over_mean
+    return _nonzero_mean(hist, "Q/mean").q_over_mean
 
 
 def q_over_mean_sem(hist: np.ndarray) -> float:
@@ -163,7 +163,7 @@ def _scatter_add(total: np.ndarray, where: slice | np.ndarray, product: np.ndarr
         np.add.at(one_map.reshape(-1), where, one_product.reshape(-1))
 
 
-class G2Accumulator:
+class G2Accumulator(Accumulator):
     """Streaming accumulator for pair-averaged intensity correlations.
 
     Feeds on blocks of per-shot (N_DETECTORS, n_bins) click arrays.  The cell
@@ -173,9 +173,8 @@ class G2Accumulator:
     detector pair, and the squared sums of each shot's pair-summed map ``y``
     and of its front-third and rear-third totals, which give the error bars.
     ``finalize`` takes the pair-summed map from ``pair_sums`` and the pooled
-    front and rear totals from that map.  Every summed field is listed by
-    ``zero_sums``; merging adds and comparing checks those fields one by one,
-    so merging is exact.
+    front and rear totals from that map.  It merges and compares through the
+    ``Accumulator`` protocol, over the fields of ``zero_sums``.
     """
 
     def __init__(self, n_bins: int, bin_width_us: float, bins_per_cell: int) -> None:
@@ -209,7 +208,6 @@ class G2Accumulator:
         return {**vars(self), "_work": np.empty(0)}
 
     def zero_sums(self) -> dict[str, Any]:
-        """Every summed field at zero; ``merged`` and ``equals`` walk the same names."""
         c = self.n_cells
         return {
             "shots": 0,
@@ -321,18 +319,6 @@ class G2Accumulator:
     def _grid(self) -> tuple:
         return (self.n_bins, self.bin_width_us, self.bins_per_cell)
 
-    def merged(self, other: "G2Accumulator") -> "G2Accumulator":
-        if self._grid() != other._grid():
-            raise ValueError("cannot merge correlation accumulators with different grids")
-        out = G2Accumulator(*self._grid())
-        vars(out).update({name: getattr(self, name) + getattr(other, name) for name in self.zero_sums()})
-        return out
-
-    def equals(self, other: "G2Accumulator") -> bool:
-        return self._grid() == other._grid() and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.zero_sums()
-        )
-
     def finalize(self) -> G2Matrix:
         if self.shots == 0:
             raise ValueError("empty ensemble: no shots accumulated")
@@ -373,8 +359,10 @@ class G2Accumulator:
         front_g2, front_sigma, rear_g2, rear_sigma = pooled
         return G2Matrix(
             cell_edges_us=self.cell_edges * self.bin_width_us,
-            values=_symmetrize_nan(values),
-            sigma=_symmetrize_sigma(sigma),
+            values=_symmetrize(values, 0.5 * (values + values.T)),
+            # Combining the (t1,t2) and (t2,t1) estimates halves the variance at most;
+            # keeping the quadrature mean is slightly conservative for the diagonal.
+            sigma=_symmetrize(sigma, np.sqrt(0.5 * (sigma**2 + sigma.T**2))),
             counts=0.5 * (y_map + y_map.T),
             front_g2=front_g2,
             front_sigma=front_sigma,
@@ -383,18 +371,10 @@ class G2Accumulator:
         )
 
 
-def _symmetrize_nan(matrix: np.ndarray) -> np.ndarray:
+def _symmetrize(matrix: np.ndarray, combined: np.ndarray) -> np.ndarray:
+    """``matrix`` made symmetric: ``combined`` where both (t1, t2) and (t2, t1) are defined, else the defined one."""
     transposed = matrix.T
-    average = 0.5 * (matrix + transposed)
-    return np.where(np.isnan(matrix), transposed, np.where(np.isnan(transposed), matrix, average))
-
-
-def _symmetrize_sigma(sigma: np.ndarray) -> np.ndarray:
-    # Combining the (t1,t2) and (t2,t1) estimates halves the variance at most;
-    # keeping the quadrature mean is slightly conservative for the diagonal.
-    transposed = sigma.T
-    combined = np.sqrt(0.5 * (sigma**2 + transposed**2))
-    return np.where(np.isnan(sigma), transposed, np.where(np.isnan(transposed), sigma, combined))
+    return np.where(np.isnan(matrix), transposed, np.where(np.isnan(transposed), matrix, combined))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,8 @@ def frozen_mandel_q_sem(hist) -> float:
 
 
 def frozen_q_over_mean(hist) -> float:
+    if frozen_hist_mean(hist) == 0.0:
+        raise ValueError("Q/mean undefined for zero-mean counts")
     return frozen_mandel_q(hist) / frozen_hist_mean(hist)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import warnings
 from collections import Counter
 from unittest import mock
@@ -204,8 +205,11 @@ def test_merge_equals_sequential_accumulation():
 def test_merge_rejects_mismatched_bin_structure():
     a = run_point(PulseSpec(mean_photons=1.0, duration_us=2.0), MEASURED, DET, 5, 1)
     b = run_point(PulseSpec(mean_photons=1.0, duration_us=1.0), MEASURED, DET, 5, 1)
-    with pytest.raises(ValueError):
-        merge(a, b)
+    fine = G2Accumulator(8, 0.05, 2)
+    # g2 sums on other cells or bins, and an accumulator of another type
+    for x, y in ((a, b), (fine, G2Accumulator(8, 0.05, 4)), (fine, G2Accumulator(8, 0.1, 2)), (a, fine)):
+        with pytest.raises(ValueError, match="different types or grids"):
+            merge(x, y)
 
 
 def test_leaky_blockade_warns():
@@ -279,7 +283,7 @@ def test_merge_sums_every_declared_field():
     a = simulate_cascade((MEASURED,), spec, DET, 30, 1, g2_cell_bins=2)
     b = simulate_cascade((MEASURED,), spec, DET, 20, 2, g2_cell_bins=2)
     merged = a.merged(b)
-    for name in EnsembleResult.SUMMED:
+    for name in merged.stages[0].zero_sums():
         np.testing.assert_array_equal(
             getattr(merged.stages[0], name), getattr(a.stages[0], name) + getattr(b.stages[0], name)
         )
@@ -287,6 +291,36 @@ def test_merge_sums_every_declared_field():
         np.testing.assert_array_equal(
             getattr(merged.g2, name), getattr(a.g2, name) + getattr(b.g2, name)
         )
+
+
+def test_ensemble_equals_compares_every_summed_field():
+    spec = PulseSpec(mean_photons=5.0)
+    for name in EnsembleResult(spec.n_bins, spec.bin_width_us).zero_sums():
+        a = run_point(spec, MEASURED, DET, 20, 3)
+        b = run_point(spec, MEASURED, DET, 20, 3)
+        assert a.equals(b)
+        setattr(b, name, getattr(b, name) + 1)
+        assert not a.equals(b), name
+
+
+def test_accumulators_survive_a_pickle_round_trip_without_the_g2_buffer():
+    result = simulate_cascade((MEASURED,), PulseSpec(mean_photons=5.0), DET, 30, 4, g2_cell_bins=2)
+    assert result.g2._work.size > 0
+    for acc in (result.stages[0], result.g2):
+        copy = pickle.loads(pickle.dumps(acc))
+        assert type(copy) is type(acc) and copy.equals(acc)
+    assert pickle.loads(pickle.dumps(result.g2))._work.size == 0
+
+
+def test_cascade_batches_merge_stages_and_g2_through_merge():
+    spec = PulseSpec(mean_photons=5.0)
+    # two blocks of 16 shots, one batch each, through two stages
+    with mock.patch.object(experiment, "_BLOCK", 16), mock.patch.object(experiment, "_BATCH_SHOTS", 16), \
+            mock.patch.object(experiment, "merge", wraps=merge) as traced:
+        result = simulate_cascade((MEASURED, IDEAL), spec, DET, 32, 5, g2_cell_bins=2)
+    merged = [type(call.args[0]) for call in traced.call_args_list]
+    assert merged == [EnsembleResult, EnsembleResult, G2Accumulator]
+    assert result.shots == result.g2.shots == 32
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +364,7 @@ def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed)
 
 def _reference_sums(inp, out, absorbed, ions):
     """The ensemble sums shot by shot, totals as Python integers."""
-    sums = {name: 0 for name in EnsembleResult.SUMMED}
+    sums = EnsembleResult(inp.shape[1], 0.05).zero_sums()
     for i, o, a, n in zip(inp, out, absorbed, ions):
         for name, value in (
             ("shots", 1), ("out_total_sq_sum", int(o.sum()) ** 2), ("in_bin_sums", i), ("out_bin_sums", o),
@@ -456,7 +490,7 @@ def _run_digest(result):
     """sha256 of every summed field of each stage, the g2 sums and the sorted outcomes."""
     digest = hashlib.sha256()
     for ens in result.stages:
-        for name in EnsembleResult.SUMMED:
+        for name in ens.zero_sums():
             digest.update(np.asarray(getattr(ens, name), dtype=np.int64).tobytes())
     for name in result.g2.zero_sums():
         digest.update(np.asarray(getattr(result.g2, name), dtype=np.float64).tobytes())

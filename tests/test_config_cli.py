@@ -704,7 +704,11 @@ def test_csv_rows_format_like_the_per_value_formatter(tmp_path):
         np.float64(np.nan), np.float64(-0.0), np.float64(2.0 / 3.0), np.float32(0.1),
         "skip", "", True, False, np.bool_(True),
     ]
-    rows = [tuple(values), tuple(reversed(values)), (1, "a", 2.0)]
-    _write_csv(tmp_path / "t.csv", ["h"], rows)
-    lines = (tmp_path / "t.csv").read_text().split("\n")
-    assert lines == ["h"] + [",".join(_fmt_reference(v) for v in row) for row in rows] + [""]
+    for rows in (
+        [tuple(values), tuple(reversed(values)), (1, "a", 2.0)],  # rows of different lengths
+        [tuple(values), tuple(reversed(values))],  # columns holding floats in some rows only
+        [tuple(values)] * 2,  # every column of one type
+    ):
+        _write_csv(tmp_path / "t.csv", ["h"], rows)
+        lines = (tmp_path / "t.csv").read_text().split("\n")
+        assert lines == ["h"] + [",".join(_fmt_reference(v) for v in row) for row in rows] + [""]

@@ -28,8 +28,7 @@ from photonsub import stats
 from photonsub.stats import (
     MAX_CELLS,
     G2Matrix,
-    _symmetrize_nan,
-    _symmetrize_sigma,
+    _symmetrize,
     hist_mean,
     hist_mean_sem,
     mandel_q_sem,
@@ -64,9 +63,9 @@ def test_mandel_q_of_bernoulli_population():
 
 
 def test_mandel_q_rejects_zero_mean():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Mandel-Q undefined"):
         mandel_q(np.array([100]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Q/mean undefined"):
         q_over_mean(np.array([100, 0]))
 
 
@@ -357,8 +356,8 @@ def _reference_finalize(acc):
             pooled[f"{name}_sigma"] = math.sqrt(y_var / shots) / denom
     return G2Matrix(
         cell_edges_us=acc.cell_edges * acc.bin_width_us,
-        values=_symmetrize_nan(values),
-        sigma=_symmetrize_sigma(sigma),
+        values=_symmetrize(values, 0.5 * (values + values.T)),
+        sigma=_symmetrize(sigma, np.sqrt(0.5 * (sigma**2 + sigma.T**2))),
         counts=0.5 * (y_map + y_map.T),
         **pooled,
     )
