@@ -18,9 +18,9 @@ The config sets dead time, dark counts, a dephasing rate, a leaky 3-stage
 cascade and ``--workers`` workers (default two, one on a single core), with
 enough shots for two batches, so the merge paths run.  A ``g2-fine`` run maps
 a 1000-bin pulse in one-bin cells, with the same dead time and dark counts, at
-``FINE_SHOTS`` shots.  A last ``g2`` run without ``--config`` covers the
-built-in parameter table.  Runs with different ``--workers`` must give the
-same files.
+``FINE_SHOTS`` shots.  A ``cascade-long`` run sends 20 photons through 20 leaky
+stages.  A last ``g2`` run without ``--config`` covers the built-in parameter
+table.  Runs with different ``--workers`` must give the same files.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ cascade.stages = 0.35,0.001,0.99; 0.5,0.01,0.95; 0.8,0.05,0.9
 run.workers = {workers}
 """
 IDEAL_FIVE = "1,0,1;1,0,1;1,0,1;1,0,1;1,0,1"
+LEAKY_TWENTY = ";".join(["0.3,0.05,0.999"] * 20)
 # The default 2 us pulse in 2 ns bins: the largest g2 map, 1000 one-bin cells.
 # Few shots, so that sums dense in cells squared finish in seconds.
 FINE_CONFIG = "pulse.bin_ns = 2\n"
@@ -65,6 +66,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
         ("fit-gamma", cfg + ["fit-gamma", str(out / "runs" / "spectrum-001" / "spectrum.csv")]),
         ("cascade-ideal", cfg + ["cascade", "--stages", IDEAL_FIVE, "--n-in", "3"]),
         ("cascade-leaky", cfg + ["cascade"]),
+        ("cascade-long", cfg + ["cascade", "--stages", LEAKY_TWENTY, "--n-in", "20"]),
         ("validate", cfg + ["validate"]),
         ("builtin-g2", [*runs, "g2"]),
     ]

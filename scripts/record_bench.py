@@ -119,11 +119,12 @@ def time_layers() -> dict:
     clicks, the detection, the sums of each stage's ensemble
     (``add_entries``, recorded as ``add_block_stage[k]``) and ``add_block``
     of the g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's
-    time outside those calls.  A layer that a workload never calls raises
-    instead of reading 0.  ``minor_faults_per_shot`` is the process's minor
-    page faults (``ru_minflt``) over the workload's run, per shot: pages the
-    allocator maps afresh, for example arrays freed back to the system and
-    allocated again every block.
+    time outside those calls, the ion histograms' ``add_ions`` included.  A
+    layer that a workload never calls raises instead of reading 0.
+    ``minor_faults_per_shot`` is the process's minor page faults
+    (``ru_minflt``) over the workload's run, per shot: pages the allocator
+    maps afresh, for example arrays freed back to the system and allocated
+    again every block.
     """
     sys.path.insert(0, str(ROOT / "src"))
     from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, experiment, stats
@@ -266,7 +267,7 @@ def time_g2_grids() -> dict:
     out = {}
     for cells, (n_bins, bins_per_cell, shots) in G2_GRIDS.items():
         spec = PulseSpec(mean_photons=15.76, bin_width_us=2.0 / n_bins)
-        rows = experiment.block_rows(spec, 1)
+        rows = experiment.block_rows(spec)
         rng = np.random.default_rng(cells)
         inputs = [rng.poisson(expected_bin_means(spec), size=(min(rows, shots - lo), n_bins))
                   for lo in range(0, shots, rows)]

@@ -176,16 +176,13 @@ class EnsembleResult(Accumulator):
     def _grid(self) -> tuple:
         return (self.n_bins, self.bin_width_us)
 
-    def add_entries(
-        self, n_rows: int, idx: np.ndarray, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray, ions: np.ndarray
-    ) -> None:
+    def add_entries(self, n_rows: int, idx: np.ndarray, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray) -> None:
         """Add ``n_rows`` shots given as entries of their (n_rows, n_bins) block:
         flat indices ``idx`` and the input and output counts there, every other
-        entry zero in both; and per shot the absorbed count and the ion clicks.
+        entry zero in both; and per shot the absorbed count (``add_ions`` adds the ion clicks).
 
         Every sum is an int64 scatter-add, exact however large the counts.
         """
-        size = MAX_EXCITATIONS + 1
         rows = idx // self.n_bins
         bins = idx - rows * self.n_bins
         total_out = np.zeros(n_rows, dtype=np.int64)
@@ -200,14 +197,18 @@ class EnsembleResult(Accumulator):
             (self.inout_bin_sums, inp * out),
         ):
             np.add.at(sums, bins, values)
-        self.absorbed_hist += np.bincount(absorbed, minlength=size)
-        self.ion_hist += np.bincount(ions, minlength=size)
+        self.absorbed_hist += np.bincount(absorbed, minlength=MAX_EXCITATIONS + 1)
+
+    def add_ions(self, ions: np.ndarray) -> None:
+        """Add the ion clicks of shots added through ``add_entries``, one count per shot."""
+        self.ion_hist += np.bincount(ions, minlength=MAX_EXCITATIONS + 1)
 
     def add_shot(self, rec: ShotRecord, ions: int) -> None:
-        """Add one shot and its ion clicks: the dense view of ``add_entries``."""
+        """Add one shot and its ion clicks: the dense view of ``add_entries`` and ``add_ions``."""
         inp, out = np.asarray(rec.input_bins, dtype=np.int64), np.asarray(rec.output_bins, dtype=np.int64)
         idx = np.flatnonzero((inp != 0) | (out != 0))
-        self.add_entries(1, idx, inp[idx], out[idx], np.array([rec.absorbed]), np.array([ions]))
+        self.add_entries(1, idx, inp[idx], out[idx], np.array([rec.absorbed]))
+        self.add_ions(np.array([ions]))
 
     @property
     def mean_in(self) -> float:

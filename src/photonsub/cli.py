@@ -328,7 +328,7 @@ def cmd_validate(cfg: RunConfig, args) -> Output:
     # row the absorbed photons are among those missing from the output
     conserve_rng = substream(cfg.seed, 901)
     pulse = replace(cfg.pulse, mean_photons=10.0)
-    inp = conserve_rng.poisson(expected_bin_means(pulse), size=(block_rows(pulse, 1), pulse.n_bins))
+    inp = conserve_rng.poisson(expected_bin_means(pulse), size=(block_rows(pulse), pulse.n_bins))
     rec = simulate_shot(cfg.absorber, inp, conserve_rng)
     out = rec.output_bins
     conserved = ((0 <= out) & (out <= inp)).all() and (rec.absorbed <= inp.sum(axis=1) - out.sum(axis=1)).all()

@@ -29,7 +29,7 @@ from .detector import DetectorConfig
 from .pulses import PulseSpec
 
 MAX_SEED = 2**64 - 1
-# Every stage adds a row per shot to each accumulation block.
+# Each stage costs every shot a kernel pass and a count in its outcome key.
 MAX_STAGES = 100
 
 

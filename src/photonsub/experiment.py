@@ -2,17 +2,18 @@
 
 A single absorber is the one-stage cascade, and ``_run_batch`` is the only
 loop over shots.  It runs them in blocks of ``block_rows`` rows, a number set
-by the pulse and the number of stages only.  Block b draws from the substream
-(seed, stream_key, b), each draw for all of its rows at once, in a fixed
-order: the Poisson input, every stage in turn, every stage's ion clicks, then,
-for g2 only, the detection of the last stage's output, one uniform per
-surviving photon, so g2 leaves the stages unchanged.  A block is dense only at
-the input draw and at the counters: in between it passes through the stages
-and on to detection as its nonzero entries in row-major order, which takes
-the same draws as the dense block because ``binomial`` draws nothing for a
-zero count.  The block size and its byte bound live here.  Results never
-depend on batching, worker count or execution order.  Every sum an output
-reads is taken from a block's entries or rows in one call per accumulator,
+by the pulse alone.  Block b draws from the substream (seed, stream_key, b),
+each draw for all of its rows at once, in a fixed order: the Poisson input,
+every stage in turn, every stage's ion clicks, then, for g2 only, the
+detection of the last stage's output, one uniform per surviving photon, so g2
+leaves the stages unchanged.  A block is dense only at the input draw and at
+the counters: in between it passes through the stages and on to detection as
+its nonzero entries in row-major order, which takes the same draws as the
+dense block because ``binomial`` draws nothing for a zero count.  A stage's
+entries join its ensemble as the stage runs, and its ion clicks after the
+block's one ion draw.  The block size and its byte bound live here.  Results
+never depend on batching, worker count or execution order.  Every sum an
+output reads is taken from a block's entries or rows in whole-block calls,
 over integers, so it is exact; the run result holds one ensemble per stage
 and, when requested, the g2 sums of the light detected behind the last stage.
 Batches are whole blocks and reduce through ``absorber.merge``, which adds
@@ -41,10 +42,9 @@ from .pulses import PulseSpec, expected_bin_means
 from .stats import G2Accumulator
 
 # Rows per block, the unit of randomness, and the bound on a block's dense
-# int64 rows of the input and of every stage's output, by which block_rows
-# first sized blocks: both are part of the stream definition.
+# int64 input rows: both are part of the stream definition.
 _BLOCK = 256
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 19
 # Shots per batch, in whole blocks; batches are the unit of work handed to the worker pool.
 _BATCH_SHOTS = 20000
 
@@ -68,22 +68,22 @@ class CascadeResult:
         return CascadeResult(stages, self.outcomes + other.outcomes, g2)
 
 
-def block_rows(pulse: PulseSpec, n_stages: int) -> int:
-    """Rows per block: ``_BLOCK``, fewer where dense int64 rows of the input
-    and of every stage's output would exceed ``_BLOCK_BYTES``.
+def block_rows(pulse: PulseSpec) -> int:
+    """Rows per block: ``_BLOCK``, fewer where the block's dense int64 input
+    rows would exceed ``_BLOCK_BYTES``.
 
     A block is dense only at the input draw and, for g2, at the counters'
-    clicks; the stages and detection take its entries.  The bound stays as it
-    was because the block size is part of the stream definition: changing it
-    redraws every sample.
+    clicks; the stages take its entries one stage at a time, so the stage
+    count does not enter.  The block size is part of the stream definition:
+    changing it redraws every sample.
     """
-    return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * pulse.n_bins * (n_stages + 1))))
+    return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * pulse.n_bins)))
 
 
 def _run_batch(args) -> CascadeResult:
     (stages, pulse, detector, seed, stream_key, shots, blocks, g2_cell_bins) = args
     lam = expected_bin_means(pulse)
-    rows = block_rows(pulse, len(stages))
+    rows = block_rows(pulse)
     per_stage = [EnsembleResult(pulse.n_bins, pulse.bin_width_us) for _ in stages]
     acc = None if g2_cell_bins is None else G2Accumulator(pulse.n_bins, pulse.bin_width_us, g2_cell_bins)
     outcomes: Counter = Counter()
@@ -93,17 +93,14 @@ def _run_batch(args) -> CascadeResult:
         idx = np.flatnonzero(inp != 0)
         counts = inp.ravel()[idx]
         absorbed = np.empty((len(stages), len(inp)), dtype=np.int64)
-        # entries[k]: the flat indices, input and output counts of stage k's nonzero
-        # input entries; each stage's nonzero outputs are the next stage's input
-        entries = []
-        for k, params in enumerate(stages):
+        # each stage's nonzero outputs are the next stage's input
+        for k, (params, ens) in enumerate(zip(stages, per_stage)):
             out, absorbed[k] = absorb_entries(params, inp.shape, idx, counts, rng)
-            entries.append((idx, counts, out))
+            ens.add_entries(len(inp), idx, counts, out, absorbed[k])
             live = out > 0
             idx, counts = idx[live], out[live]
-        ions = detect_ions(absorbed, detector.eta_ion, rng)
-        for ens, stage_entries, stage_absorbed, stage_ions in zip(per_stage, entries, absorbed, ions):
-            ens.add_entries(len(inp), *stage_entries, stage_absorbed, stage_ions)
+        for ens, ions in zip(per_stage, detect_ions(absorbed, detector.eta_ion, rng)):
+            ens.add_ions(ions)
         if acc is not None:
             acc.add_block(detect_pulse(inp.shape, idx, counts, detector, rng, pulse.bin_width_us))
         outcomes.update(zip(inp.sum(axis=1).tolist(), *absorbed.tolist()))
@@ -133,7 +130,7 @@ def simulate_cascade(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    rows = block_rows(pulse, len(stages))
+    rows = block_rows(pulse)
     n_blocks = -(-shots // rows)
     per_batch = max(1, _BATCH_SHOTS // rows)
     batches = [

@@ -33,6 +33,7 @@ from _oracles import (
     dense_block_stage,
     dense_block_sums,
     dense_detection,
+    g2_sums_per_shot,
     leaky_absorbed_pmf,
     per_photon_shot,
 )
@@ -344,7 +345,8 @@ def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed)
     block, per_shot = (EnsembleResult(n_bins, 0.05) for _ in range(2))
     block_g2, per_shot_g2 = (G2Accumulator(n_bins, 0.05, bins_per_cell) for _ in range(2))
     idx = np.flatnonzero(inp)  # out is zero wherever inp is
-    block.add_entries(rows, idx, inp.ravel()[idx], out.ravel()[idx], absorbed, ions)
+    block.add_entries(rows, idx, inp.ravel()[idx], out.ravel()[idx], absorbed)
+    block.add_ions(ions)
     block_g2.add_block(det)
     for s in range(rows):
         rec = ShotRecord(inp[s], out[s], int(absorbed[s]))
@@ -355,7 +357,7 @@ def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed)
     assert block_g2.equals(per_shot_g2)
     references = (
         (block, _reference_sums(inp, out, absorbed, ions)),
-        (block_g2, _g2_reference_sums(block_g2, det)),
+        (block_g2, g2_sums_per_shot(det, bins_per_cell, block_g2._front, block_g2._rear)),
     )
     for acc, reference in references:
         for name, value in reference.items():
@@ -376,30 +378,13 @@ def _reference_sums(inp, out, absorbed, ions):
     return sums
 
 
-def _g2_reference_sums(acc, det):
-    """The g2 sums shot by shot, with one outer product per detector pair."""
-    sums = acc.zero_sums()
-    front, rear = acc._front, acc._rear
-    for clicks in det:
-        cells = np.add.reduceat(clicks, acc.cell_edges[:-1], axis=1).astype(float)
-        products = [np.outer(cells[a], cells[b]) for a, b in acc.pairs]
-        y = sum(products)
-        y_front, y_rear = y[np.ix_(front, front)].sum(), y[np.ix_(rear, rear)].sum()
-        for name, value in (
-            ("shots", 1), ("marg_sums", cells), ("pair_sums", np.stack(products)),
-            ("y_sq_sum", y * y), ("front_sq_sum", y_front**2), ("rear_sq_sum", y_rear**2),
-        ):
-            sums[name] = sums[name] + value
-    return sums
-
-
 def _block_loop(stages, spec, shots, seed, ensembles, g2=None, detector=DET, stream_key=()):
     """A run as a literal loop over its blocks, added into ``ensembles`` (one
     per stage) and ``g2``, with the frozen dense oracles; returns the outcome
     counts.  Each block of ``block_rows`` rows draws from its own substream:
     the input, every stage, every stage's ion clicks, then the detection of
     the last stage's output."""
-    rows = experiment.block_rows(spec, len(stages))
+    rows = experiment.block_rows(spec)
     lam = expected_bin_means(spec)
     dark_mean = detector.dark_cps * spec.bin_width_us * 1e-6
     dead_bins = max(1, int(np.ceil(detector.dead_time_ns / (spec.bin_width_us * 1e3)))) if detector.dead_time_ns else 0
@@ -468,12 +453,35 @@ def test_one_row_g2_slices_equal_the_block_loop():
 
 
 def test_block_rows_are_capped_by_the_byte_bound():
-    assert experiment.block_rows(PulseSpec(mean_photons=6.0), 1) == experiment._BLOCK
+    spec = PulseSpec(mean_photons=100.0)
+    assert experiment.block_rows(spec) == experiment._BLOCK
     long_pulse = PulseSpec(mean_photons=6.0, duration_us=200.0)  # 4000 bins
-    # 1 MiB of int64 rows of the input and three stages: 2**20 // (8 * 4000 * 4)
-    assert experiment.block_rows(long_pulse, 3) == 8
-    result = simulate_cascade((MEASURED,) * 3, long_pulse, DET, 17, 3)  # two blocks and one shot
+    # 512 KiB of int64 input rows, whatever the stage count: 2**19 // (8 * 4000)
+    assert experiment.block_rows(long_pulse) == 16
+    result = simulate_cascade((MEASURED,) * 3, long_pulse, DET, 17, 3)  # one block and one shot
     assert result.shots == 17
+    # 100 stages run in the blocks of one stage: each stage once per 256-row block
+    shots = 2 * experiment._BLOCK + 1
+    with mock.patch.object(experiment, "absorb_entries", wraps=absorb_entries) as traced:
+        result = simulate_cascade((AbsorberParams(0.3, 0.05, 0.999),) * 100, spec, DET, shots, 3)
+    shapes = [call.args[1] for call in traced.call_args_list]
+    assert shapes == [(256, spec.n_bins)] * 200 + [(1, spec.n_bins)] * 100
+    assert result.shots == shots
+
+
+def test_a_long_leaky_cascade_equals_the_block_loop():
+    # 20 leaky stages at the default block size, with g2, dark counts and dead time
+    spec = PulseSpec(mean_photons=20.0)
+    stages = (AbsorberParams(0.3, 0.05, 0.999), AbsorberParams(0.6, 0.1, 0.97)) * 10
+    detector = DetectorConfig(eta_probe=0.7, dead_time_ns=120.0, dark_cps=5e5)
+    shots = experiment._BLOCK + 44
+    result = simulate_cascade(stages, spec, detector, shots, 23, g2_cell_bins=2)
+    ensembles = [EnsembleResult(spec.n_bins, spec.bin_width_us) for _ in stages]
+    g2 = G2Accumulator(spec.n_bins, spec.bin_width_us, 2)
+    outcomes = _block_loop(stages, spec, shots, 23, ensembles, g2, detector)
+    assert all(got.equals(want) for got, want in zip(result.stages, ensembles))
+    assert result.outcomes == outcomes
+    assert result.g2.equals(g2)
 
 
 # The stream is defined by the draws of each block and by the block size, so a
@@ -482,7 +490,7 @@ def test_block_rows_are_capped_by_the_byte_bound():
 STREAM_NUMPY = "2.4.6"
 STREAM_DIGESTS = {
     "40-bins": "091bc3a79c5e9a023d19a97ec889260534e437e4f871283e71657ce0d7916a31",
-    "4000-bins": "cfdec11804ce5236c30b0c7e49781fa71014c2c04b912dbc343236d0769b5836",
+    "4000-bins": "79b5387a96836161db2b6f54d0ae7a3928f59cca05bba80c56ff2739a200aed0",
 }
 
 
@@ -506,7 +514,7 @@ def _run_digest(result):
 )
 def test_fixed_seed_runs_draw_the_recorded_stream(label, duration_us, shots, bins_per_cell):
     # three leaky stages, detection with darks and dead time; the 4000-bin
-    # pulse takes blocks of 8 rows, which the block byte bound sets
+    # pulse takes blocks of 16 rows, which the block byte bound sets
     stages = (MEASURED, AbsorberParams(p_ryd=0.5, p_ryd2=0.05, t=0.9), AbsorberParams(p_ryd=0.8, p_ryd2=0.1, t=0.95))
     detector = DetectorConfig(eta_probe=0.7, dead_time_ns=120.0, dark_cps=5e5)
     spec = PulseSpec(mean_photons=6.0, duration_us=duration_us)
@@ -560,7 +568,8 @@ def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
         np.testing.assert_array_equal(lost, dense_lost)
         ions = data.binomial(dense_absorbed, 0.5)
         from_entries, from_rows = (EnsembleResult(n_bins, 0.05) for _ in range(2))
-        from_entries.add_entries(rows, idx, entries, out, absorbed, ions)
+        from_entries.add_entries(rows, idx, entries, out, absorbed)
+        from_entries.add_ions(ions)
         for s in range(rows):
             from_rows.add_shot(ShotRecord(view[s], rec.output_bins[s], int(rec.absorbed[s])), int(ions[s]))
         for name, value in dense_block_sums(dense, dense_out, dense_absorbed, ions, MAX_EXCITATIONS + 1).items():
@@ -584,7 +593,7 @@ def test_run_batch_equals_the_dense_reference_loop(shots, chain, mean, bins_per_
     stages = tuple(_params(*stage) for stage in chain)
     spec = PulseSpec(mean_photons=mean, duration_us=0.6)
     with mock.patch.object(experiment, "_BLOCK", 16):
-        n_blocks = -(-shots // experiment.block_rows(spec, len(stages)))
+        n_blocks = -(-shots // experiment.block_rows(spec))
         result = experiment._run_batch(
             (stages, spec, detector, seed, (4,), shots, range(n_blocks), bins_per_cell)
         )
@@ -606,7 +615,7 @@ def test_entry_sums_are_exact_int64():
     assert out.tolist() == [big - 1, large - 1, 5]
     assert absorbed.tolist() == [1, 0, 1]
     ens = EnsembleResult(4, 0.05)
-    ens.add_entries(3, idx, counts.ravel()[idx], out, absorbed, np.zeros(3, dtype=np.int64))
+    ens.add_entries(3, idx, counts.ravel()[idx], out, absorbed)
     wrap = 2**64  # a square of 2**53 + 1 passes int64 and wraps, exactly
     assert ens.in_bin_sums.tolist() == [0, large, big, 5]
     assert ens.out_bin_sums.tolist() == [0, large - 1, big - 1, 5]
