@@ -18,9 +18,11 @@ The config sets dead time, dark counts, a dephasing rate, a leaky 3-stage
 cascade and ``--workers`` workers (default two, one on a single core), with
 enough shots for two batches, so the merge paths run.  A ``g2-fine`` run maps
 a 1000-bin pulse in one-bin cells, with the same dead time and dark counts, at
-``FINE_SHOTS`` shots.  A ``cascade-long`` run sends 20 photons through 20 leaky
-stages.  A last ``g2`` run without ``--config`` covers the built-in parameter
-table.  Runs with different ``--workers`` must give the same files.
+``FINE_SHOTS`` shots.  A ``pulse-empty`` run sends a pulse of no photons, whose
+transmissions and ideal-absorber overlay are undefined.  A ``cascade-long`` run
+sends 20 photons through 20 leaky stages.  A last ``g2`` run without
+``--config`` covers the built-in parameter table.  Runs with different
+``--workers`` must give the same files.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
     return [
         ("sweep", cfg + ["sweep"]),
         ("pulse", cfg + ["pulse"]),
+        ("pulse-empty", cfg + ["pulse", "--n-in", "0"]),
         ("g2", cfg + ["g2"]),
         ("g2-cell-70", cfg + ["g2", "--cell-ns", "70"]),
         ("g2-fine", fine + ["g2", "--cell-ns", "2"]),

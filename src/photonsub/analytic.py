@@ -24,6 +24,18 @@ def mean_out(n_in: float, t: float, p_ryd: float) -> float:
     return t * n_in + p_no_absorption(n_in, t, p_ryd) - 1.0
 
 
+def out_bin_means(lam: np.ndarray, t: float, p_ryd: float) -> np.ndarray:
+    """Mean transmitted photons per bin of a perfect blockade on Poisson bin means lam:
+    t*lam_b - exp(-M_<b)(1 - exp(-mu_b)), mu_b = p_ryd*t*lam_b and M_<b the sum of mu
+    over the earlier bins; the subtracted term is the chance that bin b holds the absorbed photon."""
+    lam = np.asarray(lam, dtype=float)
+    if not (lam >= 0).all():
+        raise ValueError("bin means must be >= 0")
+    check_unit_interval(t=t, p_ryd=p_ryd)
+    mu = p_ryd * t * lam
+    return t * lam + np.exp(mu - np.cumsum(mu)) * np.expm1(-mu)
+
+
 def var_out(n_in: float, t: float, p_ryd: float) -> float:
     """Variance of the transmitted photon number S - A of a perfect blockade.
 

@@ -143,23 +143,19 @@ def cmd_sweep(cfg: RunConfig, args) -> Output:
 
 def cmd_pulse(cfg: RunConfig, args) -> Output:
     n_in = cfg.pulse.mean_photons
-    ideal_params = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=cfg.absorber.t)
     ens = run_point(cfg.pulse, cfg.absorber, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
-    ideal = run_point(cfg.pulse, ideal_params, cfg.detector, cfg.shots, cfg.seed, workers=cfg.workers)
     shape = stats.pulse_shape(ens)
-    ideal_shape = stats.pulse_shape(ideal)
+    # the ideal absorber (p_ryd = 1, p_ryd2 = 0) is exact: the input's bin means and their law
+    lam = expected_bin_means(cfg.pulse)
+    ideal_shape = replace(shape, in_rate=lam, out_rate=analytic.out_bin_means(lam, cfg.absorber.t, 1.0))
     header = [
         "bin_start_us", "in_rate", "out_rate", "transmission", "transmission_sem",
         "ideal_out_rate", "ideal_transmission",
     ]
-    rows = [
-        (
-            shape.bin_starts_us[i], shape.in_rate[i], shape.out_rate[i],
-            shape.transmission[i], shape.transmission_sem[i],
-            ideal_shape.out_rate[i], ideal_shape.transmission[i],
-        )
-        for i in range(shape.bin_starts_us.size)
-    ]
+    rows = list(zip(
+        shape.bin_starts_us, shape.in_rate, shape.out_rate, shape.transmission, shape.transmission_sem,
+        ideal_shape.out_rate, ideal_shape.transmission,
+    ))
     p_none = float(ens.absorbed_hist[0] / ens.shots)
     summary = {
         "n_in": n_in,

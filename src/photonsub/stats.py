@@ -387,10 +387,15 @@ class PulseShape:
     bin_starts_us: np.ndarray
     in_rate: np.ndarray
     out_rate: np.ndarray
-    transmission: np.ndarray
     transmission_sem: np.ndarray
     front: np.ndarray
     rear: np.ndarray
+
+    @property
+    def transmission(self) -> np.ndarray:
+        """Per-bin out/in, nan where no photon came in; computed at each read."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.in_rate > 0, self.out_rate / self.in_rate, np.nan)
 
     def band_transmission(self, mask: np.ndarray) -> float:
         """Transmission pooled over the masked bins (ratio of summed rates), nan without input."""
@@ -407,8 +412,6 @@ def pulse_shape(ens: EnsembleResult) -> PulseShape:
     n = ens.shots
     in_rate = ens.in_bin_sums / n
     out_rate = ens.out_bin_sums / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trans = np.where(in_rate > 0, out_rate / in_rate, np.nan)
     tsem = np.full(ens.n_bins, np.nan)
     if n > 1:
         var_in = np.maximum(0.0, (ens.in_bin_sq_sums - n * in_rate**2) / (n - 1))
@@ -427,7 +430,6 @@ def pulse_shape(ens: EnsembleResult) -> PulseShape:
         bin_starts_us=edges[:-1] * ens.bin_width_us,
         in_rate=in_rate,
         out_rate=out_rate,
-        transmission=trans,
         transmission_sem=tsem,
         front=front,
         rear=rear,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import ideal_ion_stats, mean_out, p_no_absorption, subtracted_poisson_g2_total
-from photonsub.analytic import g2_total_of_pmf, poisson_pmf, var_out
+from photonsub.analytic import g2_total_of_pmf, out_bin_means, poisson_pmf, var_out
+from photonsub.pulses import PulseSpec, expected_bin_means
 
+from _oracles import per_photon_shot
 from _oracles import poisson_pmf as oracle_pmf
 from _oracles import subtracted_poisson_g2_closed_form
 
@@ -116,3 +119,48 @@ def test_var_out_matches_the_enumerated_output_law(n_in, t, p, rel):
     mean = float((pmf * (s - absorbed)).sum())
     second = float((pmf * (s**2 - (2 * s - 1) * absorbed)).sum())
     assert var_out(n_in, t, p) == pytest.approx(second - mean**2, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "n_in, t, p", [(0.01, 0.99, 0.35), (5.65, 0.99, 0.35), (15.76, 0.99, 1.0), (35.0, 0.9, 0.8), (200.0, 1.0, 1.0)]
+)
+def test_bin_means_sum_to_the_mean_output(n_in, t, p):
+    lam = expected_bin_means(PulseSpec(mean_photons=n_in))
+    assert out_bin_means(lam, t, p).sum() == pytest.approx(mean_out(n_in, t, p), rel=1e-12, abs=0.0)
+
+
+def test_one_bin_pulse_is_the_mean_output():
+    assert out_bin_means([3.0], 0.9, 0.4)[0] == pytest.approx(mean_out(3.0, 0.9, 0.4), rel=1e-12, abs=0.0)
+
+
+def test_bin_means_without_blockade_are_the_surviving_input():
+    lam = np.array([0.5, 2.0, 0.0, 7.0])
+    assert out_bin_means(lam, 0.9, 0.0).tolist() == (0.9 * lam).tolist()
+
+
+def test_empty_bins_transmit_nothing_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = out_bin_means(np.zeros(40), 0.99, 1.0)
+    assert out.tolist() == [0.0] * 40
+
+
+def test_bin_means_reject_negative_input_and_bad_probabilities():
+    with pytest.raises(ValueError):
+        out_bin_means([1.0, -0.5], 0.99, 0.35)
+    with pytest.raises(ValueError):
+        out_bin_means([1.0], 0.99, 1.5)
+
+
+@pytest.mark.parametrize("n_in, p", [(15.76, 1.0), (5.65, 0.35)])
+def test_bin_means_match_the_per_photon_oracle(n_in, p):
+    shots, t = 20000, 0.99
+    lam = expected_bin_means(PulseSpec(mean_photons=n_in))
+    rng = np.random.default_rng(29)
+    inp = rng.poisson(lam, size=(shots, lam.size))
+    out = np.array([per_photon_shot(p, 0.0, t, row, rng)[0] for row in inp])
+    law = out_bin_means(lam, t, p)
+    # the variance is floored at the law's mean, a Poisson error, for bins the sample saw without spread
+    sem = np.sqrt(np.maximum(out.var(axis=0, ddof=1), law) / shots)
+    # the bins share the one absorbed photon, so they are bounded one by one, not by a chi-square
+    assert np.abs((out.mean(axis=0) - law) / sem).max() <= 4.5

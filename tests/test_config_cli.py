@@ -3,6 +3,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, cli, experiment, simulate_cascade
+from photonsub import (
+    AbsorberParams, DetectorConfig, PulseSpec, absorber, analytic, cli, experiment, simulate_cascade, stats,
+)
 from photonsub.cli import MAX_SPECTRUM_POINTS, Output, _write_csv, main
 from photonsub.config import (
     KEYS,
@@ -24,7 +27,7 @@ from photonsub.config import (
     parse_stages,
     to_flat,
 )
-from photonsub.pulses import MAX_BINS
+from photonsub.pulses import MAX_BINS, expected_bin_means
 
 
 def test_defaults_hold_reference_parameter_table():
@@ -213,6 +216,42 @@ def test_pulse_command_reports_distortion(tmp_path):
     # so a run that sees no shot without absorption passes
     model = summary["p_no_absorption_model"]
     assert abs(summary["p_no_absorption"] - model) <= 5 * math.sqrt(model * (1 - model) / 400)
+
+
+def test_pulse_runs_one_simulation_and_writes_the_exact_ideal_overlay(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_run_point(*args, **kwargs):
+        calls.append(args)
+        return experiment.run_point(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_point", counting_run_point)
+    assert main(["--shots", "300", "--out", str(tmp_path), "pulse", "--n-in", "15.76"]) == 0
+    assert len(calls) == 1
+    cfg = RunConfig()
+    lam = expected_bin_means(replace(cfg.pulse, mean_photons=15.76))
+    law = analytic.out_bin_means(lam, cfg.absorber.t, 1.0)
+    rows = [line.split(",") for line in (tmp_path / "pulse-001" / "pulse_shape.csv").read_text().splitlines()]
+    column = rows[0].index("ideal_out_rate")
+    assert [row[column] for row in rows[1:]] == ["%.10g" % v for v in law]
+    front, rear = stats.pulse_thirds(np.arange(lam.size + 1), cfg.pulse.bin_width_us)
+    summary = _strict_json(tmp_path / "pulse-001" / "summary.json")
+    for key, mask in (("ideal_front_third_transmission", front), ("ideal_rear_third_transmission", rear)):
+        assert summary[key] == pytest.approx(law[mask].sum() / lam[mask].sum(), rel=1e-12, abs=0.0)
+
+
+def test_empty_pulse_writes_a_zero_overlay_and_no_transmission(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--shots", "200", "--out", str(tmp_path), "pulse", "--n-in", "0"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "pulse-001" / "pulse_shape.csv").read_text().splitlines()]
+    assert len(rows) == 41
+    columns = rows[0].index("ideal_out_rate"), rows[0].index("ideal_transmission")
+    assert {tuple(row[i] for i in columns) for row in rows[1:]} == {("0", "nan")}
+    summary = _strict_json(tmp_path / "pulse-001" / "summary.json")
+    thirds = [name for name in summary if name.endswith("_third_transmission")]
+    assert len(thirds) == 4
+    assert all(summary[name] is None for name in thirds)
 
 
 def test_one_bin_pulse_has_no_bin_in_either_third(tmp_path):
