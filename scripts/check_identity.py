@@ -20,8 +20,9 @@ enough shots for two batches, so the merge paths run.  A ``g2-fine`` run maps
 a 1000-bin pulse in one-bin cells, with the same dead time and dark counts, at
 ``FINE_SHOTS`` shots.  A ``pulse-empty`` run sends a pulse of no photons, whose
 transmissions and ideal-absorber overlay are undefined.  A ``cascade-long`` run
-sends 20 photons through 20 leaky stages.  A last ``g2`` run without
-``--config`` covers the built-in parameter table.  Runs with different
+sends 20 photons through 20 leaky stages, whose 3**20 absorbed patterns exceed
+the joint table's cap, so it writes no ``joint_absorbed.csv``.  A last ``g2``
+run without ``--config`` covers the built-in parameter table.  Runs with different
 ``--workers`` must give the same files.
 """
 

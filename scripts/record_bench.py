@@ -117,8 +117,9 @@ def time_layers() -> dict:
     ``experiment._run_batch`` makes, by wrapping them in this process: the
     block substreams, the Poisson input draw, each stage's absorber, the ion
     clicks, the detection, the sums of each stage's ensemble
-    (``add_entries``, recorded as ``add_block_stage[k]``) and ``add_block``
-    of the g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's
+    (``add_entries``, recorded as ``add_block_stage[k]``), the outcome counts
+    (``OutcomeCounts.add``, recorded as ``outcomes``) and ``add_block`` of the
+    g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's
     time outside those calls, the ion histograms' ``add_ions`` included.  A
     layer that a workload never calls raises instead of reading 0.
     ``minor_faults_per_shot`` is the process's minor page faults
@@ -161,6 +162,7 @@ def time_layers() -> dict:
     substream, absorb_entries = experiment.substream, experiment.absorb_entries
     detect_ions, detect_pulse = experiment.detect_ions, experiment.detect_pulse
     ensemble_add, g2_add = absorber.EnsembleResult.add_entries, stats.G2Accumulator.add_block
+    outcomes_add = experiment.OutcomeCounts.add
     layers = {}
     try:
         for workload, (stage_lists, n_ins, g2_cell_bins) in workloads.items():
@@ -173,6 +175,7 @@ def time_layers() -> dict:
             experiment.detect_pulse = timed("detection", detect_pulse)
             absorber.EnsembleResult.add_entries = timed(per_stage("add_block_stage", n_stages), ensemble_add)
             stats.G2Accumulator.add_block = timed("add_block_g2", g2_add)
+            experiment.OutcomeCounts.add = timed("outcomes", outcomes_add)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             for stages, n_in in zip(stage_lists, n_ins):
@@ -183,7 +186,7 @@ def time_layers() -> dict:
                     timed("finalize", result.g2.finalize)()
             total = time.perf_counter() - start
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            expected = ["substream", "input", "ions"] + [
+            expected = ["substream", "input", "ions", "outcomes"] + [
                 f"{name}[{k}]" for name in ("stage", "add_block_stage") for k in range(n_stages)
             ]
             if g2_cell_bins is not None:
@@ -200,6 +203,7 @@ def time_layers() -> dict:
         experiment.substream, experiment.absorb_entries = substream, absorb_entries
         experiment.detect_ions, experiment.detect_pulse = detect_ions, detect_pulse
         absorber.EnsembleResult.add_entries, stats.G2Accumulator.add_block = ensemble_add, g2_add
+        experiment.OutcomeCounts.add = outcomes_add
     return layers
 
 

@@ -14,10 +14,10 @@ kernel and the ensemble sums touch only those entries; as ``binomial`` draws
 nothing for a zero count, the draws are those of the dense block.
 ``simulate_shot`` and ``EnsembleResult.add_shot`` are the dense views.  The
 block loop, for one absorber and for a cascade alike, is in ``experiment``;
-an ensemble holds one stage's sums, and the g2 sums of the detected light
-belong to the run result there.  Both run accumulators, ``EnsembleResult``
-and ``stats.G2Accumulator``, follow one ``Accumulator`` protocol: each lists
-its summed fields once, in ``zero_sums``, and ``merge`` adds them exactly.
+an ensemble holds one stage's sums; the outcome counts and the g2 sums of the
+detected light belong to the run result there.  All three run accumulators
+follow one ``Accumulator`` protocol: each lists its summed fields once, in
+``zero_sums``, and ``merge`` adds them exactly.
 """
 
 from __future__ import annotations

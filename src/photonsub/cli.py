@@ -258,14 +258,10 @@ def cmd_cascade(cfg: RunConfig, args) -> Output:
             (k, params.p_ryd, params.p_ryd2, params.t, ens.mean_in, ens.mean_out, fired, mean_absorbed,
              ion.mean, ion.mandel_q)
         )
-    # outcome keys are (n_in, absorbed per stage); the number of stages that
-    # fired is the inferred photon number
-    joint: Counter = Counter()
-    confusion: Counter = Counter()
+    # the number of stages that fired is the inferred photon number
+    confusion, joint = result.outcomes.confusion, result.outcomes.joint
     per_n: Counter = Counter()
-    for (true_n, *absorbed), count in result.outcomes.items():
-        joint[tuple(absorbed)] += count
-        confusion[true_n, sum(a > 0 for a in absorbed)] += count
+    for (true_n, _), count in confusion.items():
         per_n[true_n] += count
     stage_header = [
         "stage", "p_ryd", "p_ryd2", "t", "mean_in", "mean_out", "p_fired", "mean_absorbed", "ion_mean", "ion_q",
@@ -274,10 +270,12 @@ def cmd_cascade(cfg: RunConfig, args) -> Output:
         ("cascade_stages.csv", stage_header, stage_rows),
         ("confusion.csv", ["true_n", "inferred_n", "count", "fraction"],
          [(n, fired, count, count / per_n[n]) for (n, fired), count in sorted(confusion.items())]),
-        ("joint_absorbed.csv", [f"absorbed_stage_{k}" for k in range(len(stages))] + ["count"],
-         [absorbed + (count,) for absorbed, count in sorted(joint.items())]),
     ]
-    all_fired = sum(count for absorbed, count in joint.items() if all(absorbed)) / result.shots
+    if joint.size:
+        cells = np.flatnonzero(joint)  # ascending, so the patterns sort stage by stage
+        tables.append(("joint_absorbed.csv", [f"absorbed_stage_{k}" for k in range(len(stages))] + ["count"],
+                       list(zip(*np.unravel_index(cells, result.outcomes.radices), joint[cells]))))
+    all_fired = sum(count for (_, fired), count in confusion.items() if fired == len(stages)) / result.shots
     correct = sum(count for (n, fired), count in confusion.items() if fired == min(n, len(stages)))
     summary = {
         "n_in": n_in,
@@ -286,6 +284,7 @@ def cmd_cascade(cfg: RunConfig, args) -> Output:
         "n_stages": len(stages),
         "p_all_stages_fired": all_fired,
         "count_accuracy": correct / result.shots,
+        "joint_absorbed_written": bool(joint.size),
     }
     line = (f"{len(stages)} stages, n_in={n_in:g}: P(all fired)={all_fired:.4f}, "
             f"count accuracy={summary['count_accuracy']:.4f}")

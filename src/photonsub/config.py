@@ -29,7 +29,7 @@ from .detector import DetectorConfig
 from .pulses import PulseSpec
 
 MAX_SEED = 2**64 - 1
-# Each stage costs every shot a kernel pass and a count in its outcome key.
+# Each stage costs every shot a kernel pass; long cascades drop the joint outcome table.
 MAX_STAGES = 100
 
 

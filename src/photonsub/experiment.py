@@ -14,23 +14,24 @@ entries join its ensemble as the stage runs, and its ion clicks after the
 block's one ion draw.  The block size and its byte bound live here.  Results
 never depend on batching, worker count or execution order.  Every sum an
 output reads is taken from a block's entries or rows in whole-block calls,
-over integers, so it is exact; the run result holds one ensemble per stage
-and, when requested, the g2 sums of the light detected behind the last stage.
-Batches are whole blocks and reduce through ``absorber.merge``, which adds
-every summed field of a stage ensemble or of the g2 sums exactly.
+over integers, so it is exact; the run result holds one ensemble per stage,
+the ``OutcomeCounts`` and, if requested, the g2 sums of the detected light.
+Batches are whole blocks and reduce as they arrive through ``absorber.merge``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from math import prod
 from multiprocessing import Pool
 
 import numpy as np
 
 from .absorber import (
     AbsorberParams,
+    Accumulator,
     EnsembleResult,
     absorb_entries,
     merge,
@@ -47,15 +48,38 @@ _BLOCK = 256
 _BLOCK_BYTES = 1 << 19
 # Shots per batch, in whole blocks; batches are the unit of work handed to the worker pool.
 _BATCH_SHOTS = 20000
+# Cells of the joint table of absorbed patterns kept at most: 8 MB of int64.
+_JOINT_CELLS = 1 << 20
+
+
+class OutcomeCounts(Accumulator):
+    """Shots per ``(n_in, stages fired)`` and, up to ``_JOINT_CELLS`` cells, per absorbed pattern: one digit
+    per stage, first stage first, of radix 2 without leakage (at most one photon absorbed), else 3."""
+
+    def __init__(self, *radices: int) -> None:
+        self.radices = radices
+        vars(self).update(self.zero_sums())
+
+    def zero_sums(self) -> dict:
+        cells = prod(self.radices)
+        return {"confusion": Counter(), "joint": np.zeros(cells if cells <= _JOINT_CELLS else 0, dtype=np.int64)}
+
+    def _grid(self) -> tuple:
+        return self.radices
+
+    def add(self, n_in: np.ndarray, absorbed: np.ndarray) -> None:
+        """Add a block's shots: their input photon numbers and, one row per stage, absorbed counts."""
+        self.confusion.update(zip(n_in.tolist(), np.count_nonzero(absorbed, axis=0).tolist()))
+        if self.joint.size:
+            np.add.at(self.joint, np.ravel_multi_index(absorbed, self.radices), 1)
 
 
 @dataclass
 class CascadeResult:
-    """Per-stage ensembles, shot counts per outcome ``(n_in, absorbed_0, ..., absorbed_{k-1})``
-    and, if requested, the g2 sums of the detected output."""
+    """Per-stage ensembles, the outcome counts and, if requested, the g2 sums of the detected output."""
 
     stages: list[EnsembleResult]
-    outcomes: Counter
+    outcomes: OutcomeCounts
     g2: G2Accumulator | None = None
 
     @property
@@ -65,7 +89,7 @@ class CascadeResult:
     def merged(self, other: "CascadeResult") -> "CascadeResult":
         stages = [merge(a, b) for a, b in zip(self.stages, other.stages)]
         g2 = None if self.g2 is None else merge(self.g2, other.g2)
-        return CascadeResult(stages, self.outcomes + other.outcomes, g2)
+        return CascadeResult(stages, merge(self.outcomes, other.outcomes), g2)
 
 
 def block_rows(pulse: PulseSpec) -> int:
@@ -86,7 +110,7 @@ def _run_batch(args) -> CascadeResult:
     rows = block_rows(pulse)
     per_stage = [EnsembleResult(pulse.n_bins, pulse.bin_width_us) for _ in stages]
     acc = None if g2_cell_bins is None else G2Accumulator(pulse.n_bins, pulse.bin_width_us, g2_cell_bins)
-    outcomes: Counter = Counter()
+    outcomes = OutcomeCounts(*(3 if params.p_ryd2 else 2 for params in stages))
     for b in blocks:
         rng = substream(seed, *stream_key, b)
         inp = rng.poisson(lam, size=(min(rows, shots - b * rows), pulse.n_bins))
@@ -103,7 +127,7 @@ def _run_batch(args) -> CascadeResult:
             ens.add_ions(ions)
         if acc is not None:
             acc.add_block(detect_pulse(inp.shape, idx, counts, detector, rng, pulse.bin_width_us))
-        outcomes.update(zip(inp.sum(axis=1).tolist(), *absorbed.tolist()))
+        outcomes.add(inp.sum(axis=1), absorbed)
     return CascadeResult(per_stage, outcomes, acc)
 
 
@@ -137,12 +161,14 @@ def simulate_cascade(
         (stages, pulse, detector, seed, stream_key, shots, range(b, min(b + per_batch, n_blocks)), g2_cell_bins)
         for b in range(0, n_blocks, per_batch)
     ]
-    if workers == 1 or len(batches) == 1:
-        results = [_run_batch(b) for b in batches]
-    else:
-        with Pool(processes=min(workers, len(batches))) as pool:
-            results = pool.map(_run_batch, batches)
-    return reduce(CascadeResult.merged, results)
+    parallel = workers > 1 and len(batches) > 1
+    with Pool(processes=min(workers, len(batches))) if parallel else nullcontext() as pool:
+        results = pool.imap(_run_batch, batches) if parallel else map(_run_batch, batches)
+        # merged as they arrive: functools.reduce would hold two results while the next runs
+        total = next(results)
+        for result in results:
+            total = total.merged(result)
+    return total
 
 
 def run_point(

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import warnings
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -240,20 +241,22 @@ def test_run_point_is_a_one_stage_cascade():
     result = simulate_cascade((MEASURED,), spec, DET, 300, 13, g2_cell_bins=2)
     ens = run_point(spec, MEASURED, DET, 300, 13)
     assert result.stages[0].equals(ens)
-    absorbed = [sum(c for (_, a), c in result.outcomes.items() if a == k) for k in range(3)]
-    assert absorbed == list(ens.absorbed_hist)
+    # one leaky stage: the joint table is the absorbed histogram
+    assert result.outcomes.joint.tolist() == list(ens.absorbed_hist)
 
 
 def test_two_ideal_stages_poisson_joint_probability():
     spec = PulseSpec(mean_photons=2.0)
     shots = 20000
     result = simulate_cascade([IDEAL, IDEAL], spec, DET, shots, 14)
-    p_both = sum(count for key, count in result.outcomes.items() if all(key[1:])) / shots
+    confusion, joint = result.outcomes.confusion, result.outcomes.joint
+    p_both = joint[-1] / shots  # both digits 1
+    assert p_both == sum(count for (_, fired), count in confusion.items() if fired == 2) / shots
     expected = both_stages_fire_probability(2.0)
     assert expected == pytest.approx(0.593994, abs=1e-6)
     assert abs(p_both - expected) < 3 * np.sqrt(expected * (1 - expected) / shots)
-    assert sum(result.outcomes.values()) == shots
-    n_in_total = sum(key[0] * count for key, count in result.outcomes.items())
+    assert sum(confusion.values()) == joint.sum() == shots
+    n_in_total = sum(n * count for (n, _), count in confusion.items())
     assert n_in_total == result.stages[0].in_bin_sums.sum()
 
 
@@ -267,13 +270,75 @@ def test_cascade_workers_do_not_change_results():
     assert len(serial.stages) == len(parallel.stages) == 3
     assert all(a.equals(b) for a, b in zip(serial.stages, parallel.stages))
     assert serial.g2.equals(parallel.g2)
-    assert serial.outcomes == parallel.outcomes
-    assert sum(serial.outcomes.values()) == 64
+    assert serial.outcomes.equals(parallel.outcomes)
+    assert sum(serial.outcomes.confusion.values()) == serial.outcomes.joint.sum() == 64
 
 
 def test_cascade_rejects_empty_stage_list():
     with pytest.raises(ValueError):
         simulate_cascade([], PulseSpec(mean_photons=1.0), DET, 10, 1)
+
+
+def test_batch_results_reduce_as_they_arrive():
+    alive, earlier = [], []
+    run_batch = experiment._run_batch
+
+    def tracked(args):
+        earlier.append(sum(ref() is not None for ref in alive))
+        result = run_batch(args)
+        alive.append(weakref.ref(result))
+        return result
+
+    # four blocks of 16 shots, one batch each: while a batch runs, the one
+    # merged last may still be held, no earlier one
+    with mock.patch.object(experiment, "_BLOCK", 16), mock.patch.object(experiment, "_BATCH_SHOTS", 16), \
+            mock.patch.object(experiment, "_run_batch", tracked):
+        result = simulate_cascade((MEASURED,), PulseSpec(mean_photons=3.0), DET, 64, 9)
+    assert earlier == [0, 1, 1, 1]
+    assert result.shots == 64
+
+
+def test_a_hundred_leaky_stages_keep_a_bounded_outcome_table():
+    # 3**100 absorbed patterns: nearly every shot's is new, so only the confusion counts are kept
+    result = simulate_cascade((AbsorberParams(0.3, 0.05, 0.999),) * 100, PulseSpec(mean_photons=100.0), DET, 4000, 8)
+    assert result.outcomes.joint.size == 0
+    assert sum(result.outcomes.confusion.values()) == 4000
+    assert len(pickle.dumps(result.outcomes)) < 64 * 1024
+    # the cap: 2**20 cells are kept, 2**21 are not
+    assert experiment.OutcomeCounts(*(2,) * 20).joint.shape == (experiment._JOINT_CELLS,)
+    assert experiment.OutcomeCounts(*(2,) * 21).joint.size == 0
+
+
+def test_mixed_stages_count_outcomes_as_the_block_loop():
+    # an ideal stage absorbs at most one photon, a digit of radix 2; a leaky one up to two, radix 3
+    spec = PulseSpec(mean_photons=4.0)
+    stages = (IDEAL, MEASURED, IDEAL, AbsorberParams(0.5, 0.2, 0.9))
+    shots = experiment._BLOCK + 44
+    result = simulate_cascade(stages, spec, DET, shots, 31)
+    outcomes = _block_loop(stages, spec, shots, 31, [EnsembleResult(spec.n_bins, spec.bin_width_us) for _ in stages])
+    assert result.outcomes.radices == (2, 3, 2, 3)
+    assert result.outcomes.joint.size == 36
+    assert result.outcomes.joint[1::2].sum() > 0  # patterns with a leaky last stage absorbing 2 occur
+    assert result.outcomes.equals(_outcome_counts(outcomes, stages))
+
+
+def test_outcome_counts_merge_exactly_and_reject_other_radices():
+    spec = PulseSpec(mean_photons=3.0)
+    stages = (IDEAL, MEASURED)
+    a, b, c = (simulate_cascade(stages, spec, DET, shots, seed).outcomes for shots, seed in ((60, 1), (40, 2), (50, 3)))
+    assert merge(a, experiment.OutcomeCounts(2, 3)).equals(a)
+    assert merge(a, b).equals(merge(b, a))
+    assert merge(merge(a, b), c).equals(merge(a, merge(b, c)))
+    merged = merge(a, b)
+    assert merged.confusion == a.confusion + b.confusion
+    np.testing.assert_array_equal(merged.joint, a.joint + b.joint)
+    for name, one_more in (("confusion", Counter({(0, 0): 1})), ("joint", 1)):
+        changed = merge(a, b)
+        setattr(changed, name, getattr(changed, name) + one_more)
+        assert not merged.equals(changed), name
+    for other in ((3, 3), (2, 3, 2), (3, 2)):
+        with pytest.raises(ValueError, match="different types or grids"):
+            merge(a, experiment.OutcomeCounts(*other))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +372,7 @@ def test_ensemble_equals_compares_every_summed_field():
 def test_accumulators_survive_a_pickle_round_trip_without_the_g2_buffer():
     result = simulate_cascade((MEASURED,), PulseSpec(mean_photons=5.0), DET, 30, 4, g2_cell_bins=2)
     assert result.g2._work.size > 0
-    for acc in (result.stages[0], result.g2):
+    for acc in (result.stages[0], result.outcomes, result.g2):
         copy = pickle.loads(pickle.dumps(acc))
         assert type(copy) is type(acc) and copy.equals(acc)
     assert pickle.loads(pickle.dumps(result.g2))._work.size == 0
@@ -320,7 +385,7 @@ def test_cascade_batches_merge_stages_and_g2_through_merge():
             mock.patch.object(experiment, "merge", wraps=merge) as traced:
         result = simulate_cascade((MEASURED, IDEAL), spec, DET, 32, 5, g2_cell_bins=2)
     merged = [type(call.args[0]) for call in traced.call_args_list]
-    assert merged == [EnsembleResult, EnsembleResult, G2Accumulator]
+    assert merged == [EnsembleResult, EnsembleResult, G2Accumulator, experiment.OutcomeCounts]
     assert result.shots == result.g2.shots == 32
 
 
@@ -408,6 +473,21 @@ def _block_loop(stages, spec, shots, seed, ensembles, g2=None, detector=DET, str
     return outcomes
 
 
+def _outcome_counts(outcomes, stages):
+    """The ``OutcomeCounts`` of per-shot outcome counts keyed ``(n_in, absorbed_0, ...)``:
+    stages fired per input, and the joint table digit by digit."""
+    want = experiment.OutcomeCounts(*(3 if params.p_ryd2 else 2 for params in stages))
+    for (n_in, *absorbed), count in outcomes.items():
+        want.confusion[n_in, sum(a > 0 for a in absorbed)] += count
+        if want.joint.size:
+            cell = 0
+            for a, radix in zip(absorbed, want.radices):
+                assert a < radix
+                cell = cell * radix + a
+            want.joint[cell] += count
+    return want
+
+
 def _one_absorber_with_g2(spec, shots, seed, bins_per_cell):
     ens = EnsembleResult(spec.n_bins, spec.bin_width_us)
     g2 = G2Accumulator(spec.n_bins, spec.bin_width_us, bins_per_cell)
@@ -480,7 +560,8 @@ def test_a_long_leaky_cascade_equals_the_block_loop():
     g2 = G2Accumulator(spec.n_bins, spec.bin_width_us, 2)
     outcomes = _block_loop(stages, spec, shots, 23, ensembles, g2, detector)
     assert all(got.equals(want) for got, want in zip(result.stages, ensembles))
-    assert result.outcomes == outcomes
+    assert result.outcomes.equals(_outcome_counts(outcomes, stages))
+    assert result.outcomes.joint.size == 0  # 3**20 patterns exceed the cap
     assert result.g2.equals(g2)
 
 
@@ -489,20 +570,21 @@ def test_a_long_leaky_cascade_equals_the_block_loop():
 # version: Generator's distribution streams may change between releases.
 STREAM_NUMPY = "2.4.6"
 STREAM_DIGESTS = {
-    "40-bins": "091bc3a79c5e9a023d19a97ec889260534e437e4f871283e71657ce0d7916a31",
-    "4000-bins": "79b5387a96836161db2b6f54d0ae7a3928f59cca05bba80c56ff2739a200aed0",
+    "40-bins": "035b5e2066af5eb79c84d7a547810a2395f3ef9a46042952071e87b5ad681b18",
+    "4000-bins": "7b57ae56f407b23ee542bd93eb23718de34fd1b3d5fe2a62cc36581064345aae",
 }
 
 
 def _run_digest(result):
-    """sha256 of every summed field of each stage, the g2 sums and the sorted outcomes."""
+    """sha256 of every summed field of each stage, the g2 sums, the sorted confusion counts and the joint table."""
     digest = hashlib.sha256()
     for ens in result.stages:
         for name in ens.zero_sums():
             digest.update(np.asarray(getattr(ens, name), dtype=np.int64).tobytes())
     for name in result.g2.zero_sums():
         digest.update(np.asarray(getattr(result.g2, name), dtype=np.float64).tobytes())
-    digest.update(repr(sorted(result.outcomes.items())).encode())
+    digest.update(repr(sorted(result.outcomes.confusion.items())).encode())
+    digest.update(result.outcomes.joint.tobytes())
     return digest.hexdigest()
 
 
@@ -601,7 +683,7 @@ def test_run_batch_equals_the_dense_reference_loop(shots, chain, mean, bins_per_
         g2 = None if bins_per_cell is None else G2Accumulator(spec.n_bins, spec.bin_width_us, bins_per_cell)
         outcomes = _block_loop(stages, spec, shots, seed, ensembles, g2, detector, stream_key=(4,))
     assert all(got.equals(want) for got, want in zip(result.stages, ensembles))
-    assert result.outcomes == outcomes
+    assert result.outcomes.equals(_outcome_counts(outcomes, stages))
     assert (result.g2 is None) if g2 is None else result.g2.equals(g2)
 
 

@@ -248,7 +248,7 @@ def test_criterion_10_cascade_number_resolution():
     # two ideal stages sample the Poisson tail probability P(n >= 2)
     shots = 100000
     result = simulate_cascade([IDEAL, IDEAL], _pulse(2.0), DET, shots, SEED, stream_key=(10,))
-    p_both = sum(count for key, count in result.outcomes.items() if all(key[1:])) / shots
+    p_both = sum(count for (_, fired), count in result.outcomes.confusion.items() if fired == 2) / shots
     oracle = both_stages_fire_probability(2.0)
     sigma = math.sqrt(oracle * (1 - oracle) / shots)
     ok = (

@@ -417,6 +417,19 @@ def test_cascade_of_twenty_stages_writes_only_observed_outcomes(tmp_path):
         assert row[:-1] == [1] * fired + [0] * (20 - fired)
 
 
+def test_a_cascade_writes_its_joint_table_only_under_the_cap(tmp_path):
+    # 3**12 absorbed patterns of leaky stages are kept, 3**13 and 3**100 are not
+    for n_stages, written in ((12, True), (13, False), (100, False)):
+        out = tmp_path / str(n_stages)
+        stages = ";".join(["0.3,0.05,0.999"] * n_stages)
+        assert main(["--shots", "200", "--out", str(out), "cascade", "--stages", stages, "--n-in", "100"]) == 0
+        run = out / "cascade-001"
+        assert (run / "joint_absorbed.csv").exists() == written
+        assert json.loads((run / "summary.json").read_text())["joint_absorbed_written"] is written
+        lines = (run / "confusion.csv").read_text().splitlines()
+        assert sum(int(line.split(",")[2]) for line in lines[1:]) == 200
+
+
 def test_validate_passes_on_defaults(tmp_path):
     assert main(["--shots", "3000", "--out", str(tmp_path), "validate"]) == 0
 
