@@ -9,8 +9,6 @@ from .absorber import (
     substream,
 )
 from .analytic import (
-    IdealIonStats,
-    ideal_ion_stats,
     mean_out,
     p_no_absorption,
     subtracted_poisson_g2_total,

@@ -1,27 +1,51 @@
 """Closed-form oracles for the saturable single-photon absorber.
 
-These expressions assume Poisson-distributed input photon numbers, at most one
-absorbed photon per pulse and per-photon background loss, and serve as
-cross-checks for the Monte-Carlo engine.
+These expressions assume Poisson-distributed input photon numbers and
+per-photon background loss, and serve as cross-checks for the Monte-Carlo
+engine.  ``absorbed_pmf``, ``mean_out``, ``var_out`` and ``ion_stats`` hold
+for the leaky blockade of ``absorber``, which absorbs up to two photons a
+pulse (the second with probability p_ryd2 per later survivor), and reduce to
+the perfect blockade at p_ryd2 = 0; ``out_bin_means`` is the perfect
+blockade's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import check_unit_interval
 
 
-def mean_out(n_in: float, t: float, p_ryd: float) -> float:
-    """Mean transmitted photon number: t*n_in + exp(-t*n_in*p_ryd) - 1.
+def absorbed_pmf(n_in: float, t: float, p_ryd: float, p_ryd2: float) -> tuple[float, float, float]:
+    """P(A = 0), P(A = 1) and P(A = 2) of the absorbed count A of a leaky blockade.
 
-    The exponential term is the probability that no photon is absorbed, in
-    which case the subtracted photon is "given back".
+    The mu = t*n_in survivors form a Poisson stream.  The first absorbed
+    photon falls at the fraction s of it with density mu p exp(-mu p s), and
+    no later survivor converts with probability exp(-mu p2 (1 - s)).  So
+    P0 = exp(-mu p), P1 = p exp(-mu min(p, p2)) h(|p - p2|) with
+    h(d) = (1 - exp(-mu d))/d and h(0) = mu (the smaller rate in the
+    exponent keeps it finite for p2 > p), and P2 = q - P1 with
+    q = 1 - exp(-mu p) from expm1.
     """
-    return t * n_in + p_no_absorption(n_in, t, p_ryd) - 1.0
+    p0 = p_no_absorption(n_in, t, p_ryd)  # checks n_in, t and p_ryd
+    check_unit_interval(p_ryd2=p_ryd2)
+    mu = t * n_in
+    d = abs(p_ryd - p_ryd2)
+    # p/d first: it is exactly 1 at p_ryd2 = 0, so there P1 = q and P2 = 0 exactly
+    p1 = math.exp(-mu * min(p_ryd, p_ryd2)) * (p_ryd / d * -math.expm1(-mu * d) if d else p_ryd * mu)
+    return p0, p1, -math.expm1(-mu * p_ryd) - p1
+
+
+def mean_out(n_in: float, t: float, p_ryd: float, p_ryd2: float) -> float:
+    """Mean transmitted photon number t*n_in - E[A], E[A] = P1 + 2 P2.
+
+    At p_ryd2 = 0 it is t*n_in + exp(-t*n_in*p_ryd) - 1: the subtracted
+    photon is "given back" when none is absorbed.
+    """
+    _, p1, p2 = absorbed_pmf(n_in, t, p_ryd, p_ryd2)
+    return t * n_in - p1 - 2.0 * p2
 
 
 def out_bin_means(lam: np.ndarray, t: float, p_ryd: float) -> np.ndarray:
@@ -36,21 +60,22 @@ def out_bin_means(lam: np.ndarray, t: float, p_ryd: float) -> np.ndarray:
     return t * lam + np.exp(mu - np.cumsum(mu)) * np.expm1(-mu)
 
 
-def var_out(n_in: float, t: float, p_ryd: float) -> float:
-    """Variance of the transmitted photon number S - A of a perfect blockade.
+def var_out(n_in: float, t: float, p_ryd: float, p_ryd2: float) -> float:
+    """Variance of the transmitted photon number S - A of a leaky blockade.
 
-    With mu = t*n_in survivors S ~ Poisson(mu) and A = 1 with probability
-    q = 1 - exp(-mu*p_ryd), Var(S) = mu, Var(A) = q(1 - q) and
-    Cov(S, A) = mu*p_ryd*exp(-mu*p_ryd).  It is summed as
-    mu(1 - p_ryd) + (q - x) + q(2x - q), x = mu*p_ryd, with q from expm1: the
-    terms of order mu cancel exactly, so a variance near zero (small mu at
-    p_ryd = 1, where it is about mu^2/2) keeps its sign.
+    With mu = t*n_in survivors S ~ Poisson(mu), Var(S) = mu,
+    Var(A) = q(1 - q) + P2(3 - 2q - P2) and Cov(S, A) = mu(p P0 + p2 P1)
+    (``absorbed_pmf``).  The perfect-blockade part is summed as
+    mu(1 - p) + (q - x) + q(2x - q), x = mu*p, with q from expm1: the terms of
+    order mu cancel exactly, so a variance near zero (small mu at p = 1,
+    where it is about mu^2/2) keeps its sign.
     """
-    p_no_absorption(n_in, t, p_ryd)  # checks the arguments
+    _, p1, p2 = absorbed_pmf(n_in, t, p_ryd, p_ryd2)
     mu = t * n_in
     x = mu * p_ryd
     q = -math.expm1(-x)
-    return max(0.0, mu * (1.0 - p_ryd) + (q - x) + q * (2.0 * x - q))
+    leak = p2 * (3.0 - 2.0 * q - p2) - 2.0 * mu * p_ryd2 * p1
+    return max(0.0, mu * (1.0 - p_ryd) + (q - x) + q * (2.0 * x - q) + leak)
 
 
 def p_no_absorption(n_in: float, t: float, p_ryd: float) -> float:
@@ -61,26 +86,21 @@ def p_no_absorption(n_in: float, t: float, p_ryd: float) -> float:
     return math.exp(-t * n_in * p_ryd)
 
 
-@dataclass(frozen=True)
-class IdealIonStats:
-    mean_ions: float
-    mandel_q: float
-    q_over_mean: float
+def ion_stats(n_in: float, t: float, p_ryd: float, p_ryd2: float, eta: float) -> tuple[float, float, float]:
+    """Mean, Mandel-Q and Q/mean of the detected ions, A thinned binomially by eta.
 
-
-def ideal_ion_stats(n_in: float, t: float, p_ryd: float, eta: float) -> IdealIonStats:
-    """Detected-ion statistics for a perfectly blockaded medium.
-
-    With at most one excitation per pulse the detected ion count is Bernoulli
-    with success probability eta * (1 - exp(-t*n_in*p_ryd)), hence
-    Q = -mean and Q/mean = -1.
+    Q = eta (Var(A)/E[A] - 1), summed as eta (2 P2/E[A] - E[A]), and
+    Q/mean = Q/(eta E[A]); at p_ryd2 = 0 Q = -mean and Q/mean = -1.  Every
+    value is nan where the mean is 0, where ``stats.hist_stats`` has no Q
+    either.
     """
     check_unit_interval(eta=eta)
-    p1 = 1.0 - p_no_absorption(n_in, t, p_ryd)
-    mean = eta * p1
-    if mean == 0.0:
-        raise ValueError("ion statistics undefined: mean detected ion count is zero")
-    return IdealIonStats(mean_ions=mean, mandel_q=-mean, q_over_mean=-1.0)
+    _, p1, p2 = absorbed_pmf(n_in, t, p_ryd, p_ryd2)
+    mean = p1 + 2.0 * p2
+    if eta * mean == 0.0:
+        return math.nan, math.nan, math.nan
+    q_absorbed = 2.0 * p2 / mean - mean
+    return eta * mean, eta * q_absorbed, q_absorbed / mean
 
 
 def poisson_pmf(mu: float, k_max: int) -> np.ndarray:

@@ -64,21 +64,28 @@ def test_deterministic_first_photon_subtraction():
     p_ryd=st.floats(0.0, 1.0),
     p_ryd2=st.floats(0.0, 1.0),
     t=st.floats(0.0, 1.0),
-    counts=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+    n_bins=st.integers(1, 12),
+    rows=st.integers(1, 5),
+    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
-def test_shot_conservation_properties(p_ryd, p_ryd2, t, counts, seed):
+def test_shot_conservation_properties(p_ryd, p_ryd2, t, n_bins, rows, data, seed):
+    # one pulse (1-D) or a block of up to five: no bin gains a photon, and in every
+    # row the absorbed photons are among those missing from the output
     if p_ryd2 > p_ryd:
         p_ryd, p_ryd2 = p_ryd2, p_ryd
     params = AbsorberParams(p_ryd=p_ryd, p_ryd2=p_ryd2, t=t)
-    rec = simulate_shot(params, np.array(counts), substream(seed, 0))
-    assert (rec.output_bins >= 0).all()
-    assert (rec.output_bins <= rec.input_bins).all()
-    assert rec.output_bins.sum() + rec.absorbed <= rec.input_bins.sum()
-    assert 0 <= rec.absorbed <= 2
+    shape = (n_bins,) if rows == 1 else (rows, n_bins)
+    counts = np.array(data.draw(st.lists(st.integers(0, 6), min_size=rows * n_bins, max_size=rows * n_bins)))
+    rec = simulate_shot(params, counts.reshape(shape), substream(seed, 0))
+    out, inp, absorbed = np.atleast_2d(rec.output_bins), np.atleast_2d(rec.input_bins), np.atleast_1d(rec.absorbed)
+    assert (out >= 0).all()
+    assert (out <= inp).all()
+    assert (out.sum(axis=1) + absorbed <= inp.sum(axis=1)).all()
+    assert ((0 <= absorbed) & (absorbed <= 2)).all()
     if p_ryd2 == 0.0:
-        assert rec.absorbed <= 1
+        assert (absorbed <= 1).all()
 
 
 @given(
@@ -158,7 +165,7 @@ def test_absorbed_histogram_matches_leaky_blockade_chi2():
 def test_ensemble_mean_matches_closed_form():
     params = AbsorberParams(p_ryd=0.35, p_ryd2=0.0, t=0.99)
     ens = run_point(PulseSpec(mean_photons=20.0), params, DET, 30000, 31)
-    expected = mean_out(20.0, 0.99, 0.35)
+    expected = mean_out(20.0, 0.99, 0.35, 0.0)
     assert expected == pytest.approx(18.800978, abs=1e-6)
     assert abs(ens.mean_out - expected) < 3 * ens.sem_out
 

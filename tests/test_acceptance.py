@@ -30,7 +30,7 @@ from photonsub import (
     transmission,
     transmission_spectrum,
 )
-from photonsub.analytic import out_bin_means
+from photonsub.analytic import ion_stats, out_bin_means
 from photonsub.cli import main as cli_main
 from photonsub.pulses import expected_bin_means
 from photonsub.stats import hist_mean, mandel_q, mandel_q_sem, q_over_mean
@@ -61,11 +61,11 @@ def test_criterion_01_closed_form_equivalence():
     ok = True
     for k, n_in in enumerate((1.0, 3.0, 5.65, 10.0, 15.76, 20.0, 35.0)):
         ens = run_point(_pulse(n_in), NO_LEAK, DET, shots, SEED, stream_key=(1, k))
-        expected = mean_out(n_in, NO_LEAK.t, NO_LEAK.p_ryd)
+        expected = mean_out(n_in, NO_LEAK.t, NO_LEAK.p_ryd, NO_LEAK.p_ryd2)
         z = abs(ens.mean_out - expected) / ens.sem_out
         worst = max(worst, z)
         ok &= z <= 3.0
-    assert mean_out(20.0, 0.99, 0.35) == pytest.approx(18.801, abs=5e-4)
+    assert mean_out(20.0, 0.99, 0.35, 0.0) == pytest.approx(18.801, abs=5e-4)
     _report(1, "closed-form mean equivalence", ok, f"max |z| = {worst:.2f} over 7 inputs")
 
 
@@ -90,7 +90,8 @@ def test_criterion_03_ion_saturation():
         ion_q = mandel_q(ens.ion_hist)
         ok &= abs(ion_mean - 0.29) <= 0.01
         ok &= abs(ion_q - (-0.29)) <= 0.01
-        details.append(f"n={n_in:g}: mean={ion_mean:.4f}, Q={ion_q:.4f}")
+        exact_mean, exact_q, _ = ion_stats(n_in, MEASURED.t, MEASURED.p_ryd, MEASURED.p_ryd2, DET.eta_ion)
+        details.append(f"n={n_in:g}: mean={ion_mean:.4f} (exact {exact_mean:.4f}), Q={ion_q:.4f} (exact {exact_q:.4f})")
     _report(3, "ion saturation at 0.29 / -0.29", ok, "; ".join(details))
 
 
@@ -102,7 +103,8 @@ def test_criterion_04_q_over_mean_drift():
         ens = run_point(_pulse(n_in), MEASURED, DET, shots, SEED, stream_key=(4, k))
         ratio = q_over_mean(ens.ion_hist)
         ok &= abs(ratio - target) <= tol
-        details.append(f"n={n_in:g}: {ratio:.4f} (target {target})")
+        exact = ion_stats(n_in, MEASURED.t, MEASURED.p_ryd, MEASURED.p_ryd2, DET.eta_ion)[2]
+        details.append(f"n={n_in:g}: {ratio:.4f} (target {target}, exact {exact:.4f})")
     for k, n_in in enumerate((3.0, 35.0)):
         ens = run_point(_pulse(n_in), NO_LEAK, DET, 100000, SEED, stream_key=(4, 10 + k))
         ratio = q_over_mean(ens.ion_hist)

@@ -432,6 +432,15 @@ def test_a_cascade_writes_its_joint_table_only_under_the_cap(tmp_path):
 
 def test_validate_passes_on_defaults(tmp_path):
     assert main(["--shots", "3000", "--out", str(tmp_path), "validate"]) == 0
+    report = (tmp_path / "validate-001" / "validate_report.csv").read_text().splitlines()[1:]
+    rows = {line.split(",")[0]: float(line.split(",")[2]) for line in report}
+    # three checks a point, each against the leaky law at the configured p_ryd2 = 0.001
+    assert len(rows) == 6
+    for n_in in (5.65, 20.0):
+        mean, q, _ = analytic.ion_stats(n_in, 0.99, 0.35, 0.001, 0.29)
+        assert rows[f"closed_form_mean_out[n_in={n_in:g}]"] == pytest.approx(analytic.mean_out(n_in, 0.99, 0.35, 0.001))
+        assert rows[f"ion_mean[n_in={n_in:g}]"] == pytest.approx(mean)
+        assert rows[f"ion_mandel_q[n_in={n_in:g}]"] == pytest.approx(q)
 
 
 def test_validate_skips_checks_undefined_without_ions(tmp_path):
@@ -445,7 +454,7 @@ def test_validate_skips_checks_undefined_without_ions(tmp_path):
 
 
 def test_validate_skips_checks_undefined_without_ion_detection(tmp_path):
-    # eta_ion = 0 counts no ion, so every Mandel-Q is undefined, the thinning check's too
+    # eta_ion = 0 counts no ion, so every ion statistic is undefined
     cfg = tmp_path / "eta0.cfg"
     cfg.write_text("detector.eta_ion = 0\n")
     out = tmp_path / "out"
@@ -454,9 +463,9 @@ def test_validate_skips_checks_undefined_without_ion_detection(tmp_path):
     skipped = [line.split(",")[0] for line in report if line.endswith(",skip")]
     assert skipped == [
         f"{check}[n_in={n_in}]" for n_in in ("5.65", "20") for check in ("ion_mean", "ion_mandel_q")
-    ] + ["thinning_q_scaling"]
+    ]
     summary = _strict_json(out / "validate-001" / "summary.json")
-    assert (summary["n_checks"], summary["n_failed"], summary["n_skipped"]) == (len(report) - 1, 0, 5)
+    assert (summary["n_checks"], summary["n_failed"], summary["n_skipped"]) == (len(report) - 1, 0, 4)
 
 
 def test_validate_passes_when_a_small_sample_has_no_spread(tmp_path):
@@ -475,20 +484,21 @@ def test_validate_fails_on_corrupted_oracle(tmp_path):
     assert rc == 2
 
 
-def test_validate_fails_when_a_stage_creates_a_photon(tmp_path, capsys):
-    absorb_entries = absorber.absorb_entries
+def test_validate_fails_when_the_stage_ignores_the_leak(tmp_path, capsys):
+    # the configured leak moves the output mean at 5.65 photons by about 4 tolerances
+    absorb_entries = experiment.absorb_entries
 
-    def creating(params, shape, idx, counts, rng):
-        # one more photon in the first entry that lost none
-        out, absorbed = absorb_entries(params, shape, idx, counts, rng)
-        out[np.flatnonzero(out == counts)[0]] += 1
-        return out, absorbed
+    def no_leak(params, shape, idx, counts, rng):
+        return absorb_entries(replace(params, p_ryd2=0.0), shape, idx, counts, rng)
 
-    with mock.patch.object(absorber, "absorb_entries", creating):
-        assert main(["--shots", "50", "--out", str(tmp_path), "validate", "--n-in", "5.65"]) == 2
-    assert "FAIL photon_conservation" in capsys.readouterr().out
-    report = (tmp_path / "validate-001" / "validate_report.csv").read_text().splitlines()
-    assert [line for line in report if line.startswith("photon_conservation,")] == ["photon_conservation,0,1,0,0"]
+    cfg = tmp_path / "leaky.cfg"
+    cfg.write_text("absorber.p_ryd2 = 0.3\n")
+    args = ["--config", str(cfg), "--shots", "2000", "--out", str(tmp_path), "validate"]
+    assert main(args) == 0
+    with mock.patch.object(experiment, "absorb_entries", no_leak):
+        assert main(args) == 2
+    out = capsys.readouterr().out
+    assert "FAIL closed_form_mean_out[n_in=5.65]" in out and "FAIL ion_mean[n_in=5.65]" in out
 
 
 def test_cli_rejects_zero_shots(tmp_path):
