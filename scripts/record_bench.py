@@ -117,9 +117,10 @@ def time_layers() -> dict:
     ``experiment._run_batch`` makes, by wrapping them in this process: the
     block substreams, the Poisson input draw, each stage's absorber, the ion
     clicks, the detection, the sums of each stage's ensemble
-    (``add_entries``, recorded as ``add_block_stage[k]``), the outcome counts
-    (``OutcomeCounts.add``, recorded as ``outcomes``) and ``add_block`` of the
-    g2 sums, then ``finalize`` of the g2 sums.  ``rest`` is the run's
+    (``EnsembleResult.add_shot``, recorded as ``add_block_stage[k]``), the
+    outcome counts (``OutcomeCounts.add``, recorded as ``outcomes``) and
+    ``G2Accumulator.add`` (recorded as ``add_block_g2``), then ``finalize``
+    of the g2 sums.  The labels are those of the committed ``BENCH_*.json``.  ``rest`` is the run's
     time outside those calls, the ion histograms' ``add_ions`` included.  A
     layer that a workload never calls raises instead of reading 0.
     ``minor_faults_per_shot`` is the process's minor page faults
@@ -159,9 +160,9 @@ def time_layers() -> dict:
         "g2": ([(measured,)], [15.76], 2),
         "cascade": ([(ideal,) * 5], [3.0], None),
     }
-    substream, absorb_entries = experiment.substream, experiment.absorb_entries
+    substream, simulate_shot = experiment.substream, experiment.simulate_shot
     detect_ions, detect_pulse = experiment.detect_ions, experiment.detect_pulse
-    ensemble_add, g2_add = absorber.EnsembleResult.add_entries, stats.G2Accumulator.add_block
+    ensemble_add, g2_add = absorber.EnsembleResult.add_shot, stats.G2Accumulator.add
     outcomes_add = experiment.OutcomeCounts.add
     layers = {}
     try:
@@ -170,11 +171,11 @@ def time_layers() -> dict:
             spent.clear()
             calls.clear()
             experiment.substream = timed("substream", lambda *key: TimedGenerator(substream(*key).bit_generator))
-            experiment.absorb_entries = timed(per_stage("stage", n_stages), absorb_entries)
+            experiment.simulate_shot = timed(per_stage("stage", n_stages), simulate_shot)
             experiment.detect_ions = timed("ions", detect_ions)
             experiment.detect_pulse = timed("detection", detect_pulse)
-            absorber.EnsembleResult.add_entries = timed(per_stage("add_block_stage", n_stages), ensemble_add)
-            stats.G2Accumulator.add_block = timed("add_block_g2", g2_add)
+            absorber.EnsembleResult.add_shot = timed(per_stage("add_block_stage", n_stages), ensemble_add)
+            stats.G2Accumulator.add = timed("add_block_g2", g2_add)
             experiment.OutcomeCounts.add = timed("outcomes", outcomes_add)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
@@ -200,9 +201,9 @@ def time_layers() -> dict:
             layers[workload]["total"] = 1e6 * total / shots
             layers[workload]["minor_faults_per_shot"] = faults / shots
     finally:
-        experiment.substream, experiment.absorb_entries = substream, absorb_entries
+        experiment.substream, experiment.simulate_shot = substream, simulate_shot
         experiment.detect_ions, experiment.detect_pulse = detect_ions, detect_pulse
-        absorber.EnsembleResult.add_entries, stats.G2Accumulator.add_block = ensemble_add, g2_add
+        absorber.EnsembleResult.add_shot, stats.G2Accumulator.add = ensemble_add, g2_add
         experiment.OutcomeCounts.add = outcomes_add
     return layers
 
@@ -243,9 +244,11 @@ def time_calls() -> dict:
 
 
 def time_g2_grids() -> dict:
-    """µs per shot and tracemalloc peak bytes of ``G2Accumulator.add_block`` on each of ``G2_GRIDS``.
+    """µs per shot and tracemalloc peak bytes of ``G2Accumulator.add`` on each of ``G2_GRIDS``.
 
-    Runs the ``photonsub`` on the path, so that one script times either tree.
+    Runs the ``photonsub`` on the path, so that one script times either tree,
+    if both take a block of click arrays in ``add``.  The keys keep the
+    ``add_block`` names of the committed ``BENCH_*.json``.
     The clicks are fixed-seed detections of the default pulse at 15.76 photons
     without absorber, in blocks of ``experiment.block_rows``; the time is the
     best of ``G2_GRID_REPEATS`` passes over them, and the peak is that of the
@@ -279,10 +282,10 @@ def time_g2_grids() -> dict:
         blocks = [detect_pulse(*entry, DetectorConfig(), rng, spec.bin_width_us) for entry in entries]
         acc = G2Accumulator(n_bins, spec.bin_width_us, bins_per_cell)
         tracemalloc.start()
-        acc.add_block(blocks[0])
+        acc.add(blocks[0])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        out[str(cells)] = {"add_block_us_per_shot": best_us_per_shot(acc.add_block, blocks, shots),
+        out[str(cells)] = {"add_block_us_per_shot": best_us_per_shot(acc.add, blocks, shots),
                            "add_block_peak_bytes": peak}
         if n_bins == 1000:
             detector = DetectorConfig(dead_time_ns=DEAD_TIME_NS, dark_cps=DARK_CPS)
@@ -409,7 +412,7 @@ def main() -> int:
         },
         "g2_grids": {
             "command": (
-                f"time_g2_grids(): in a fresh interpreter per tree, G2Accumulator.add_block on "
+                f"time_g2_grids(): in a fresh interpreter per tree, G2Accumulator.add on "
                 f"{', '.join(map(str, G2_GRIDS))} cells, and detect_pulse on 1000 bins with "
                 f"dead_time_ns = {DEAD_TIME_NS:g} and dark_cps = {DARK_CPS:g}, best of {G2_GRID_REPEATS} passes"
             ),

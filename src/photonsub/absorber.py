@@ -10,14 +10,14 @@ distribution and takes a handful of vectorized draws for a whole block of
 pulses; the test suite checks the equivalence against a literal per-photon
 reference.  A block of pulses is carried as its nonzero entries: flat indices
 into the (B, n_bins) block in row-major order, and their counts.  The stage
-kernel and the ensemble sums touch only those entries; as ``binomial`` draws
-nothing for a zero count, the draws are those of the dense block.
-``simulate_shot`` and ``EnsembleResult.add_shot`` are the dense views.  The
-block loop, for one absorber and for a cascade alike, is in ``experiment``;
-an ensemble holds one stage's sums; the outcome counts and the g2 sums of the
-detected light belong to the run result there.  All three run accumulators
-follow one ``Accumulator`` protocol: each lists its summed fields once, in
-``zero_sums``, and ``merge`` adds them exactly.
+kernel ``simulate_shot`` and the ensemble sums ``EnsembleResult.add_shot``
+touch only those entries; as ``binomial`` draws nothing for a zero count, the
+draws are those of the dense block.  The block loop, for one absorber and for
+a cascade alike, is in ``experiment``; an ensemble holds one stage's sums; the
+outcome counts and the g2 sums of the detected light belong to the run result
+there.  All three run accumulators follow one ``Accumulator`` protocol: each
+lists its summed fields once, in ``zero_sums``, and ``merge`` adds them
+exactly.
 """
 
 from __future__ import annotations
@@ -52,13 +52,17 @@ class AbsorberParams:
 
 @dataclass
 class ShotRecord:
-    """Pulses through the absorber, one shot (1-D rows, integer count) or a block (2-D
-    rows, one count per row): input and output rows and excitations created.  Totals,
-    positions and the photons lost to background scattering follow from these."""
+    """A block of pulses of ``shape`` (B, n_bins) through one absorber stage, as the
+    block's entries: ascending flat indices ``idx`` into it, the input and output
+    counts there (every other entry is zero in both), and the excitations created
+    in each row.  Totals, positions and the photons lost to background scattering
+    follow from these."""
 
+    shape: tuple[int, int]
+    idx: np.ndarray
     input_bins: np.ndarray
     output_bins: np.ndarray
-    absorbed: int | np.ndarray
+    absorbed: np.ndarray
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -70,19 +74,19 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def absorb_entries(
+def simulate_shot(
     params: AbsorberParams, shape: tuple[int, int], idx: np.ndarray, counts: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> ShotRecord:
     """One absorber stage on a block of ``shape`` (B, n_bins), given as its nonzero entries.
 
     ``idx`` holds the entries' flat indices into the block, ascending (row-major
     order), and ``counts`` their photon counts; every other entry is zero.
-    Returns the output count of each entry, zeros included, and the absorbed
-    count of each of the B rows.  The draws are those of the dense block in a
-    fixed order: all survivors, then per row the gap to the first absorbed
-    photon and, with leakage, to the second.  ``binomial`` draws nothing for a
-    zero count, so the survivors of the nonzero entries alone take the same
-    draws as those of the whole block.
+    Returns the block's record: the output count of each entry, zeros
+    included, and the absorbed count of each of the B rows.  The draws are
+    those of the dense block in a fixed order: all survivors, then per row the
+    gap to the first absorbed photon and, with leakage, to the second.
+    ``binomial`` draws nothing for a zero count, so the survivors of the
+    nonzero entries alone take the same draws as those of the whole block.
     """
     n_rows, n_bins = shape
     output = rng.binomial(counts, params.t)
@@ -108,26 +112,7 @@ def absorb_entries(
         hit_rows = np.flatnonzero(hit)
         output[np.searchsorted(run, before[hit_rows] + pos[hit_rows], side="right")] -= 1
         absorbed += hit
-    return output, absorbed
-
-
-def simulate_shot(
-    params: AbsorberParams, input_bins: np.ndarray, rng: np.random.Generator
-) -> ShotRecord:
-    """Propagate one binned pulse, shape (n_bins,), or a block of them, shape (B, n_bins).
-
-    The dense view of ``absorb_entries``: the block's nonzero entries go
-    through the stage and come back as rows.  One pulse is the block of one row.
-    """
-    counts = np.asarray(input_bins, dtype=np.int64)
-    if counts.ndim == 1:
-        rec = simulate_shot(params, counts[None], rng)
-        return ShotRecord(counts, rec.output_bins[0], int(rec.absorbed[0]))
-    idx = np.flatnonzero(counts != 0)
-    entries, absorbed = absorb_entries(params, counts.shape, idx, counts.ravel()[idx], rng)
-    output = np.zeros(counts.shape, dtype=np.int64)
-    output.ravel()[idx] = entries
-    return ShotRecord(counts, output, absorbed)
+    return ShotRecord(shape, idx, counts, output, absorbed)
 
 
 class Accumulator:
@@ -176,15 +161,17 @@ class EnsembleResult(Accumulator):
     def _grid(self) -> tuple:
         return (self.n_bins, self.bin_width_us)
 
-    def add_entries(self, n_rows: int, idx: np.ndarray, inp: np.ndarray, out: np.ndarray, absorbed: np.ndarray) -> None:
-        """Add ``n_rows`` shots given as entries of their (n_rows, n_bins) block:
-        flat indices ``idx`` and the input and output counts there, every other
-        entry zero in both; and per shot the absorbed count (``add_ions`` adds the ion clicks).
+    def add_shot(self, rec: ShotRecord) -> None:
+        """Add the block of ``rec``, one shot a row: the input and output counts
+        of its entries, every other entry zero in both, and per shot the absorbed
+        count (``add_ions`` adds the ion clicks).
 
         Every sum is an int64 scatter-add, exact however large the counts.
         """
-        rows = idx // self.n_bins
-        bins = idx - rows * self.n_bins
+        n_rows = rec.shape[0]
+        inp, out = rec.input_bins, rec.output_bins
+        rows = rec.idx // self.n_bins
+        bins = rec.idx - rows * self.n_bins
         total_out = np.zeros(n_rows, dtype=np.int64)
         np.add.at(total_out, rows, out)
         self.shots += n_rows
@@ -197,18 +184,11 @@ class EnsembleResult(Accumulator):
             (self.inout_bin_sums, inp * out),
         ):
             np.add.at(sums, bins, values)
-        self.absorbed_hist += np.bincount(absorbed, minlength=MAX_EXCITATIONS + 1)
+        self.absorbed_hist += np.bincount(rec.absorbed, minlength=MAX_EXCITATIONS + 1)
 
     def add_ions(self, ions: np.ndarray) -> None:
-        """Add the ion clicks of shots added through ``add_entries``, one count per shot."""
+        """Add the ion clicks of shots added through ``add_shot``, one count per shot."""
         self.ion_hist += np.bincount(ions, minlength=MAX_EXCITATIONS + 1)
-
-    def add_shot(self, rec: ShotRecord, ions: int) -> None:
-        """Add one shot and its ion clicks: the dense view of ``add_entries`` and ``add_ions``."""
-        inp, out = np.asarray(rec.input_bins, dtype=np.int64), np.asarray(rec.output_bins, dtype=np.int64)
-        idx = np.flatnonzero((inp != 0) | (out != 0))
-        self.add_entries(1, idx, inp[idx], out[idx], np.array([rec.absorbed]))
-        self.add_ions(np.array([ions]))
 
     @property
     def mean_in(self) -> float:

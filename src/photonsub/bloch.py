@@ -24,8 +24,8 @@ from ._checks import check_finite
 class PhysicsParams:
     """Spectroscopic parameters of the two-photon ladder system.
 
-    delta_e      intermediate-state detuning of both beams (MHz); may be
-                 +-inf, the far-detuned limit
+    delta_e      intermediate-state detuning of both beams (MHz), nonzero;
+                 may be +-inf, the far-detuned limit
     omega_c      control Rabi frequency (MHz)
     gamma_e      intermediate-state decay rate (MHz)
     gamma_deph   ground-Rydberg dephasing rate (MHz)
@@ -43,6 +43,8 @@ class PhysicsParams:
     def __post_init__(self) -> None:
         if math.isnan(self.delta_e):
             raise ValueError("delta_e must not be NaN")
+        if self.delta_e == 0:
+            raise ValueError("delta_e must be nonzero: the Raman decay rate diverges at zero detuning")
         check_finite(
             omega_c=self.omega_c, gamma_e=self.gamma_e, gamma_deph=self.gamma_deph, od_b=self.od_b
         )

@@ -33,9 +33,8 @@ from .absorber import (
     AbsorberParams,
     Accumulator,
     EnsembleResult,
-    absorb_entries,
     merge,
-    simulate_shot,  # noqa: F401  the dense view; perfbench/tracing.py wraps this name here
+    simulate_shot,
     substream,
 )
 from .detector import DetectorConfig, detect_ions, detect_pulse
@@ -119,14 +118,15 @@ def _run_batch(args) -> CascadeResult:
         absorbed = np.empty((len(stages), len(inp)), dtype=np.int64)
         # each stage's nonzero outputs are the next stage's input
         for k, (params, ens) in enumerate(zip(stages, per_stage)):
-            out, absorbed[k] = absorb_entries(params, inp.shape, idx, counts, rng)
-            ens.add_entries(len(inp), idx, counts, out, absorbed[k])
-            live = out > 0
-            idx, counts = idx[live], out[live]
+            rec = simulate_shot(params, inp.shape, idx, counts, rng)
+            absorbed[k] = rec.absorbed
+            ens.add_shot(rec)
+            live = rec.output_bins > 0
+            idx, counts = idx[live], rec.output_bins[live]
         for ens, ions in zip(per_stage, detect_ions(absorbed, detector.eta_ion, rng)):
             ens.add_ions(ions)
         if acc is not None:
-            acc.add_block(detect_pulse(inp.shape, idx, counts, detector, rng, pulse.bin_width_us))
+            acc.add(detect_pulse(inp.shape, idx, counts, detector, rng, pulse.bin_width_us))
         outcomes.add(inp.sum(axis=1), absorbed)
     return CascadeResult(per_stage, outcomes, acc)
 

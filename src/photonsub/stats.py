@@ -135,7 +135,7 @@ class G2Matrix:
 
 
 # The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
-# add_block takes 6-row slices and peaks at 1.5 MB on the clicks of a
+# add takes 6-row slices and peaks at 1.5 MB on the clicks of a
 # 15.76-photon pulse, at 5.0 MB with 80 clicks a row and at 3.9 MB when every
 # cell clicks: the 0.9 MB slice buffer and one chunk of products; finalize, one
 # pair's ratio at a time, peaks at 107 MB (tracemalloc, 1000 one-bin cells).
@@ -222,7 +222,7 @@ class G2Accumulator(Accumulator):
     def n_cells(self) -> int:
         return self.cell_edges.size - 1
 
-    def add_block(self, det_bins: np.ndarray) -> None:
+    def add(self, det_bins: np.ndarray) -> None:
         """Add B shots of (n_det, n_bins) click arrays, given as one (B, n_det, n_bins) array.
 
         The block is added in slices whose per-row arrays stay within
@@ -311,10 +311,6 @@ class G2Accumulator(Accumulator):
                 _scatter_add(maps, where, np.matmul(x[a][:, part].T, x[a + 1 :, :, :t]))
                 k += len(maps)
             _scatter_add(self.y_sq_sum[None], where, (left[:, part].T @ right[:, :t])[None])
-
-    def add(self, det_bins: np.ndarray) -> None:
-        """Add one shot's (n_det, n_bins) click array."""
-        self.add_block(np.asarray(det_bins)[None])
 
     def _grid(self) -> tuple:
         return (self.n_bins, self.bin_width_us, self.bins_per_cell)
@@ -440,7 +436,11 @@ def photon_deficit(ens: EnsembleResult, t: float) -> tuple[float, float]:
     """Missing photons relative to linear transmission: t*<N_in> - <N_out>.
 
     The quoted standard error is propagated from the output variance alone,
-    which slightly overstates the uncertainty of the correlated difference.
+    mostly input Poisson noise that cancels in the difference, so it
+    overstates the scatter about tenfold (seed-to-seed sd / reported error
+    0.10 at n = 35).  The exact variance needs the input-total square and
+    in-out sums, which the ensemble does not keep yet; the error-bar item of
+    ROADMAP.md adds them.
     """
     if ens.shots < 2:
         raise ValueError("need at least two shots for a deficit estimate")

@@ -11,6 +11,7 @@ a loop over photons with one uniform draw each, so that the random stream
 of a block is pinned against them.  The histogram statistics keep the
 package's earlier one-moments-pass-per-value functions, frozen, so that the
 one-pass ``stats.hist_stats`` is pinned bit for bit against them.
+``rows_record`` hands dense rows to the package's entry-taking calls.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from photonsub import ShotRecord
 
 
 def per_photon_shot(p_ryd: float, p_ryd2: float, t: float, input_bins, rng):
@@ -65,6 +68,18 @@ def dense_block_stage(p_ryd: float, p_ryd2: float, t: float, counts, rng):
         output[hit, (cum <= pos[:, None]).sum(axis=1)[hit]] -= 1
         absorbed += hit
     return output, absorbed, counts.sum(axis=1) - n_surv
+
+
+def rows_record(inp, out=None, absorbed=0) -> ShotRecord:
+    """The ``ShotRecord`` of dense rows: a (B, n_bins) input block, or one
+    (n_bins,) pulse as a block of one row, with its output rows (all zero if
+    None) and the absorbed count of each row, as the entries where the input
+    or the output is nonzero."""
+    inp = np.atleast_2d(np.asarray(inp, dtype=np.int64))
+    out = np.zeros_like(inp) if out is None else np.asarray(out, dtype=np.int64).reshape(inp.shape)
+    idx = np.flatnonzero((inp != 0) | (out != 0))
+    absorbed = np.zeros(len(inp), dtype=np.int64) + absorbed
+    return ShotRecord(inp.shape, idx, inp.ravel()[idx], out.ravel()[idx], absorbed)
 
 
 def dense_block_sums(inp, out, absorbed, ions, size: int) -> dict:

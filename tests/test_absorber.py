@@ -16,7 +16,6 @@ from photonsub import (
     EnsembleResult,
     G2Accumulator,
     PulseSpec,
-    ShotRecord,
     mean_out,
     merge,
     run_point,
@@ -25,7 +24,7 @@ from photonsub import (
     substream,
 )
 from photonsub import experiment, stats
-from photonsub.absorber import MAX_EXCITATIONS, absorb_entries
+from photonsub.absorber import MAX_EXCITATIONS
 from photonsub.pulses import expected_bin_means
 
 from _oracles import (
@@ -37,10 +36,20 @@ from _oracles import (
     g2_sums_per_shot,
     leaky_absorbed_pmf,
     per_photon_shot,
+    rows_record,
 )
 
 MEASURED = AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
 DET = DetectorConfig()
+
+
+def _absorb_rows(params, rows, rng):
+    """``simulate_shot`` on dense rows, a block or one pulse: its record and the output rows, shaped as ``rows``."""
+    block = rows_record(rows)
+    rec = simulate_shot(params, block.shape, block.idx, block.input_bins, rng)
+    out = np.zeros(rec.shape, dtype=np.int64)
+    out.ravel()[rec.idx] = rec.output_bins
+    return rec, out.reshape(np.shape(rows))
 
 
 def test_transparent_medium_passes_everything():
@@ -48,16 +57,16 @@ def test_transparent_medium_passes_everything():
     rng = substream(1, 0)
     for _ in range(50):
         counts = rng.poisson(2.0, size=8)
-        rec = simulate_shot(params, counts, rng)
-        np.testing.assert_array_equal(rec.output_bins, counts)
-        assert rec.absorbed == 0
+        rec, out = _absorb_rows(params, counts, rng)
+        np.testing.assert_array_equal(out, counts)
+        assert rec.absorbed.tolist() == [0]
 
 
 def test_deterministic_first_photon_subtraction():
     params = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=1.0)
-    rec = simulate_shot(params, np.array([0, 2, 1]), substream(2, 0))
-    np.testing.assert_array_equal(rec.output_bins, [0, 1, 1])
-    assert rec.absorbed == 1
+    rec, out = _absorb_rows(params, np.array([0, 2, 1]), substream(2, 0))
+    np.testing.assert_array_equal(out, [0, 1, 1])
+    assert rec.absorbed.tolist() == [1]
 
 
 @given(
@@ -78,8 +87,8 @@ def test_shot_conservation_properties(p_ryd, p_ryd2, t, n_bins, rows, data, seed
     params = AbsorberParams(p_ryd=p_ryd, p_ryd2=p_ryd2, t=t)
     shape = (n_bins,) if rows == 1 else (rows, n_bins)
     counts = np.array(data.draw(st.lists(st.integers(0, 6), min_size=rows * n_bins, max_size=rows * n_bins)))
-    rec = simulate_shot(params, counts.reshape(shape), substream(seed, 0))
-    out, inp, absorbed = np.atleast_2d(rec.output_bins), np.atleast_2d(rec.input_bins), np.atleast_1d(rec.absorbed)
+    rec, out = _absorb_rows(params, counts.reshape(shape), substream(seed, 0))
+    out, inp, absorbed = np.atleast_2d(out), counts.reshape(rows, n_bins), rec.absorbed
     assert (out >= 0).all()
     assert (out <= inp).all()
     assert (out.sum(axis=1) + absorbed <= inp.sum(axis=1)).all()
@@ -95,8 +104,8 @@ def test_shot_conservation_properties(p_ryd, p_ryd2, t, n_bins, rows, data, seed
 @settings(max_examples=60, deadline=None)
 def test_ideal_absorber_removes_exactly_one(counts, seed):
     params = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=1.0)
-    rec = simulate_shot(params, np.array(counts), substream(seed, 1))
-    assert rec.output_bins.sum() == max(sum(counts) - 1, 0)
+    _, out = _absorb_rows(params, np.array(counts), substream(seed, 1))
+    assert out.sum() == max(sum(counts) - 1, 0)
 
 
 def test_matches_per_photon_reference_distribution():
@@ -105,9 +114,9 @@ def test_matches_per_photon_reference_distribution():
     params = AbsorberParams(p_ryd=p, p_ryd2=p2, t=t)
     counts = np.array([3, 2, 0, 4])
     shots = 20000
-    rec = simulate_shot(params, np.tile(counts, (shots, 1)), substream(21, 0))
+    rec, out = _absorb_rows(params, np.tile(counts, (shots, 1)), substream(21, 0))
     fast_abs = np.bincount(rec.absorbed, minlength=3)
-    fast_out = rec.output_bins.sum(axis=0)
+    fast_out = out.sum(axis=0)
     fast_lost = rec.input_bins.sum() - rec.output_bins.sum() - rec.absorbed.sum()
     slow_rng = substream(22, 0)
     slow_abs = np.zeros(3)
@@ -136,8 +145,9 @@ def test_block_absorber_matches_per_photon_chi2():
     params = AbsorberParams(p_ryd=p, p_ryd2=p2, t=1.0)
     counts = np.array([3, 2, 0, 4])
     shots = 20000
-    rec = simulate_shot(params, np.tile(counts, (shots, 1)), substream(23, 0))
-    short = rec.input_bins > rec.output_bins
+    inp = np.tile(counts, (shots, 1))
+    rec, out = _absorb_rows(params, inp, substream(23, 0))
+    short = inp > out
     first_bin = np.where(short.any(axis=1), short.argmax(axis=1), counts.size)
     block = np.zeros((3, counts.size + 1))
     np.add.at(block, (rec.absorbed, first_bin), 1)
@@ -236,9 +246,8 @@ def test_cascade_counts_three_photons_exactly():
     rng = substream(41, 0)
     bins, absorbed = np.array([1, 0, 1, 1]), []
     for _ in range(5):
-        rec = simulate_shot(IDEAL, bins, rng)
-        bins = rec.output_bins
-        absorbed.append(rec.absorbed)
+        rec, bins = _absorb_rows(IDEAL, bins, rng)
+        absorbed.append(int(rec.absorbed[0]))
     assert absorbed == [1, 1, 1, 0, 0]
     assert bins.sum() == 0
 
@@ -407,7 +416,7 @@ def test_cascade_batches_merge_stages_and_g2_through_merge():
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed):
+def test_block_adds_equal_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed):
     rng = np.random.default_rng(seed)
     inp = rng.poisson(mean, size=(rows, n_bins))
     out = rng.binomial(inp, 0.8)
@@ -416,14 +425,13 @@ def test_add_block_equals_per_shot_adds(rows, n_bins, bins_per_cell, mean, seed)
     det = rng.poisson(mean / 4, size=(rows, 4, n_bins))
     block, per_shot = (EnsembleResult(n_bins, 0.05) for _ in range(2))
     block_g2, per_shot_g2 = (G2Accumulator(n_bins, 0.05, bins_per_cell) for _ in range(2))
-    idx = np.flatnonzero(inp)  # out is zero wherever inp is
-    block.add_entries(rows, idx, inp.ravel()[idx], out.ravel()[idx], absorbed)
+    block.add_shot(rows_record(inp, out, absorbed))  # out is zero wherever inp is
     block.add_ions(ions)
-    block_g2.add_block(det)
+    block_g2.add(det)
     for s in range(rows):
-        rec = ShotRecord(inp[s], out[s], int(absorbed[s]))
-        per_shot.add_shot(rec, int(ions[s]))
-        per_shot_g2.add(det[s])
+        per_shot.add_shot(rows_record(inp[s], out[s], absorbed[s]))
+        per_shot.add_ions(ions[s : s + 1])
+        per_shot_g2.add(det[s : s + 1])
     assert block.shots == per_shot.shots == block_g2.shots == rows
     assert block.equals(per_shot)
     assert block_g2.equals(per_shot_g2)
@@ -475,7 +483,7 @@ def _block_loop(stages, spec, shots, seed, ensembles, g2=None, detector=DET, str
             for name, value in sums.items():
                 setattr(ens, name, getattr(ens, name) + value)
         if g2 is not None:
-            g2.add_block(dense_detection(bins[-1], detector.eta_probe, detector.split, dark_mean, dead_bins, rng))
+            g2.add(dense_detection(bins[-1], detector.eta_probe, detector.split, dark_mean, dead_bins, rng))
         outcomes.update(zip(bins[0].sum(axis=1).tolist(), *np.array(absorbed).tolist()))
     return outcomes
 
@@ -549,7 +557,7 @@ def test_block_rows_are_capped_by_the_byte_bound():
     assert result.shots == 17
     # 100 stages run in the blocks of one stage: each stage once per 256-row block
     shots = 2 * experiment._BLOCK + 1
-    with mock.patch.object(experiment, "absorb_entries", wraps=absorb_entries) as traced:
+    with mock.patch.object(experiment, "simulate_shot", wraps=simulate_shot) as traced:
         result = simulate_cascade((AbsorberParams(0.3, 0.05, 0.999),) * 100, spec, DET, shots, 3)
     shapes = [call.args[1] for call in traced.call_args_list]
     assert shapes == [(256, spec.n_bins)] * 200 + [(1, spec.n_bins)] * 100
@@ -639,34 +647,32 @@ def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
     data = np.random.default_rng(seed)
     counts = data.poisson(mean, size=(rows, n_bins))
     counts[data.random(rows) < 0.3] = 0  # rows without photons
-    rng_entries, rng_view, rng_dense = (substream(seed, 5) for _ in range(3))
+    rng_entries, rng_dense = (substream(seed, 5) for _ in range(2))
     idx = np.flatnonzero(counts)
-    entries, view, dense = counts.ravel()[idx], counts, counts
+    entries, dense = counts.ravel()[idx], counts
     for t, p_ryd, p_ryd2 in chain:
         params = _params(t, p_ryd, p_ryd2)
-        out, absorbed = absorb_entries(params, counts.shape, idx, entries, rng_entries)
-        rec = simulate_shot(params, view, rng_view)
+        rec = simulate_shot(params, counts.shape, idx, entries, rng_entries)
         dense_out, dense_absorbed, dense_lost = dense_block_stage(p_ryd, p_ryd2, t, dense, rng_dense)
         scattered = np.zeros_like(counts)
-        scattered.ravel()[idx] = out
-        for got in (scattered, rec.output_bins):
-            np.testing.assert_array_equal(got, dense_out)
-        for got in (absorbed, rec.absorbed):
-            np.testing.assert_array_equal(got, dense_absorbed)
-        lost = rec.input_bins.sum(axis=1) - rec.output_bins.sum(axis=1) - rec.absorbed
+        scattered.ravel()[idx] = rec.output_bins
+        np.testing.assert_array_equal(scattered, dense_out)
+        np.testing.assert_array_equal(rec.absorbed, dense_absorbed)
+        lost = dense.sum(axis=1) - scattered.sum(axis=1) - rec.absorbed
         np.testing.assert_array_equal(lost, dense_lost)
         ions = data.binomial(dense_absorbed, 0.5)
         from_entries, from_rows = (EnsembleResult(n_bins, 0.05) for _ in range(2))
-        from_entries.add_entries(rows, idx, entries, out, absorbed)
+        from_entries.add_shot(rec)
         from_entries.add_ions(ions)
         for s in range(rows):
-            from_rows.add_shot(ShotRecord(view[s], rec.output_bins[s], int(rec.absorbed[s])), int(ions[s]))
+            from_rows.add_shot(rows_record(dense[s], dense_out[s], dense_absorbed[s]))
+            from_rows.add_ions(ions[s : s + 1])
         for name, value in dense_block_sums(dense, dense_out, dense_absorbed, ions, MAX_EXCITATIONS + 1).items():
             np.testing.assert_array_equal(getattr(from_entries, name), value, err_msg=name)
             np.testing.assert_array_equal(getattr(from_rows, name), value, err_msg=name)
-        live = out > 0
-        idx, entries, view, dense = idx[live], out[live], rec.output_bins, dense_out
-    assert rng_entries.random() == rng_view.random() == rng_dense.random()
+        live = rec.output_bins > 0
+        idx, entries, dense = idx[live], rec.output_bins[live], dense_out
+    assert rng_entries.random() == rng_dense.random()
 
 
 @given(
@@ -700,11 +706,11 @@ def test_entry_sums_are_exact_int64():
     big, large = 2**53 + 1, 10**8
     counts = np.array([[0, 0, big, 0], [0, 0, 0, 0], [0, large, 0, 5]], dtype=np.int64)
     idx = np.flatnonzero(counts)
-    out, absorbed = absorb_entries(IDEAL, counts.shape, idx, counts.ravel()[idx], substream(3, 0))
-    assert out.tolist() == [big - 1, large - 1, 5]
-    assert absorbed.tolist() == [1, 0, 1]
+    rec = simulate_shot(IDEAL, counts.shape, idx, counts.ravel()[idx], substream(3, 0))
+    assert rec.output_bins.tolist() == [big - 1, large - 1, 5]
+    assert rec.absorbed.tolist() == [1, 0, 1]
     ens = EnsembleResult(4, 0.05)
-    ens.add_entries(3, idx, counts.ravel()[idx], out, absorbed)
+    ens.add_shot(rec)
     wrap = 2**64  # a square of 2**53 + 1 passes int64 and wraps, exactly
     assert ens.in_bin_sums.tolist() == [0, large, big, 5]
     assert ens.out_bin_sums.tolist() == [0, large - 1, big - 1, 5]

@@ -486,16 +486,16 @@ def test_validate_fails_on_corrupted_oracle(tmp_path):
 
 def test_validate_fails_when_the_stage_ignores_the_leak(tmp_path, capsys):
     # the configured leak moves the output mean at 5.65 photons by about 4 tolerances
-    absorb_entries = experiment.absorb_entries
+    simulate_shot = experiment.simulate_shot
 
     def no_leak(params, shape, idx, counts, rng):
-        return absorb_entries(replace(params, p_ryd2=0.0), shape, idx, counts, rng)
+        return simulate_shot(replace(params, p_ryd2=0.0), shape, idx, counts, rng)
 
     cfg = tmp_path / "leaky.cfg"
     cfg.write_text("absorber.p_ryd2 = 0.3\n")
     args = ["--config", str(cfg), "--shots", "2000", "--out", str(tmp_path), "validate"]
     assert main(args) == 0
-    with mock.patch.object(experiment, "absorb_entries", no_leak):
+    with mock.patch.object(experiment, "simulate_shot", no_leak):
         assert main(args) == 2
     out = capsys.readouterr().out
     assert "FAIL closed_form_mean_out[n_in=5.65]" in out and "FAIL ion_mean[n_in=5.65]" in out
@@ -513,6 +513,16 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg.write_text("detector.dead_time_ns = inf\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path), "g2"]) == 1
     assert not list(tmp_path.glob("*-001"))
+
+
+def test_cli_rejects_zero_intermediate_detuning_by_its_key(tmp_path, capsys):
+    # the Raman decay rate diverges at delta_e = 0: rejected while reading the config
+    cfg = tmp_path / "resonant.cfg"
+    cfg.write_text("physics.delta_e = 0\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 1
+    assert "config key 'physics.delta_e'" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_workers_are_bounded_by_the_cores(tmp_path, capsys):
@@ -680,7 +690,7 @@ VALID_TEXT = {
     "absorber.p_ryd2": _number(0, 0.35),
     "absorber.t": _number(0, 1),
     "cascade.stages": _stages(),
-    "physics.delta_e": _number(-1e3, 1e3),
+    "physics.delta_e": _number(-1e3, 1e3).filter(lambda text: float(text) != 0),
     "physics.omega_c": _number(0, 100),
     "physics.gamma_e": _number(1e-3, 100),
     "physics.gamma_deph": _number(0, 100),

@@ -109,7 +109,7 @@ def test_split_coherent_light_stays_uncorrelated():
     rng = substream(8, 0)
     shots = 30000
     acc = G2Accumulator(n_bins=8, bin_width_us=0.05, bins_per_cell=8)
-    acc.add_block(_detected(rng.poisson(1.2, size=(shots, 8)), rng))
+    acc.add(_detected(rng.poisson(1.2, size=(shots, 8)), rng))
     mat = acc.finalize()
     assert abs(mat.values[0, 0] - 1.0) < 3 * mat.sigma[0, 0]
 

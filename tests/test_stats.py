@@ -15,7 +15,6 @@ from photonsub import (
     EnsembleResult,
     G2Accumulator,
     PulseSpec,
-    ShotRecord,
     mandel_q,
     photon_deficit,
     pulse_shape,
@@ -36,7 +35,7 @@ from photonsub.stats import (
     q_over_mean_sem,
 )
 
-from _oracles import FROZEN_HIST_STATS, g2_sums_per_shot
+from _oracles import FROZEN_HIST_STATS, g2_sums_per_shot, rows_record
 
 MEASURED = AbsorberParams()
 DET = DetectorConfig()
@@ -127,7 +126,7 @@ def test_one_pass_statistics_equal_the_single_value_functions_bit_for_bit(counts
 def _g2_map(records, bins_per_cell):
     det = np.stack(records)
     acc = G2Accumulator(det.shape[2], 0.05, bins_per_cell)
-    acc.add_block(det)
+    acc.add(det)
     return acc.finalize()
 
 
@@ -177,7 +176,7 @@ def test_g2_error_bars_are_the_sample_standard_errors():
     d0 = [[1, 1, 0, 0, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 0]]
     d1 = [[0, 1, 0, 1, 0], [1, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
     acc = G2Accumulator(5, 0.05, 1)
-    acc.add_block(np.array([[a, b, [0] * 5, [0] * 5] for a, b in zip(d0, d1)]))
+    acc.add(np.array([[a, b, [0] * 5, [0] * 5] for a, b in zip(d0, d1)]))
     mat = acc.finalize()
     # a cell's error is sqrt(s^2 / 3) over the marginal product, s^2 the sample
     # variance (divisor 2) of y over the shots.  y[0, 0] is 0, 0, 1: s^2 = 1/3,
@@ -196,7 +195,7 @@ def test_g2_error_bars_are_the_sample_standard_errors():
 
 def test_g2_rejects_empty_ensemble():
     acc = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
-    acc.add_block(np.zeros((0, 4, 4), dtype=np.int64))
+    acc.add(np.zeros((0, 4, 4), dtype=np.int64))
     with pytest.raises(ValueError):
         acc.finalize()
 
@@ -204,7 +203,7 @@ def test_g2_rejects_empty_ensemble():
 def test_g2_rejects_single_detector():
     acc = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
     with pytest.raises(ValueError):
-        acc.add(np.ones((1, 4), dtype=np.int64))
+        acc.add(np.ones((1, 1, 4), dtype=np.int64))
 
 
 def test_g2_grid_is_uniform_with_a_ragged_last_cell():
@@ -243,15 +242,15 @@ def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, shots, slic
     det[::7] = 0  # shots without a click
     acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
     with mock.patch.object(stats, "_SLICE_BYTES", slice_bytes or stats._SLICE_BYTES):
-        acc.add_block(det[: shots * 4 // 9])
-        acc.add_block(det[shots * 4 // 9 :])
+        acc.add(det[: shots * 4 // 9])
+        acc.add(det[shots * 4 // 9 :])
     ref = g2_sums_per_shot(det, bins_per_cell, acc._front, acc._rear)
     assert ref.keys() == acc.zero_sums().keys()
     for name, want in ref.items():
         assert np.array_equal(getattr(acc, name), want), name
 
 
-def _traced_add_block(acc, det):
+def _traced_add(acc, det):
     """Add ``det`` to ``acc``: the rows of each slice and the tracemalloc peak."""
     slices = []
     add_rows = G2Accumulator._add_rows
@@ -263,7 +262,7 @@ def _traced_add_block(acc, det):
     with mock.patch.object(G2Accumulator, "_add_rows", counted):
         tracemalloc.start()
         try:
-            acc.add_block(det)
+            acc.add(det)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,7 +272,7 @@ def _traced_add_block(acc, det):
 def test_g2_slices_at_the_largest_grid_hold_several_rows_within_the_bound():
     acc = G2Accumulator(MAX_CELLS, 0.05, 1)
     det = np.random.default_rng(5).poisson(0.02, size=(20, 4, MAX_CELLS))
-    slices, peak = _traced_add_block(acc, det)
+    slices, peak = _traced_add(acc, det)
     assert slices[0] > 1 and sum(slices) == len(det)
     # the sums are allocated before tracing; 1 MiB and one (n_cells, n_cells) GEMM product are allowed
     assert peak <= (1 << 20) + 8 * MAX_CELLS**2
@@ -286,7 +285,7 @@ def test_g2_sums_at_the_largest_grid_stay_within_the_bound_when_every_cell_click
     acc = G2Accumulator(MAX_CELLS, 0.05, 1)
     det = np.random.default_rng(6).poisson(3.0, size=(12, 4, MAX_CELLS))
     assert (det.sum(axis=1) > 0).all()
-    slices, peak = _traced_add_block(acc, det)
+    slices, peak = _traced_add(acc, det)
     assert sum(slices) == len(det)
     assert peak <= (1 << 20) + 8 * MAX_CELLS**2
     ref = g2_sums_per_shot(det, 1, acc._front, acc._rear)
@@ -310,7 +309,7 @@ def test_g2_sums_are_bit_identical_at_any_slice_budget(n_bins, bins_per_cell):
         with mock.patch.object(stats, "_SLICE_BYTES", slice_bytes), mock.patch.object(
             G2Accumulator, "_add_rows", counted
         ):
-            acc.add_block(det)
+            acc.add(det)
         sums.append([np.asarray(getattr(acc, name)).tobytes() for name in acc.zero_sums()])
         slices.append(rows)
     assert slices[0] == [1] * len(det) and 1 < len(slices[1]) < len(det) and slices[2] == [len(det)]
@@ -378,7 +377,7 @@ def test_finalize_matches_the_per_pair_loop(n_bins, bins_per_cell, shots, mean, 
     # some detectors see nothing in some bins, so some pair products are zero
     det[:, rng.random((4, n_bins)) < dark_frac] = 0
     acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
-    acc.add_block(det)
+    acc.add(det)
     mat, ref = acc.finalize(), _reference_finalize(acc)
     for f in fields(G2Matrix):
         got, want = getattr(mat, f.name), getattr(ref, f.name)
@@ -413,7 +412,8 @@ def _ensemble(inputs, outputs):
     """An ensemble of hand-written shots, nothing absorbed."""
     ens = EnsembleResult(len(inputs[0]), 0.05)
     for inp, out in zip(inputs, outputs):
-        ens.add_shot(ShotRecord(np.array(inp), np.array(out), 0), 0)
+        ens.add_shot(rows_record(inp, out))
+        ens.add_ions(np.zeros(1, dtype=np.int64))
     return ens
 
 
@@ -462,8 +462,8 @@ def test_g2_equals_compares_every_summed_field():
     ):
         a = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
         b = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
-        a.add(clicks)
-        b.add(clicks)
+        a.add(clicks[None])
+        b.add(clicks[None])
         assert a.equals(b)
         setattr(b, name, getattr(b, name) + 1)
         assert not a.equals(b), name
