@@ -17,9 +17,10 @@ workload for the per-layer metrics.  Then each tree runs its Tier-1 test
 suite once with the verify command of ROADMAP.md, parent first.  Then the
 block layers of this checkout are timed in this process (``time_layers``),
 and so are whole ``cli.main`` calls of each workload (``time_calls``).  Last,
-each tree times its g2 sums on grids finer than the benchmark's, and its
-detection on a 1000-bin pulse with dead time and dark counts, in a fresh
-interpreter (``time_g2_grids``).
+each tree times its g2 sums on grids finer than the benchmark's, its
+detection on a 1000-bin pulse with dead time and dark counts, and
+``run_point`` at 3 photons on a 100000-bin pulse, in a fresh interpreter
+(``time_g2_grids``).
 
 The record holds the machine, every run's JSON result line, per workload
 and end-to-end metric both sides' medians and quartiles, the ratio of the
@@ -72,6 +73,8 @@ FEW_SHOTS = 16
 G2_GRIDS = {20: (40, 2, 2560), 200: (200, 1, 512), 500: (500, 1, 262), 1000: (1000, 1, 130)}
 G2_GRID_REPEATS = 3
 DEAD_TIME_NS, DARK_CPS = 20.0, 500.0
+# run_point on the longest pulse (pulses.MAX_BINS bins of 50 ns) at a few photons.
+LONG_PULSE_BINS, LONG_PULSE_PHOTONS, LONG_PULSE_SHOTS = 100_000, 3.0, 200
 
 
 def git_commit(tree: Path, rev: str) -> str | None:
@@ -115,7 +118,7 @@ def time_layers() -> dict:
     The workloads' parameters are those of ``perfbench/workloads.py``, at
     ``LAYER_SHOTS`` shots per point.  Each layer is timed around the calls
     ``experiment._run_batch`` makes, by wrapping them in this process: the
-    block substreams, the Poisson input draw, each stage's absorber, the ion
+    block substreams, the Poisson input draw (``sample_input``), each stage's absorber, the ion
     clicks, the detection, the sums of each stage's ensemble
     (``EnsembleResult.add_shot``, recorded as ``add_block_stage[k]``), the
     outcome counts (``OutcomeCounts.add``, recorded as ``outcomes``) and
@@ -143,9 +146,6 @@ def time_layers() -> dict:
                 spent[label(args) if callable(label) else label] += time.perf_counter() - start
         return wrapper
 
-    class TimedGenerator(np.random.Generator):
-        poisson = timed("input", np.random.Generator.poisson)
-
     def per_stage(name, n_stages):
         def label(args):
             calls[name] += 1
@@ -160,7 +160,7 @@ def time_layers() -> dict:
         "g2": ([(measured,)], [15.76], 2),
         "cascade": ([(ideal,) * 5], [3.0], None),
     }
-    substream, simulate_shot = experiment.substream, experiment.simulate_shot
+    substream, sample_input, simulate_shot = experiment.substream, experiment.sample_input, experiment.simulate_shot
     detect_ions, detect_pulse = experiment.detect_ions, experiment.detect_pulse
     ensemble_add, g2_add = absorber.EnsembleResult.add_shot, stats.G2Accumulator.add
     outcomes_add = experiment.OutcomeCounts.add
@@ -170,7 +170,8 @@ def time_layers() -> dict:
             n_stages = len(stage_lists[0])
             spent.clear()
             calls.clear()
-            experiment.substream = timed("substream", lambda *key: TimedGenerator(substream(*key).bit_generator))
+            experiment.substream = timed("substream", substream)
+            experiment.sample_input = timed("input", sample_input)
             experiment.simulate_shot = timed(per_stage("stage", n_stages), simulate_shot)
             experiment.detect_ions = timed("ions", detect_ions)
             experiment.detect_pulse = timed("detection", detect_pulse)
@@ -201,7 +202,8 @@ def time_layers() -> dict:
             layers[workload]["total"] = 1e6 * total / shots
             layers[workload]["minor_faults_per_shot"] = faults / shots
     finally:
-        experiment.substream, experiment.simulate_shot = substream, simulate_shot
+        experiment.substream, experiment.sample_input = substream, sample_input
+        experiment.simulate_shot = simulate_shot
         experiment.detect_ions, experiment.detect_pulse = detect_ions, detect_pulse
         absorber.EnsembleResult.add_shot, stats.G2Accumulator.add = ensemble_add, g2_add
         experiment.OutcomeCounts.add = outcomes_add
@@ -250,15 +252,19 @@ def time_g2_grids() -> dict:
     if both take a block of click arrays in ``add``.  The keys keep the
     ``add_block`` names of the committed ``BENCH_*.json``.
     The clicks are fixed-seed detections of the default pulse at 15.76 photons
-    without absorber, in blocks of ``experiment.block_rows``; the time is the
-    best of ``G2_GRID_REPEATS`` passes over them, and the peak is that of the
-    first block added to a fresh accumulator.  ``detection_1000_bins`` is
-    ``detect_pulse`` on the 1000-bin blocks with ``DEAD_TIME_NS`` and
-    ``DARK_CPS``, µs per shot, best of as many passes.
+    without absorber, in the row slices the shot loop detects at once
+    (``experiment.detect_rows``, or ``block_rows`` in a tree that detects
+    whole blocks); the time is the best of ``G2_GRID_REPEATS`` passes over
+    them, and the peak is that of the first slice added to a fresh
+    accumulator.  ``detection_1000_bins`` is ``detect_pulse`` on the
+    1000-bin slices with ``DEAD_TIME_NS`` and ``DARK_CPS``, µs per shot, best
+    of as many passes.  ``run_point_100000_bins`` is one ``run_point`` of
+    ``LONG_PULSE_SHOTS`` shots at ``LONG_PULSE_PHOTONS`` photons on a pulse of
+    ``LONG_PULSE_BINS`` bins, without g2, µs per shot, best of as many runs.
     """
     import tracemalloc
 
-    from photonsub import DetectorConfig, G2Accumulator, PulseSpec, experiment
+    from photonsub import AbsorberParams, DetectorConfig, G2Accumulator, PulseSpec, experiment, run_point
     from photonsub.detector import detect_pulse
     from photonsub.pulses import expected_bin_means
 
@@ -272,9 +278,10 @@ def time_g2_grids() -> dict:
         return 1e6 * best / shots
 
     out = {}
+    slice_rows = getattr(experiment, "detect_rows", experiment.block_rows)
     for cells, (n_bins, bins_per_cell, shots) in G2_GRIDS.items():
         spec = PulseSpec(mean_photons=15.76, bin_width_us=2.0 / n_bins)
-        rows = experiment.block_rows(spec)
+        rows = slice_rows(spec)
         rng = np.random.default_rng(cells)
         inputs = [rng.poisson(expected_bin_means(spec), size=(min(rows, shots - lo), n_bins))
                   for lo in range(0, shots, rows)]
@@ -291,6 +298,10 @@ def time_g2_grids() -> dict:
             detector = DetectorConfig(dead_time_ns=DEAD_TIME_NS, dark_cps=DARK_CPS)
             out["detection_1000_bins_us_per_shot"] = best_us_per_shot(
                 lambda entry: detect_pulse(*entry, detector, rng, spec.bin_width_us), entries, shots)
+    long_pulse = PulseSpec(mean_photons=LONG_PULSE_PHOTONS, duration_us=LONG_PULSE_BINS * 0.05)
+    out["run_point_100000_bins_us_per_shot"] = best_us_per_shot(
+        lambda seed: run_point(long_pulse, AbsorberParams(), DetectorConfig(), LONG_PULSE_SHOTS, seed),
+        [1], LONG_PULSE_SHOTS)
     return out
 
 
@@ -413,8 +424,10 @@ def main() -> int:
         "g2_grids": {
             "command": (
                 f"time_g2_grids(): in a fresh interpreter per tree, G2Accumulator.add on "
-                f"{', '.join(map(str, G2_GRIDS))} cells, and detect_pulse on 1000 bins with "
-                f"dead_time_ns = {DEAD_TIME_NS:g} and dark_cps = {DARK_CPS:g}, best of {G2_GRID_REPEATS} passes"
+                f"{', '.join(map(str, G2_GRIDS))} cells, detect_pulse on 1000 bins with "
+                f"dead_time_ns = {DEAD_TIME_NS:g} and dark_cps = {DARK_CPS:g}, and run_point at "
+                f"{LONG_PULSE_PHOTONS:g} photons on {LONG_PULSE_BINS} bins over {LONG_PULSE_SHOTS} shots "
+                f"without g2, best of {G2_GRID_REPEATS} passes"
             ),
             "unit": "us/shot, but add_block_peak_bytes in tracemalloc bytes",
             **g2_grids,

@@ -1,23 +1,22 @@
-"""Bin-wise Monte-Carlo transport of photon pulses through the absorber.
+"""Per-photon Monte-Carlo transport of photon pulses through the absorber.
 
-Photons are processed in bin order, photon-by-photon within a bin.  Each
-photon is first lost to background scattering with probability 1 - t; a
-surviving photon is converted into an excitation with probability p_ryd while
-the medium holds no excitation, with probability p_ryd2 while it holds exactly
-one, and never once it holds two.  The sequential per-photon Bernoulli trials
-are realized through their run-length (geometric) form, which is identical in
-distribution and takes a handful of vectorized draws for a whole block of
-pulses; the test suite checks the equivalence against a literal per-photon
-reference.  A block of pulses is carried as its nonzero entries: flat indices
-into the (B, n_bins) block in row-major order, and their counts.  The stage
-kernel ``simulate_shot`` and the ensemble sums ``EnsembleResult.add_shot``
-touch only those entries; as ``binomial`` draws nothing for a zero count, the
-draws are those of the dense block.  The block loop, for one absorber and for
-a cascade alike, is in ``experiment``; an ensemble holds one stage's sums; the
-outcome counts and the g2 sums of the detected light belong to the run result
-there.  All three run accumulators follow one ``Accumulator`` protocol: each
-lists its summed fields once, in ``zero_sums``, and ``merge`` adds them
-exactly.
+Photons pass in bin order, and each draws one uniform u on [0, 1): it is
+lost to background scattering if u >= t; a surviving photon is converted
+into an excitation if u < t*p_ryd while the medium holds no excitation, if
+u < t*p_ryd2 while it holds exactly one, and never once it holds two.  As u/t
+is uniform given survival, this is the sequential per-photon law with one
+draw a photon.  Every variate of a run is such a uniform, taken from the raw
+64-bit outputs of the block's bit generator (``uniforms``), so the stream
+rests on ``SeedSequence`` and the bit generator alone, never on a
+``Generator`` distribution method.  A block of pulses is carried as its
+nonzero entries: flat indices into the (B, n_bins) block in row-major order,
+and their counts.  The stage kernel ``simulate_shot`` and the ensemble sums
+``EnsembleResult.add_shot`` touch only those entries.  The block loop, for
+one absorber and for a cascade alike, is in ``experiment``; an ensemble holds
+one stage's sums; the outcome counts and the g2 sums of the detected light
+belong to the run result there.  All three run accumulators follow one
+``Accumulator`` protocol: each lists its summed fields once, in
+``zero_sums``, and ``merge`` adds them exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ import numpy as np
 from ._checks import check_unit_interval
 
 MAX_EXCITATIONS = 2
+# Uniforms a stage draws at a time: 64 KiB.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,43 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniforms on [0, 1), in order: the top 53 bits of each raw 64-bit
+    output of ``rng``'s bit generator, times 2**-53."""
+    u = (rng.bit_generator.random_raw(n) >> 11).astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+class InverseCDF:
+    """Draws from a table by inversion: ``draw(u)`` is, for each uniform u, the
+    number of ``cdf`` entries at or below it, ``searchsorted(cdf, u,
+    side="right")``.  ``cdf`` must ascend and end above every u (inf, say).
+
+    A guide table (Chen and Asau) holds the draw at each multiple of 1/G,
+    G a power of two and at least four times the table.  u starts at the
+    draw of the multiple below it and steps up past each entry at or below
+    it; only a u whose 1/G holds an entry steps.  So a draw costs a gather
+    and a compare, not a binary search, and equals ``searchsorted`` exactly,
+    since u * G is exact.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        self.cdf = cdf
+        size = 1 << (4 * cdf.size - 1).bit_length()
+        # entry j lies at or below k / size from k = ceil(cdf[j] * size) on, and cdf * size is exact
+        first = np.ceil(np.minimum(cdf * size, size)).astype(np.intp)
+        self.guide = np.cumsum(np.bincount(first, minlength=size + 1)[:size])
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        k = self.guide[(u * self.guide.size).astype(np.intp)]
+        step = np.flatnonzero(u >= self.cdf[k])
+        while step.size:
+            k[step] += 1
+            step = step[u[step] >= self.cdf[k[step]]]
+        return k
+
+
 def simulate_shot(
     params: AbsorberParams, shape: tuple[int, int], idx: np.ndarray, counts: np.ndarray, rng: np.random.Generator
 ) -> ShotRecord:
@@ -82,36 +120,39 @@ def simulate_shot(
     ``idx`` holds the entries' flat indices into the block, ascending (row-major
     order), and ``counts`` their photon counts; every other entry is zero.
     Returns the block's record: the output count of each entry, zeros
-    included, and the absorbed count of each of the B rows.  The draws are
-    those of the dense block in a fixed order: all survivors, then per row the
-    gap to the first absorbed photon and, with leakage, to the second.
-    ``binomial`` draws nothing for a zero count, so the survivors of the
-    nonzero entries alone take the same draws as those of the whole block.
+    included, and the absorbed count of each of the B rows.  Each photon
+    draws one uniform, the photons of the entries in order.  In each row the
+    first photon with u < t*p_ryd is absorbed and then, with leakage, the
+    first later one with u < t*p_ryd2; the photons with u >= t are lost.
+    Photons of one entry share a bin, so their order within it does not
+    matter.  The entry of photon k is the number of entries that end at or
+    before it, so no array is as long as the photons but the positions of
+    the candidates.
     """
     n_rows, n_bins = shape
-    output = rng.binomial(counts, params.t)
-    rows = idx // n_bins
-    n_surv = np.zeros(n_rows, dtype=np.int64)
-    np.add.at(n_surv, rows, output)
-    # survivors up to each entry and before each row, before any is absorbed
-    run = np.cumsum(output)
-    before = np.cumsum(n_surv) - n_surv
+    ends = np.cumsum(counts)
+    n = int(ends[-1]) if ends.size else 0
+    # the photons lost, and those that may convert first and second: the
+    # uniforms are drawn a chunk at a time and only these positions are kept
+    found = ([], [], [])
+    for lo in range(0, max(n, 1), _CHUNK):
+        u = uniforms(rng, min(_CHUNK, n - lo))
+        for positions, where in zip(found, (u >= params.t, u < params.t * params.p_ryd, u < params.t * params.p_ryd2)):
+            positions.append(np.flatnonzero(where) + lo)
+    lost, *candidates = (np.concatenate(positions) for positions in found)
+    # the photons of row r are [bounds[r], bounds[r + 1])
+    bounds = np.concatenate(([0], ends))[np.searchsorted(idx, np.arange(n_rows + 1) * n_bins)]
+    output = np.bincount(np.searchsorted(ends, lost, side="right"), minlength=idx.size)
+    np.subtract(counts, output, out=output)
     absorbed = np.zeros(n_rows, dtype=np.int64)
-    pos = np.full(n_rows, -1, dtype=np.int64)
-    for held, p in enumerate((params.p_ryd, params.p_ryd2)):
-        if p == 0.0:
-            break
-        # In rows holding `held` excitations the next absorbed photon is the first
-        # success of Bernoulli(p) trials after the last, gap photons on in the surviving
-        # stream; gap < n_surv - pos tests pos + gap < n_surv without an overflowing sum.
-        gap = rng.geometric(p, size=n_rows)
-        hit = (absorbed == held) & (gap < n_surv - pos)
-        pos[hit] += gap[hit]
-        # the photon at stream position pos of a row is in the first entry whose
-        # running survivor count exceeds the survivors of earlier rows plus pos
-        hit_rows = np.flatnonzero(hit)
-        output[np.searchsorted(run, before[hit_rows] + pos[hit_rows], side="right")] -= 1
-        absorbed += hit
+    # where each row's next absorbed photon may lie: from its first photon, then past the one absorbed
+    after = bounds[:-1]
+    for held, hit in enumerate(candidates):
+        # each row's first candidate from ``after`` on, or past every photon where none is
+        after = np.append(hit, n)[np.searchsorted(hit, after, side="right" if held else "left")]
+        rows = np.flatnonzero((absorbed == held) & (after < bounds[1:]))
+        output[np.searchsorted(ends, after[rows], side="right")] -= 1
+        absorbed[rows] += 1
     return ShotRecord(shape, idx, counts, output, absorbed)
 
 
@@ -171,19 +212,18 @@ class EnsembleResult(Accumulator):
         n_rows = rec.shape[0]
         inp, out = rec.input_bins, rec.output_bins
         rows = rec.idx // self.n_bins
-        bins = rec.idx - rows * self.n_bins
         total_out = np.zeros(n_rows, dtype=np.int64)
         np.add.at(total_out, rows, out)
+        # each entry's bin, in the rows' array
+        bins = np.subtract(rec.idx, rows * self.n_bins, out=rows)
         self.shots += n_rows
         self.out_total_sq_sum += int((total_out * total_out).sum())
-        for sums, values in (
-            (self.in_bin_sums, inp),
-            (self.out_bin_sums, out),
-            (self.in_bin_sq_sums, inp * inp),
-            (self.out_bin_sq_sums, out * out),
-            (self.inout_bin_sums, inp * out),
-        ):
-            np.add.at(sums, bins, values)
+        # one product at a time: each is as long as the entries
+        np.add.at(self.in_bin_sums, bins, inp)
+        np.add.at(self.out_bin_sums, bins, out)
+        np.add.at(self.in_bin_sq_sums, bins, inp * inp)
+        np.add.at(self.out_bin_sq_sums, bins, out * out)
+        np.add.at(self.inout_bin_sums, bins, inp * out)
         self.absorbed_hist += np.bincount(rec.absorbed, minlength=MAX_EXCITATIONS + 1)
 
     def add_ions(self, ions: np.ndarray) -> None:

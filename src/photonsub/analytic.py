@@ -4,9 +4,9 @@ These expressions assume Poisson-distributed input photon numbers and
 per-photon background loss, and serve as cross-checks for the Monte-Carlo
 engine.  ``absorbed_pmf``, ``mean_out``, ``var_out`` and ``ion_stats`` hold
 for the leaky blockade of ``absorber``, which absorbs up to two photons a
-pulse (the second with probability p_ryd2 per later survivor), and reduce to
-the perfect blockade at p_ryd2 = 0; ``out_bin_means`` is the perfect
-blockade's.
+pulse (the second with probability p_ryd2 per later survivor), and so does
+``out_bin_means``; they reduce to the perfect blockade at p_ryd2 = 0.
+``poisson_cdf`` is the table the Monte-Carlo input is drawn from.
 """
 
 from __future__ import annotations
@@ -48,16 +48,42 @@ def mean_out(n_in: float, t: float, p_ryd: float, p_ryd2: float) -> float:
     return t * n_in - p1 - 2.0 * p2
 
 
-def out_bin_means(lam: np.ndarray, t: float, p_ryd: float) -> np.ndarray:
-    """Mean transmitted photons per bin of a perfect blockade on Poisson bin means lam:
-    t*lam_b - exp(-M_<b)(1 - exp(-mu_b)), mu_b = p_ryd*t*lam_b and M_<b the sum of mu
-    over the earlier bins; the subtracted term is the chance that bin b holds the absorbed photon."""
+def _h(d: np.ndarray) -> np.ndarray:
+    """(1 - exp(-d))/d, and 1 at d = 0."""
+    safe = np.where(d == 0.0, 1.0, d)
+    return np.where(d == 0.0, 1.0, -np.expm1(-safe) / safe)
+
+
+def out_bin_means(lam: np.ndarray, t: float, p_ryd: float, p_ryd2: float = 0.0) -> np.ndarray:
+    """Mean transmitted photons per bin of a leaky blockade on Poisson bin means lam.
+
+    Bin b passes t*lam_b survivors less the chance that it holds the first and
+    the second absorbed photon.  The survivors that may convert first form a
+    Poisson stream of f_b = p_ryd*t*lam_b a bin, those that may convert
+    second one of g_b = p_ryd2*t*lam_b, and photons are uniform in time
+    within a bin.  The first falls in bin b with probability
+    exp(-F_<b)(1 - exp(-f_b)), F_<b the sum of f over the earlier bins.  The
+    second, the first g-photon after it, falls in bin b after a first in an
+    earlier bin a with probability W_b (1 - exp(-g_b)),
+    W_b = sum_a f_a h(f_a - g_a) exp(-F_<a - (G_<b - G_<a)), or after a first
+    in bin b with f_b exp(-F_<b)(h(f_b) - exp(-g_b) h(f_b - g_b)), where
+    h(d) = (1 - exp(-d))/d.  W is summed in log space, so no term overflows
+    where p_ryd2 exceeds p_ryd.
+    """
     lam = np.asarray(lam, dtype=float)
     if not (lam >= 0).all():
         raise ValueError("bin means must be >= 0")
-    check_unit_interval(t=t, p_ryd=p_ryd)
-    mu = p_ryd * t * lam
-    return t * lam + np.exp(mu - np.cumsum(mu)) * np.expm1(-mu)
+    check_unit_interval(t=t, p_ryd=p_ryd, p_ryd2=p_ryd2)
+    f, g = p_ryd * t * lam, p_ryd2 * t * lam
+    f_before, g_before = np.cumsum(f) - f, np.cumsum(g) - g
+    first = np.exp(-f_before) * -np.expm1(-f)
+    if p_ryd2 == 0.0:
+        return t * lam - first
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(f * _h(f - g)) - f_before + g_before
+    log_w = np.logaddexp.accumulate(np.concatenate(([-np.inf], log_terms[:-1]))) - g_before
+    within = f * np.exp(-f_before) * (_h(f) - np.exp(-g) * _h(f - g))
+    return t * lam - first - np.exp(log_w) * -np.expm1(-g) - within
 
 
 def var_out(n_in: float, t: float, p_ryd: float, p_ryd2: float) -> float:
@@ -114,6 +140,20 @@ def poisson_pmf(mu: float, k_max: int) -> np.ndarray:
     return np.exp(logs)
 
 
+def poisson_cut(mu: float) -> int:
+    """The largest count the Poisson(mu) tables hold: mu + 20*sqrt(mu) + 2,
+    past which the tail is below 1e-12."""
+    return int(mu + 20.0 * math.sqrt(mu)) + 2
+
+
+def poisson_cdf(mu: float) -> np.ndarray:
+    """CDF of Poisson(mu) at 0..``poisson_cut(mu)``, with the last entry inf:
+    a count drawn as the number of entries at or below a uniform never passes the cut."""
+    cdf = np.cumsum(poisson_pmf(mu, poisson_cut(mu)))
+    cdf[-1] = np.inf
+    return cdf
+
+
 def g2_total_of_pmf(pmf: np.ndarray) -> float:
     """Total-pulse g2 = <n(n-1)> / <n>^2 of a photon-number distribution."""
     pmf = np.asarray(pmf, dtype=float)
@@ -134,7 +174,7 @@ def subtracted_poisson_g2_total(mu: float) -> float:
     """
     if not mu > 1.0:
         raise ValueError(f"mu must exceed 1, got {mu}")
-    k_max = int(mu + 20.0 * math.sqrt(mu)) + 2
+    k_max = poisson_cut(mu)
     pmf = poisson_pmf(mu, k_max)
     shifted = np.zeros(k_max + 1)
     shifted[:-1] = pmf[1:]

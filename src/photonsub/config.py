@@ -26,7 +26,7 @@ from ._checks import check_finite
 from .absorber import AbsorberParams
 from .bloch import PhysicsParams
 from .detector import DetectorConfig
-from .pulses import PulseSpec
+from .pulses import MAX_PHOTONS, PulseSpec
 
 MAX_SEED = 2**64 - 1
 # Each stage costs every shot a kernel pass; long cascades drop the joint outcome table.
@@ -57,6 +57,9 @@ class RunConfig:
         # config.txt must read the directory back from one 'key = value' line
         if "#" in self.out_dir or len(self.out_dir.splitlines()) > 1 or self.out_dir != self.out_dir.strip():
             raise ValueError(f"run.out_dir must hold no '#', line break or edge whitespace, got {self.out_dir!r}")
+        # each (shot, counter) draws its dark count from a Poisson table of this mean
+        if not (darks := self.detector.dark_cps * self.pulse.duration_us * 1e-6) <= MAX_PHOTONS:
+            raise ValueError(f"detector.dark_cps gives {darks:g} dark counts a pulse, more than {MAX_PHOTONS}")
         check_finite(**{"g2.cell_ns": self.g2_cell_ns})
         if self.g2_cell_ns <= 0:
             raise ValueError(f"g2.cell_ns must be > 0, got {self.g2_cell_ns}")

@@ -1,5 +1,7 @@
 """Detection chain, for a block of shots given as its entries: one uniform per photon
-for efficiency thinning and the four-way fan-out, dark counts, dead time, ion counting."""
+for efficiency thinning and the four-way fan-out, dark counts, dead time, ion counting.
+
+Every variate is a uniform from ``absorber.uniforms``, the raw bits of the block's stream."""
 
 from __future__ import annotations
 
@@ -8,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_finite, check_unit_interval
+from .absorber import uniforms
+from .analytic import poisson_cdf
 
 N_DETECTORS = 4
 # Transient bytes of each slice of detection's per-photon arrays; the slices
@@ -45,23 +49,34 @@ class DetectorConfig:
 
 
 def detect_ions(excitations: int | np.ndarray, eta_ion: float, rng: np.random.Generator) -> int | np.ndarray:
-    """Ion-counter clicks: binomial thinning of excitation counts, which must be >= 0."""
-    return rng.binomial(excitations, eta_ion)
+    """Ion-counter clicks of excitation counts, which must be >= 0: each
+    excitation, in the counts' row-major order, draws one uniform and clicks
+    below ``eta_ion``, so each count is thinned binomially."""
+    counts = np.asarray(excitations, dtype=np.int64)
+    if (counts < 0).any():
+        raise ValueError("excitation counts must be >= 0")
+    owner = np.repeat(np.arange(counts.size), counts.ravel())
+    clicks = np.bincount(owner[uniforms(rng, owner.size) < eta_ion], minlength=counts.size)
+    return clicks.reshape(counts.shape)[()]
 
 
-def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
+def _apply_dead_time(clicks: np.ndarray, dead_bins: int, cells: np.ndarray | None = None) -> np.ndarray:
+    """The recorded clicks, written over the C-contiguous ``clicks`` in place:
+    1 where a click is recorded, else 0.  ``cells``, ascending flat indices,
+    may name the only cells that can hold clicks, so that no pass scans the rest."""
     # After a recorded click the detector is blind for the rest of its bin and
     # the following dead_bins - 1 bins, so each dead window yields one click.
     # The pass steps through each detector row's clicks in bin order, the k-th
     # click of every row at once: as many steps as one row has clicks at most,
     # whatever the number of bins.
-    live = clicks.reshape(-1, clicks.shape[-1])
-    idx = np.flatnonzero(live)
-    row, col = np.divmod(idx, live.shape[1])
-    per_row = np.bincount(row, minlength=len(live))
+    flat = clicks.reshape(-1)
+    idx = np.flatnonzero(flat) if cells is None else cells[flat[cells] > 0]
+    n_rows = flat.size // clicks.shape[-1]
+    row, col = np.divmod(idx, clicks.shape[-1])
+    per_row = np.bincount(row, minlength=n_rows)
     start = np.cumsum(per_row) - per_row
     rows = np.flatnonzero(per_row)
-    next_live = np.zeros(len(live), dtype=np.int64)
+    next_live = np.zeros(n_rows, dtype=np.int64)
     fired = np.zeros(len(idx), dtype=bool)
     for k in range(per_row.max(initial=0)):
         rows = rows[per_row[rows] > k]
@@ -69,9 +84,8 @@ def _apply_dead_time(clicks: np.ndarray, dead_bins: int) -> np.ndarray:
         fire = col[at] >= next_live[rows]
         next_live[rows[fire]] = col[at[fire]] + dead_bins
         fired[at[fire]] = True
-    out = np.zeros(live.size, dtype=np.int64)
-    out[idx[fired]] = 1
-    return out.reshape(clicks.shape)
+    flat[idx] = fired
+    return clicks
 
 
 def detect_pulse(
@@ -93,31 +107,50 @@ def detect_pulse(
     each entry's clicks and lost photons are multinomial, and the draws take
     time linear in the number of photons.  The uniforms are drawn in slices
     of at most ``_DRAW_BYTES``, which leaves the stream as one draw would.
-    Dark counts and the dead time follow on the dense clicks, an
-    (N_DETECTORS, n_bins) array per shot.
+    Then each (shot, counter) draws its dark count, Poisson with mean
+    dark_cps times the pulse length, by inverting ``poisson_cdf`` at one
+    uniform, and each dark click one uniform that places it in a bin, all
+    bins alike: so each (counter, bin) gets Poisson darks of mean dark_cps
+    times the bin width.  The dead time follows on the dense clicks, an
+    (N_DETECTORS, n_bins) array per shot, visiting only the cells that can
+    hold one.
     """
-    size = int(np.prod(shape))
+    *lead, n_bins = shape
+    n_rows = int(np.prod(lead))
     ends = np.cumsum(counts)
     starts, total = ends - counts, int(counts.sum())
     edges = np.minimum(cfg.eta_probe * np.cumsum(cfg.split), cfg.eta_probe)
     edges[-1] = cfg.eta_probe
-    # counter k of the entry at flat index i is clicks[k * size + i], and
-    # k = N_DETECTORS counts the lost photons; a pass without photons gives zeros
+    # the click of counter k in bin j of shot r is at (r * N_DETECTORS + k) * n_bins + j,
+    # that is the entry's flat index plus (r * (N_DETECTORS - 1) + k) * n_bins
+    base = idx + (idx // n_bins) * ((N_DETECTORS - 1) * n_bins)
+    size = n_rows * N_DETECTORS * n_bins
+    # a pass without photons gives zeros
     step = _DRAW_BYTES // 8
     for lo in range(0, max(total, 1), step):
         hi = min(lo + step, total)
         # the entries with photons in [lo, hi), and how many each
         part = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
-        slot = np.searchsorted(edges, rng.random(hi - lo), side="right")
-        slot *= size
-        slot += np.repeat(idx[part], np.minimum(ends[part], hi) - np.maximum(starts[part], lo))
-        hits = np.bincount(slot, minlength=(N_DETECTORS + 1) * size)
-        del slot  # before the next slice's arrays
-        clicks = hits if lo == 0 else clicks + hits
-    det = np.moveaxis(clicks[: N_DETECTORS * size].reshape(N_DETECTORS, *shape), 0, -2)
+        slot = np.searchsorted(edges, uniforms(rng, hi - lo), side="right")
+        keys = np.repeat(base[part], np.minimum(ends[part], hi) - np.maximum(starts[part], lo))
+        keys += slot * n_bins
+        hits = np.bincount(keys[slot < N_DETECTORS], minlength=size)
+        del slot, keys  # before the next slice's arrays
+        det = hits if lo == 0 else det + hits
+    # the flat indices of the dark clicks, in draw order
+    at = np.zeros(0, dtype=np.int64)
     if cfg.dark_cps > 0.0:
-        det = det + rng.poisson(cfg.dark_cps * bin_width_us * 1e-6, size=det.shape)
+        darks = np.searchsorted(poisson_cdf(cfg.dark_cps * bin_width_us * 1e-6 * n_bins),
+                                uniforms(rng, n_rows * N_DETECTORS), side="right")
+        at = np.minimum((uniforms(rng, int(darks.sum())) * n_bins).astype(np.int64), n_bins - 1)
+        at += np.repeat(np.arange(0, size, n_bins), darks)
+        np.add.at(det, at, 1)
+    det = det.reshape(*lead, N_DETECTORS, n_bins)
     if cfg.dead_time_ns > 0.0:
         dead_bins = max(1, int(np.ceil(cfg.dead_time_ns / (bin_width_us * 1e3))))
-        det = _apply_dead_time(det, dead_bins)
+        # the cells that can hold clicks, once each: every entry's counters and the dark clicks'
+        cells = np.sort(np.concatenate(((base[:, None] + np.arange(N_DETECTORS) * n_bins).ravel(), at)))
+        first = np.ones(cells.size, dtype=bool)
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        _apply_dead_time(det, dead_bins, cells[first])
     return det

@@ -5,10 +5,12 @@ walks photon by photon with one uniform draw per decision, the Poisson pmf
 uses the multiplicative recurrence, the subtracted-pulse g2 comes from the
 closed-form moments of the shifted distribution, the dead-time oracle
 walks one detector row click by click, and the g2 sums are built shot by
-shot from explicit outer products.  The dense block functions keep the
-package's earlier block kernel and ensemble sums, frozen, and detection is
-a loop over photons with one uniform draw each, so that the random stream
-of a block is pinned against them.  The histogram statistics keep the
+shot from explicit outer products.  The dense block functions pin the
+random stream of a block: they decode the raw 64-bit outputs of its bit
+generator by hand, in Python integers, and walk a dense block row by row,
+bin by bin and photon by photon, for the input, each stage, the ion clicks
+and detection; the ensemble sums are whole-row and whole-column
+reductions.  The histogram statistics keep the
 package's earlier one-moments-pass-per-value functions, frozen, so that the
 one-pass ``stats.hist_stats`` is pinned bit for bit against them.
 ``rows_record`` hands dense rows to the package's entry-taking calls.
@@ -45,29 +47,68 @@ def per_photon_shot(p_ryd: float, p_ryd2: float, t: float, input_bins, rng):
     return output, absorbed, lost, absorption_bin
 
 
-def dense_block_stage(p_ryd: float, p_ryd2: float, t: float, counts, rng):
-    """One absorber stage on a dense (B, n_bins) block: the output rows, the
-    absorbed count and the photons lost per row.
+def raw_uniforms(rng, n: int) -> list[float]:
+    """The next ``n`` uniforms of ``rng``'s stream: the top 53 bits of each raw
+    64-bit output of its bit generator, over 2**53."""
+    return [(int(raw) >> 11) / 2**53 for raw in rng.bit_generator.random_raw(n)]
 
-    All survivors are drawn, then per row the geometric gap to the first
-    absorbed photon and, with leakage, to the second; the absorbed photon's
-    bin is the number of cumulative survivor counts at or below its position.
-    """
+
+def poisson_by_inversion(mu: float, draws) -> list[int]:
+    """Poisson(mu) counts, one per uniform in ``draws``: the first k whose
+    running pmf sum exceeds the uniform, at most the cut mu + 20 sqrt(mu) + 2."""
+    k_max = int(mu + 20.0 * math.sqrt(mu)) + 2
+    cdf = np.cumsum(poisson_pmf(mu, k_max)).tolist()[:-1]
+    return [next((k for k, c in enumerate(cdf) if u < c), k_max) for u in draws]
+
+
+def input_block(rows: int, mu: float, weights, rng) -> np.ndarray:
+    """A dense (rows, n_bins) Poisson input of mean ``mu`` with envelope ``weights``:
+    each row's photon number by inversion, then each photon, rows in order, in
+    the first bin whose running weight sum exceeds its uniform (the last bin
+    takes the rest)."""
+    totals = poisson_by_inversion(mu, raw_uniforms(rng, rows))
+    bounds = np.cumsum(weights).tolist()[:-1]
+    draws = iter(raw_uniforms(rng, sum(totals)))
+    block = np.zeros((rows, len(weights)), dtype=np.int64)
+    for row, n in enumerate(totals):
+        for _ in range(n):
+            u = next(draws)
+            block[row, next((b for b, c in enumerate(bounds) if u < c), len(bounds))] += 1
+    return block
+
+
+def uniform_stage(p_ryd: float, p_ryd2: float, t: float, counts, rng):
+    """One absorber stage on a dense (B, n_bins) block, photon by photon, rows
+    then bins in order, one uniform u each: lost if u >= t, absorbed if
+    u < t*p_ryd with nothing held or u < t*p_ryd2 with one excitation held,
+    else passed.  Returns the output rows, the absorbed count and the photons
+    lost per row."""
     counts = np.asarray(counts, dtype=np.int64)
-    output = rng.binomial(counts, t)
-    cum = np.cumsum(output, axis=1)
-    n_surv = cum[:, -1]
+    draws = iter(raw_uniforms(rng, int(counts.sum())))
+    output = np.zeros_like(counts)
     absorbed = np.zeros(len(counts), dtype=np.int64)
-    pos = np.full(len(counts), -1)
-    for held, p in enumerate((p_ryd, p_ryd2)):
-        if p == 0.0:
-            break
-        gap = rng.geometric(p, size=len(counts))
-        hit = (absorbed == held) & (gap < n_surv - pos)
-        pos[hit] += gap[hit]
-        output[hit, (cum <= pos[:, None]).sum(axis=1)[hit]] -= 1
-        absorbed += hit
-    return output, absorbed, counts.sum(axis=1) - n_surv
+    lost = np.zeros(len(counts), dtype=np.int64)
+    for row, shot in enumerate(counts):
+        for b, n in enumerate(shot):
+            for _ in range(int(n)):
+                u = next(draws)
+                if u >= t:
+                    lost[row] += 1
+                elif absorbed[row] == 0 and u < t * p_ryd:
+                    absorbed[row] = 1
+                elif absorbed[row] == 1 and u < t * p_ryd2:
+                    absorbed[row] = 2
+                else:
+                    output[row, b] += 1
+    return output, absorbed, lost
+
+
+def ion_clicks(absorbed, eta: float, rng) -> np.ndarray:
+    """Ion clicks of an (S, B) array of excitation counts: each excitation, in
+    row-major order, clicks if its uniform lies below ``eta``."""
+    absorbed = np.asarray(absorbed, dtype=np.int64)
+    draws = iter(raw_uniforms(rng, int(absorbed.sum())))
+    return np.array([[sum(next(draws) < eta for _ in range(a)) for a in row] for row in absorbed], dtype=np.int64)
 
 
 def rows_record(inp, out=None, absorbed=0) -> ShotRecord:
@@ -102,25 +143,32 @@ def dense_detection(counts, eta_probe: float, split, dark_mean: float, dead_bins
     """Clicks of a dense (B, n_bins) block, shape (B, 4, n_bins), photon by
     photon in row-major order: each photon draws one uniform and goes to the
     first counter whose cumulative share of ``eta_probe`` lies above it, or is
-    lost; then dark counts on every detector bin, then each detector row's
-    dead time, click by click."""
+    lost; then each (shot, counter), in order, draws its dark count of mean
+    ``dark_mean`` per bin by inversion, and each dark, in order, the bin
+    int(u * n_bins); then each detector row's dead time, click by click."""
     counts = np.asarray(counts, dtype=np.int64)
     edges, total = [], 0.0
     for p in split:
         total += p
         edges.append(min(eta_probe * total, eta_probe))
     edges[-1] = eta_probe
-    det = np.zeros((len(counts), len(edges), counts.shape[1]), dtype=np.int64)
+    n_bins = counts.shape[1]
+    det = np.zeros((len(counts), len(edges), n_bins), dtype=np.int64)
+    draws = iter(raw_uniforms(rng, int(counts.sum())))
     for row, shot in enumerate(counts):
         for b, n in enumerate(shot):
             for _ in range(int(n)):
-                u = rng.random()
+                u = next(draws)
                 for k, edge in enumerate(edges):
                     if u < edge:
                         det[row, k, b] += 1
                         break
     if dark_mean > 0.0:
-        det = det + rng.poisson(dark_mean, size=det.shape)
+        darks = poisson_by_inversion(dark_mean * n_bins, raw_uniforms(rng, det.shape[0] * det.shape[1]))
+        places = iter(raw_uniforms(rng, sum(darks)))
+        for cell, n in enumerate(darks):
+            for _ in range(n):
+                det[cell // len(edges), cell % len(edges), min(int(next(places) * n_bins), n_bins - 1)] += 1
     if dead_bins > 0:
         det = np.array([[dead_time_loop(row, dead_bins) for row in shot] for shot in det])
     return det

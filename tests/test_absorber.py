@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pickle
 import warnings
 import weakref
@@ -25,18 +26,21 @@ from photonsub import (
 )
 from photonsub import experiment, stats
 from photonsub.absorber import MAX_EXCITATIONS
-from photonsub.pulses import expected_bin_means
+from photonsub.analytic import absorbed_pmf, out_bin_means
+from photonsub.pulses import MAX_BINS, MAX_PHOTONS, expected_bin_means, tukey_envelope
 
 from _oracles import (
     both_stages_fire_probability,
     chi2_upper,
-    dense_block_stage,
     dense_block_sums,
     dense_detection,
     g2_sums_per_shot,
+    input_block,
+    ion_clicks,
     leaky_absorbed_pmf,
     per_photon_shot,
     rows_record,
+    uniform_stage,
 )
 
 MEASURED = AbsorberParams(p_ryd=0.35, p_ryd2=0.001, t=0.99)
@@ -168,6 +172,7 @@ def test_absorbed_histogram_matches_leaky_blockade_chi2():
     params = AbsorberParams(p_ryd=0.35, p_ryd2=0.05, t=0.95)
     ens = run_point(PulseSpec(mean_photons=n_in), params, DET, shots, 25)
     expected = shots * leaky_absorbed_pmf(n_in, params.p_ryd, params.p_ryd2, params.t)
+    np.testing.assert_allclose(expected, shots * np.array(absorbed_pmf(n_in, params.t, params.p_ryd, params.p_ryd2)))
     chi2 = float(((ens.absorbed_hist - expected) ** 2 / expected).sum())
     assert chi2 < chi2_upper(2)
 
@@ -460,30 +465,33 @@ def _reference_sums(inp, out, absorbed, ions):
 
 def _block_loop(stages, spec, shots, seed, ensembles, g2=None, detector=DET, stream_key=()):
     """A run as a literal loop over its blocks, added into ``ensembles`` (one
-    per stage) and ``g2``, with the frozen dense oracles; returns the outcome
-    counts.  Each block of ``block_rows`` rows draws from its own substream:
-    the input, every stage, every stage's ion clicks, then the detection of
-    the last stage's output."""
-    rows = experiment.block_rows(spec)
-    lam = expected_bin_means(spec)
+    per stage) and ``g2``, with the dense oracles that decode each uniform by
+    hand; returns the outcome counts.  Each block of ``block_rows`` rows draws
+    from its own substream: the input, every stage, every stage's ion clicks,
+    then the detection of the last stage's output in slices of ``detect_rows``
+    rows."""
+    rows, slice_rows = experiment.block_rows(spec), experiment.detect_rows(spec)
+    weights = tukey_envelope(spec)
     dark_mean = detector.dark_cps * spec.bin_width_us * 1e-6
     dead_bins = max(1, int(np.ceil(detector.dead_time_ns / (spec.bin_width_us * 1e3)))) if detector.dead_time_ns else 0
     outcomes = Counter()
     for block, lo in enumerate(range(0, shots, rows)):
         rng = substream(seed, *stream_key, block)
-        bins = [rng.poisson(lam, size=(min(rows, shots - lo), spec.n_bins))]
+        bins = [input_block(min(rows, shots - lo), spec.mean_photons, weights, rng)]
         absorbed = []
         for params in stages:
-            out, stage_absorbed, _ = dense_block_stage(params.p_ryd, params.p_ryd2, params.t, bins[-1], rng)
+            out, stage_absorbed, _ = uniform_stage(params.p_ryd, params.p_ryd2, params.t, bins[-1], rng)
             bins.append(out)
             absorbed.append(stage_absorbed)
-        ions = rng.binomial(np.array(absorbed), detector.eta_ion)
+        ions = ion_clicks(absorbed, detector.eta_ion, rng)
         for k, ens in enumerate(ensembles):
             sums = dense_block_sums(bins[k], bins[k + 1], absorbed[k], ions[k], MAX_EXCITATIONS + 1)
             for name, value in sums.items():
                 setattr(ens, name, getattr(ens, name) + value)
         if g2 is not None:
-            g2.add(dense_detection(bins[-1], detector.eta_probe, detector.split, dark_mean, dead_bins, rng))
+            for part in range(0, len(bins[-1]), slice_rows):
+                g2.add(dense_detection(bins[-1][part : part + slice_rows], detector.eta_probe, detector.split,
+                                       dark_mean, dead_bins, rng))
         outcomes.update(zip(bins[0].sum(axis=1).tolist(), *np.array(absorbed).tolist()))
     return outcomes
 
@@ -537,7 +545,7 @@ def test_one_row_g2_slices_equal_the_block_loop():
         slices.append(len(det))
         add_rows(acc, det)
 
-    # the g2 slices' bound only, so blocks keep 256 rows
+    # the g2 slices' bound only, so blocks and detection slices keep their rows
     with mock.patch.object(stats, "_SLICE_BYTES", 1), mock.patch.object(
         G2Accumulator, "_add_rows", counted
     ):
@@ -548,20 +556,40 @@ def test_one_row_g2_slices_equal_the_block_loop():
 
 
 def test_block_rows_are_capped_by_the_byte_bound():
-    spec = PulseSpec(mean_photons=100.0)
-    assert experiment.block_rows(spec) == experiment._BLOCK
+    # a row draws at most poisson_cut(mean) photons: every per-photon array of a block
+    # stays within the bound, whatever the bin count, up to the photon cap
+    for spec in (PulseSpec(mean_photons=3.0, duration_us=MAX_BINS * 0.05), PulseSpec(mean_photons=MAX_PHOTONS)):
+        rows = experiment.block_rows(spec)
+        assert rows * 8 * experiment.poisson_cut(spec.mean_photons) <= experiment._PHOTON_BYTES
+    assert experiment.block_rows(PulseSpec(mean_photons=3.0, duration_us=MAX_BINS * 0.05)) == experiment._BLOCK
+    assert experiment.block_rows(PulseSpec(mean_photons=MAX_PHOTONS)) == 2  # 106326 photons a row at most
+    assert experiment.block_rows(PulseSpec(mean_photons=1000.0)) == 2**21 // (8 * 1634)
+    # detection slices: 256 rows, fewer where the dense clicks pass 2 MiB: 2**21 // (32 * 4000)
     long_pulse = PulseSpec(mean_photons=6.0, duration_us=200.0)  # 4000 bins
-    # 512 KiB of int64 input rows, whatever the stage count: 2**19 // (8 * 4000)
-    assert experiment.block_rows(long_pulse) == 16
-    result = simulate_cascade((MEASURED,) * 3, long_pulse, DET, 17, 3)  # one block and one shot
+    assert experiment.detect_rows(PulseSpec(mean_photons=6.0)) == experiment._DETECT_ROWS
+    assert experiment.detect_rows(long_pulse) == 16
+    result = simulate_cascade((MEASURED,) * 3, long_pulse, DET, 17, 3)
     assert result.shots == 17
-    # 100 stages run in the blocks of one stage: each stage once per 256-row block
+    # 100 stages run in the blocks of one stage: each stage once per block
+    spec = PulseSpec(mean_photons=20.0)
     shots = 2 * experiment._BLOCK + 1
     with mock.patch.object(experiment, "simulate_shot", wraps=simulate_shot) as traced:
         result = simulate_cascade((AbsorberParams(0.3, 0.05, 0.999),) * 100, spec, DET, shots, 3)
     shapes = [call.args[1] for call in traced.call_args_list]
-    assert shapes == [(256, spec.n_bins)] * 200 + [(1, spec.n_bins)] * 100
+    assert shapes == [(experiment._BLOCK, spec.n_bins)] * 200 + [(1, spec.n_bins)] * 100
     assert result.shots == shots
+
+
+def test_g2_detection_runs_in_row_slices_of_bounded_clicks():
+    spec = PulseSpec(mean_photons=6.0, duration_us=20.0)  # 400 bins: 163-row slices
+    rows = experiment.detect_rows(spec)
+    assert rows == 2**21 // (32 * 400)
+    with mock.patch.object(experiment, "detect_pulse", wraps=experiment.detect_pulse) as traced:
+        result = simulate_cascade((MEASURED,), spec, DET, experiment._BLOCK + 5, 2, g2_cell_bins=20)
+    shapes = [call.args[0] for call in traced.call_args_list]
+    assert shapes == [(rows, 400)] * 6 + [(experiment._BLOCK - 6 * rows, 400), (5, 400)]
+    assert all(8 * 4 * n * bins <= experiment._CLICK_BYTES for n, bins in shapes)
+    assert result.g2.shots == experiment._BLOCK + 5
 
 
 def test_a_long_leaky_cascade_equals_the_block_loop():
@@ -580,13 +608,14 @@ def test_a_long_leaky_cascade_equals_the_block_loop():
     assert result.g2.equals(g2)
 
 
-# The stream is defined by the draws of each block and by the block size, so a
-# change to either redraws every run.  These digests pin both, for one numpy
-# version: Generator's distribution streams may change between releases.
-STREAM_NUMPY = "2.4.6"
+# The stream is defined by the draws of each block, the block size and, with
+# dark counts, the detection slices, so a change to any redraws every run.
+# These digests pin them all.  Every variate is decoded from the bit
+# generator's raw outputs, which NEP 19 keeps stable across numpy releases,
+# so they hold for any numpy version.
 STREAM_DIGESTS = {
-    "40-bins": "035b5e2066af5eb79c84d7a547810a2395f3ef9a46042952071e87b5ad681b18",
-    "4000-bins": "7b57ae56f407b23ee542bd93eb23718de34fd1b3d5fe2a62cc36581064345aae",
+    "40-bins": "8b20e6d50db1e159e24d2ab79175fdadcedb333ae6d4d191926b1765bb56225f",
+    "4000-bins": "1e8d801374a6a2a216aa936f3f62872f40bab21c6437908913571ef9f4f188b4",
 }
 
 
@@ -603,7 +632,6 @@ def _run_digest(result):
     return digest.hexdigest()
 
 
-@pytest.mark.skipif(np.__version__ != STREAM_NUMPY, reason=f"digests recorded with numpy {STREAM_NUMPY}")
 @pytest.mark.parametrize(
     "label, duration_us, shots, bins_per_cell",
     [("40-bins", 2.0, 600, 2), ("4000-bins", 200.0, 20, 40)],
@@ -611,7 +639,7 @@ def _run_digest(result):
 )
 def test_fixed_seed_runs_draw_the_recorded_stream(label, duration_us, shots, bins_per_cell):
     # three leaky stages, detection with darks and dead time; the 4000-bin
-    # pulse takes blocks of 16 rows, which the block byte bound sets
+    # pulse is detected in slices of 16 rows, which the click byte bound sets
     stages = (MEASURED, AbsorberParams(p_ryd=0.5, p_ryd2=0.05, t=0.9), AbsorberParams(p_ryd=0.8, p_ryd2=0.1, t=0.95))
     detector = DetectorConfig(eta_probe=0.7, dead_time_ns=120.0, dark_cps=5e5)
     spec = PulseSpec(mean_photons=6.0, duration_us=duration_us)
@@ -620,12 +648,12 @@ def test_fixed_seed_runs_draw_the_recorded_stream(label, duration_us, shots, bin
 
 
 # ---------------------------------------------------------------------------
-# the stage kernel on nonzero entries against the frozen dense block kernel
+# the stage kernel on nonzero entries against the dense per-photon oracle
 
 STAGE = st.tuples(
     st.sampled_from([0.0, 0.5, 0.99, 1.0]),  # t
     st.sampled_from([0.0, 0.35, 1.0]),  # p_ryd
-    st.sampled_from([0.0, 0.001, 0.2]),  # p_ryd2
+    st.sampled_from([0.0, 0.001, 0.2, 0.6]),  # p_ryd2
 )
 
 
@@ -644,6 +672,7 @@ def _params(t, p_ryd, p_ryd2):
 )
 @settings(max_examples=150, deadline=None)
 def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
+    # each stage on the block's entries draws what the photon-by-photon walk of the dense block draws
     data = np.random.default_rng(seed)
     counts = data.poisson(mean, size=(rows, n_bins))
     counts[data.random(rows) < 0.3] = 0  # rows without photons
@@ -653,7 +682,7 @@ def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
     for t, p_ryd, p_ryd2 in chain:
         params = _params(t, p_ryd, p_ryd2)
         rec = simulate_shot(params, counts.shape, idx, entries, rng_entries)
-        dense_out, dense_absorbed, dense_lost = dense_block_stage(p_ryd, p_ryd2, t, dense, rng_dense)
+        dense_out, dense_absorbed, dense_lost = uniform_stage(p_ryd, p_ryd2, t, dense, rng_dense)
         scattered = np.zeros_like(counts)
         scattered.ravel()[idx] = rec.output_bins
         np.testing.assert_array_equal(scattered, dense_out)
@@ -705,10 +734,9 @@ def test_entry_sums_are_exact_int64():
     # square passes 2**53: no float path can hold these sums exactly
     big, large = 2**53 + 1, 10**8
     counts = np.array([[0, 0, big, 0], [0, 0, 0, 0], [0, large, 0, 5]], dtype=np.int64)
-    idx = np.flatnonzero(counts)
-    rec = simulate_shot(IDEAL, counts.shape, idx, counts.ravel()[idx], substream(3, 0))
+    out = counts - np.array([[0, 0, 1, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+    rec = rows_record(counts, out, np.array([1, 0, 1]))
     assert rec.output_bins.tolist() == [big - 1, large - 1, 5]
-    assert rec.absorbed.tolist() == [1, 0, 1]
     ens = EnsembleResult(4, 0.05)
     ens.add_shot(rec)
     wrap = 2**64  # a square of 2**53 + 1 passes int64 and wraps, exactly
@@ -723,3 +751,125 @@ def test_entry_sums_are_exact_int64():
         assert int(getattr(ens, name)[2]) % wrap == exact % wrap, name
     assert ens.out_total_sq_sum % wrap == ((big - 1) ** 2 + (large + 4) ** 2) % wrap
     assert ens.absorbed_hist.tolist() == [1, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# the raw-bit stream against its definition and the exact laws
+
+def test_run_batch_draws_the_input_decoded_by_hand_from_raw_bits():
+    # one block: each row's photon number from one 53-bit uniform by inversion of the
+    # Poisson CDF, then each photon's bin from one more against the envelope's running sum
+    spec = PulseSpec(mean_photons=7.5, duration_us=1.0, taper=0.6)
+    shots, seed, key = 300, 11, (2, 5)
+    with mock.patch.object(experiment, "simulate_shot", wraps=simulate_shot) as traced:
+        experiment._run_batch(((MEASURED,), spec, DET, seed, key, shots, range(1), None))
+    _, shape, idx, counts, _ = traced.call_args.args
+    rng = substream(seed, *key, 0)
+    raw = rng.bit_generator.random_raw(shots)
+    totals = []
+    for value in raw.tolist():
+        u, k, term, below = (value >> 11) / 2**53, 0, math.exp(-7.5), 0.0
+        while u >= below + term:
+            below += term
+            k += 1
+            term *= 7.5 / k
+        totals.append(k)
+    bounds = np.cumsum(tukey_envelope(spec))
+    block = np.zeros(shape, dtype=np.int64)
+    for row, n in enumerate(totals):
+        for value in rng.bit_generator.random_raw(n).tolist():
+            block[row, min(int(np.searchsorted(bounds, (value >> 11) / 2**53, side="right")), shape[1] - 1)] += 1
+    assert shape == (shots, spec.n_bins)
+    np.testing.assert_array_equal(idx, np.flatnonzero(block))
+    np.testing.assert_array_equal(counts, block.ravel()[idx])
+    assert sum(totals) == counts.sum() > 0
+
+
+def test_input_bins_are_independent_poisson_of_the_bin_means():
+    spec = PulseSpec(mean_photons=15.76)
+    lam = expected_bin_means(spec)
+    bin_cdf = np.cumsum(tukey_envelope(spec))
+    bin_cdf[-1] = np.inf
+    laws = experiment.InverseCDF(experiment.poisson_cdf(spec.mean_photons)), experiment.InverseCDF(bin_cdf)
+    blocks = []
+    for b in range(60):
+        n_in, idx, counts = experiment.sample_input(1024, *laws, substream(12, b))
+        dense = np.zeros((1024, spec.n_bins), dtype=np.int64)
+        dense.ravel()[idx] = counts
+        np.testing.assert_array_equal(dense.sum(axis=1), n_in)
+        blocks.append(dense)
+    inp = np.concatenate(blocks)
+    shots = len(inp)
+    z = (inp.mean(axis=0) - lam) / np.sqrt(lam / shots)
+    assert np.abs(z).max() < 4.0
+    # var/mean of a Poisson count is 1, with a standard error of sqrt((1 / lam + 2) / shots)
+    assert np.abs((inp.var(axis=0, ddof=1) / lam - 1.0) / np.sqrt((1.0 / lam + 2.0) / shots)).max() < 4.5
+    # independent bins: each correlation coefficient is about N(0, 1 / shots)
+    corr = np.corrcoef(inp, rowvar=False)[np.triu_indices(spec.n_bins, 1)]
+    assert np.abs(corr).max() < 5.0 / np.sqrt(shots)
+
+
+@pytest.mark.parametrize("p_ryd2", [0.0, 0.2])
+def test_output_bin_means_match_the_leaky_law(p_ryd2):
+    spec = PulseSpec(mean_photons=12.0)
+    params = AbsorberParams(p_ryd=0.5, p_ryd2=p_ryd2, t=0.9)
+    shots = 100000
+    ens = run_point(spec, params, DET, shots, 27)
+    lam = expected_bin_means(spec)
+    law = out_bin_means(lam, params.t, params.p_ryd, params.p_ryd2)
+    mean = ens.out_bin_sums / shots
+    sem = np.sqrt(np.maximum(ens.out_bin_sq_sums / shots - mean**2, law) / shots)
+    assert np.abs((mean - law) / sem).max() < 4.5
+
+
+def test_outcome_counts_equal_the_tuple_counter_on_random_blocks():
+    rng = np.random.default_rng(13)
+    for radices in ((2,), (3, 2, 3), (3,) * 30):
+        fast = experiment.OutcomeCounts(*radices)
+        want = Counter()
+        for rows in (1, 7, 500):
+            n_in = rng.integers(0, experiment.poisson_cut(MAX_PHOTONS) + 1, size=rows)
+            n_in[: rows // 2] = rng.integers(0, 4, size=rows // 2)  # shared keys
+            absorbed = np.array([rng.integers(0, r, size=rows) for r in radices])
+            fast.add(n_in, absorbed)
+            want.update(zip(n_in.tolist(), np.count_nonzero(absorbed, axis=0).tolist()))
+        assert fast.confusion == want
+        assert all(type(n) is int and type(f) is int and type(c) is int for (n, f), c in fast.confusion.items())
+
+
+def test_no_generator_distribution_method_is_called():
+    # every variate comes from the bit generator's raw outputs
+    class RawOnly(np.random.Generator):
+        def __getattribute__(self, name):
+            if name != "bit_generator":
+                raise AssertionError(f"Generator.{name} called")
+            return super().__getattribute__(name)
+
+    stages = (MEASURED, AbsorberParams(0.5, 0.2, 0.9), IDEAL)
+    detector = DetectorConfig(eta_probe=0.7, dead_time_ns=120.0, dark_cps=5e5)
+    spec = PulseSpec(mean_photons=6.0)
+    with mock.patch.object(experiment, "substream", lambda *key: RawOnly(substream(*key).bit_generator)):
+        raw_only = simulate_cascade(stages, spec, detector, 300, 19, g2_cell_bins=2)
+    plain = simulate_cascade(stages, spec, detector, 300, 19, g2_cell_bins=2)
+    assert all(a.equals(b) for a, b in zip(raw_only.stages, plain.stages)) and raw_only.g2.equals(plain.g2)
+
+
+@given(
+    weights=st.lists(st.sampled_from([0.0, 1e-9, 0.01, 0.3, 1.0, 7.0]), min_size=1, max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_guided_inversion_equals_searchsorted(weights, seed):
+    # zero-width entries, entries that share a 1/G, and u on an entry or at either end of [0, 1)
+    w = np.array(weights)
+    if w.sum() == 0.0:
+        w[-1] = 1.0
+    cdf = np.cumsum(w / w.sum())
+    cdf[-1] = np.inf
+    law = experiment.InverseCDF(cdf)
+    u = np.concatenate((substream(seed, 1).random(2000), cdf[:-1], [0.0, 1.0 - 2.0**-53]))
+    u = u[u < 1.0]
+    np.testing.assert_array_equal(law.draw(u), np.searchsorted(cdf, u, side="right"))
+    size = law.guide.size
+    assert size >= 4 * cdf.size and size & (size - 1) == 0
+    np.testing.assert_array_equal(law.guide, np.searchsorted(cdf, np.arange(size) / size, side="right"))

@@ -211,3 +211,40 @@ def test_bin_means_match_the_per_photon_oracle(n_in, p):
     sem = np.sqrt(np.maximum(out.var(axis=0, ddof=1), law) / shots)
     # the bins share the one absorbed photon, so they are bounded one by one, not by a chi-square
     assert np.abs((out.mean(axis=0) - law) / sem).max() <= 4.5
+
+
+@pytest.mark.parametrize("n_in, p, p2", [(10.0, 0.5, 0.3), (8.0, 0.2, 0.6)], ids=["p2-below-p", "p2-above-p"])
+def test_leaky_bin_means_match_the_per_photon_oracle(n_in, p, p2):
+    shots, t = 20000, 0.9
+    lam = expected_bin_means(PulseSpec(mean_photons=n_in, duration_us=1.0))
+    rng = np.random.default_rng(31)
+    inp = rng.poisson(lam, size=(shots, lam.size))
+    out = np.array([per_photon_shot(p, p2, t, row, rng)[0] for row in inp])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow where p2 exceeds p
+        law = out_bin_means(lam, t, p, p2)
+    sem = np.sqrt(np.maximum(out.var(axis=0, ddof=1), law) / shots)
+    assert np.abs((out.mean(axis=0) - law) / sem).max() <= 4.5
+    # the second absorption takes weight: the law differs from the perfect blockade's
+    assert np.abs(law - out_bin_means(lam, t, p)).max() > 5 * sem.max()
+
+
+@given(
+    n_in=st.floats(0.0, 200.0),
+    t=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0),
+    p2=st.floats(0.0, 1.0),
+    n_bins=st.integers(1, 60),
+)
+@settings(max_examples=150, deadline=None)
+def test_leaky_bin_means_sum_to_the_mean_output(n_in, t, p, p2, n_bins):
+    lam = expected_bin_means(PulseSpec(mean_photons=n_in, duration_us=n_bins * 0.05))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = out_bin_means(lam, t, p, p2)
+    assert (law >= -1e-12).all() and (law <= t * lam + 1e-12).all()
+    assert law.sum() == pytest.approx(mean_out(n_in, t, p, p2), rel=1e-9, abs=1e-9)
+    if p2 == 0.0:
+        # the leaky law's perfect-blockade limit is the earlier closed form, bit for bit
+        mu = p * t * lam
+        np.testing.assert_array_equal(law, t * lam + np.exp(mu - np.cumsum(mu)) * np.expm1(-mu))

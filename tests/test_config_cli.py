@@ -27,7 +27,7 @@ from photonsub.config import (
     parse_stages,
     to_flat,
 )
-from photonsub.pulses import MAX_BINS, expected_bin_means
+from photonsub.pulses import MAX_BINS, MAX_PHOTONS, expected_bin_means
 
 
 def test_defaults_hold_reference_parameter_table():
@@ -784,3 +784,34 @@ def test_csv_rows_format_like_the_per_value_formatter(tmp_path):
         _write_csv(tmp_path / "t.csv", ["h"], rows)
         lines = (tmp_path / "t.csv").read_text().split("\n")
         assert lines == ["h"] + [",".join(_fmt_reference(v) for v in row) for row in rows] + [""]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        # an int64 overflow once gave wrapped sums and P(no absorption) = 1 with exit code 0
+        (["pulse", "--n-in", "1e19"], "config key 'pulse.mean_photons'"),
+        # once nan n_out_sem from an int64 overflow within a block
+        (["sweep", "--n-in", "3,1e9"], "--n-in"),
+        # once numpy's "lam value too large", naming no flag
+        (["sweep", "--n-in", "1e30"], "--n-in"),
+    ],
+    ids=["pulse-1e19", "sweep-1e9", "sweep-1e30"],
+)
+def test_photon_numbers_above_the_cap_are_refused_by_name(tmp_path, capsys, command, flag):
+    with mock.patch.object(cli, "run_point") as patched:
+        assert main(["--shots", "200", "--out", str(tmp_path), *command]) == 1
+    patched.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and str(MAX_PHOTONS) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_photon_cap_and_dark_budget_are_checked_where_the_config_enters():
+    assert load_config(None, {"pulse.mean_photons": str(MAX_PHOTONS)}).pulse.mean_photons == MAX_PHOTONS
+    with pytest.raises(ValueError, match="config key 'pulse.mean_photons'"):
+        load_config(None, {"pulse.mean_photons": str(MAX_PHOTONS * 1.0001)})
+    # each (shot, counter) draws its darks from a Poisson table of dark_cps times the pulse length
+    assert load_config(None, {"detector.dark_cps": "5e10"}).detector.dark_cps == 5e10
+    with pytest.raises(ValueError, match="config key 'detector.dark_cps'"):
+        load_config(None, {"detector.dark_cps": "5.1e10"})

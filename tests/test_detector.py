@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import (
+    AbsorberParams,
     DetectorConfig,
     G2Accumulator,
     PulseSpec,
@@ -16,7 +17,7 @@ from photonsub import (
     mandel_q,
     substream,
 )
-from photonsub import detector
+from photonsub import detector, experiment
 from photonsub.detector import _apply_dead_time
 from photonsub.stats import mandel_q_sem
 
@@ -195,8 +196,11 @@ def test_detection_memory_is_bounded_for_a_huge_entry():
 
 def test_dead_time_truncates_click_train():
     clicks = np.array([2, 1, 0, 1])
-    np.testing.assert_array_equal(_apply_dead_time(clicks, dead_bins=2), [1, 0, 0, 1])
-    np.testing.assert_array_equal(_apply_dead_time(clicks, dead_bins=1), [1, 1, 0, 1])
+    np.testing.assert_array_equal(_apply_dead_time(clicks.copy(), dead_bins=2), [1, 0, 0, 1])
+    np.testing.assert_array_equal(_apply_dead_time(clicks.copy(), dead_bins=1), [1, 1, 0, 1])
+    # in place, and the same when told the only cells that can click
+    assert _apply_dead_time(clicks, 2, np.array([0, 1, 2, 3])) is clicks
+    np.testing.assert_array_equal(clicks, [1, 0, 0, 1])
 
 
 def _dead_time_reference(clicks, dead_bins):
@@ -223,7 +227,7 @@ def _dead_time_reference(clicks, dead_bins):
 def test_dead_time_matches_the_per_bin_reference(shots, n_bins, rate, dead_bins, seed):
     # a block of (shots, detectors, bins) click counts, scanned at once
     clicks = np.random.default_rng(seed).poisson(rate, size=(shots, 4, n_bins))
-    got = _apply_dead_time(clicks, dead_bins)
+    got = _apply_dead_time(clicks.copy(), dead_bins)
     assert got.dtype == np.int64
     assert got.shape == clicks.shape
     for row, got_row in zip(clicks.reshape(-1, n_bins), got.reshape(-1, n_bins)):
@@ -291,3 +295,27 @@ def test_detection_on_entries_draws_the_dense_stream(rows, n_bins, mean, eta_pro
     np.testing.assert_array_equal(_detect(counts[0], cfg, substream(seed, 7), width_us),
                                   _detect(counts[:1], cfg, substream(seed, 7), width_us)[0])
     assert rng.random() == rng_dense.random()
+
+
+def test_dark_counts_are_poisson_per_detector_and_bin():
+    # no light reaches the counters: every click is dark, Poisson(dark_cps * bin width) per (counter, bin)
+    cfg = DetectorConfig(eta_probe=0.0, dark_cps=4e6)
+    shots, n_bins = 20000, 12
+    delta = 4e6 * WIDTH_US * 1e-6
+    counts = np.full((shots, n_bins), 3)
+    det = _detect(counts, cfg, substream(18, 0))
+    mean = det.mean(axis=0)
+    assert np.abs((mean - delta) / np.sqrt(delta / shots)).max() < 4.5
+    # var/mean 1, with a standard error of sqrt((1 / delta + 2) / shots)
+    ratio = det.var(axis=0, ddof=1) / delta
+    assert np.abs((ratio - 1.0) / np.sqrt((1.0 / delta + 2.0) / shots)).max() < 4.5
+    # the count of one (counter, bin) against the Poisson pmf, pooled over the cells
+    observed = np.bincount(det.ravel(), minlength=4)[:4]
+    pmf = np.array([math.exp(-delta) * delta**k / math.factorial(k) for k in range(4)])
+    expected = pmf * det.size
+    assert ((observed - expected) ** 2 / expected).sum() < chi2_upper(3)
+    # through the run: the g2 marginals of one-bin cells are the dark means too
+    result = experiment.simulate_cascade((AbsorberParams(),), PulseSpec(mean_photons=5.0, duration_us=n_bins * WIDTH_US),
+                                         cfg, shots, 3, g2_cell_bins=1)
+    marg = result.g2.marg_sums / shots
+    assert np.abs((marg - delta) / np.sqrt(delta / shots)).max() < 4.5
