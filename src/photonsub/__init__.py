@@ -11,7 +11,6 @@ from .absorber import (
 from .analytic import (
     mean_out,
     p_no_absorption,
-    subtracted_poisson_g2_total,
 )
 from .bloch import (
     DephasingFit,

@@ -153,30 +153,3 @@ def poisson_cdf(mu: float) -> np.ndarray:
     cdf[-1] = np.inf
     return cdf
 
-
-def g2_total_of_pmf(pmf: np.ndarray) -> float:
-    """Total-pulse g2 = <n(n-1)> / <n>^2 of a photon-number distribution."""
-    pmf = np.asarray(pmf, dtype=float)
-    k = np.arange(pmf.size)
-    mean = float((k * pmf).sum())
-    if mean == 0.0:
-        raise ValueError("g2 undefined for zero-mean distribution")
-    fac2 = float((k * (k - 1) * pmf).sum())
-    return fac2 / mean**2
-
-
-def subtracted_poisson_g2_total(mu: float) -> float:
-    """Total-pulse g2 of a Poisson(mu) pulse with exactly one photon removed.
-
-    The output distribution is the input shifted down by one photon (pulses
-    with zero photons stay at zero).  Computed by exact summation truncated
-    at mu + 20*sqrt(mu), where the Poisson tail is below 1e-12.
-    """
-    if not mu > 1.0:
-        raise ValueError(f"mu must exceed 1, got {mu}")
-    k_max = poisson_cut(mu)
-    pmf = poisson_pmf(mu, k_max)
-    shifted = np.zeros(k_max + 1)
-    shifted[:-1] = pmf[1:]
-    shifted[0] += pmf[0]
-    return g2_total_of_pmf(shifted)

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pulse", help="input/output pulse shapes with ideal-absorber overlay")
     p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
 
-    p = sub.add_parser("g2", help="time-resolved pair-averaged intensity correlations")
+    p = sub.add_parser("g2", help="time-resolved intensity correlations pooled over the detector pairs")
     p.add_argument("--n-in", dest="pulse.mean_photons", help="override pulse.mean_photons")
     p.add_argument("--cell-ns", dest="g2.cell_ns", help="override g2.cell_ns")
 

@@ -1,8 +1,9 @@
-"""Ensemble statistics: Mandel-Q, pair-averaged g2 maps, pulse shapes, deficits.
+"""Ensemble statistics: Mandel-Q, pooled g2 maps, pulse shapes, deficits.
 
 ``hist_stats`` gives a count histogram's mean, Mandel-Q and Q/mean with their
 standard errors from one moments pass; ``hist_mean``, ``mandel_q`` and the
-other single-value functions are views of it.
+other single-value functions are views of it.  A g2 cell pools the detector
+pairs: (Y + Y^T)/n / (D + D^T), defined at ``G2Matrix``.
 """
 
 from __future__ import annotations
@@ -116,12 +117,15 @@ def pulse_thirds(edges: np.ndarray, bin_width_us: float) -> tuple[np.ndarray, np
 
 @dataclass
 class G2Matrix:
-    """Pair-averaged g2(t1, t2) estimates on a cell grid.
+    """Pooled g2(t1, t2) estimates on a cell grid, all exactly symmetric.
 
-    ``values`` is symmetrized in (t1, t2) with NaN marking cells where no
-    detector pair has nonzero marginal rates.  ``counts`` holds the raw
-    accumulated pair products; ``front_g2``/``rear_g2`` pool the first-third
-    and last-third blocks of the pulse with exact per-shot error propagation.
+    Over n shots, with x_a a shot's cell clicks on detector a and m_a their
+    mean, Y sums y = sum_{a<b} x_a x_b^T and D = sum_{a<b} m_a m_b^T.  Then
+    ``values`` is (Y + Y^T)/n / (D + D^T), NaN where D + D^T is 0, and
+    ``sigma`` sqrt((V + V^T)/(2n)) / ((D + D^T)/2), V the cells' sample
+    variance of y: exact on the diagonal, conservative off it.  ``counts`` is
+    (Y + Y^T)/2; ``front_g2``/``rear_g2`` pool the first-third and last-third
+    blocks of the pulse with exact per-shot error propagation.
     """
 
     cell_edges_us: np.ndarray
@@ -134,11 +138,11 @@ class G2Matrix:
     rear_sigma: float
 
 
-# The largest grid: the sums hold 7 (cell, cell) maps of doubles, 56 MB here.
-# add takes 6-row slices and peaks at 1.5 MB on the clicks of a
-# 15.76-photon pulse, at 5.0 MB with 80 clicks a row and at 3.9 MB when every
-# cell clicks: the 0.9 MB slice buffer and one chunk of products; finalize, one
-# pair's ratio at a time, peaks at 107 MB (tracemalloc, 1000 one-bin cells).
+# The largest grid: the sums hold 2 (cell, cell) maps of doubles, 16 MB here.
+# add takes 6-row slices and peaks at 1.2 MB on the clicks of a 15.76-photon
+# pulse, at 3.5 MB with 80 clicks a row and at 2.9 MB when every cell clicks:
+# the 0.9 MB slice buffer and one chunk of one product and its flat indices;
+# finalize peaks at 57 MB, 24 MB of it the three maps it returns (tracemalloc).
 MAX_CELLS = 1000
 # Bytes of a g2 slice's per-row arrays (padded clicks, cell sums, their
 # later-detector sums and stacked products, never a per-shot map), which live
@@ -148,33 +152,31 @@ MAX_CELLS = 1000
 # slices at 20 cells took 0.8 minor faults a shot that way.  Kept, a larger
 # slice costs no faults and fewer calls per row.
 _SLICE_BYTES = 7 << 17
-# Bytes of a chunk of the products over the touched cells and their flat
-# indices, which are scattered into the sums: half of one MAX_CELLS map.
+# Bytes of a chunk of one product over the touched cells and its flat
+# indices, which is scattered into a sum: half of one MAX_CELLS map.
 _PRODUCT_BYTES = 4 * MAX_CELLS**2
 
 
 def _scatter_add(total: np.ndarray, where: slice | np.ndarray, product: np.ndarray) -> None:
-    """Add the (n, rows, cols) ``product`` to the rows ``where`` of the (n, c, c)
-    ``total``, or, given flat indices of each map, to those entries."""
+    """Add the (rows, cols) ``product`` to the rows ``where`` of the (c, c)
+    ``total``, or, given flat indices, to those entries."""
     if isinstance(where, slice):
-        total[:, where] += product
-        return
-    for one_map, one_product in zip(total, product):
-        np.add.at(one_map.reshape(-1), where, one_product.reshape(-1))
+        total[where] += product
+    else:
+        np.add.at(total.reshape(-1), where, product.reshape(-1))
 
 
 class G2Accumulator(Accumulator):
-    """Streaming accumulator for pair-averaged intensity correlations.
+    """Streaming accumulator for pooled intensity correlations.
 
     Feeds on blocks of per-shot (N_DETECTORS, n_bins) click arrays.  The cell
     grid is uniform, ``bins_per_cell`` bins a cell, with any remainder in the
     last cell.  It keeps only the sums that ``finalize`` cannot derive: the
-    per-detector marginals, the ordered product sums of every unordered
-    detector pair, and the squared sums of each shot's pair-summed map ``y``
-    and of its front-third and rear-third totals, which give the error bars.
-    ``finalize`` takes the pair-summed map from ``pair_sums`` and the pooled
-    front and rear totals from that map.  It merges and compares through the
-    ``Accumulator`` protocol, over the fields of ``zero_sums``.
+    per-detector marginals, ``y_sum`` (Y of ``G2Matrix``, whose pooled ratio
+    ``finalize`` takes), and the squared sums of each shot's y and of its
+    front-third and rear-third totals, which give the error bars.  It merges
+    and compares through the ``Accumulator`` protocol, over the fields of
+    ``zero_sums``.
     """
 
     def __init__(self, n_bins: int, bin_width_us: float, bins_per_cell: int) -> None:
@@ -197,7 +199,8 @@ class G2Accumulator(Accumulator):
         self._n_stack = self.n_det * (self.n_det - 1) // 2
         # doubles per row of the slice buffer: its clicks padded to whole cells and
         # their cell sums, then x over the touched cells and the two third
-        # columns, later and the two stacks of products
+        # columns, later and the two stacks of products; the GEMM of y's sum
+        # reads x and later in place
         c = self.n_cells
         self._row_doubles = max(self.n_det * c * (bins_per_cell + 1), (2 * self.n_det - 1 + 2 * self._n_stack) * (c + 2))
         self._work = np.empty(0)
@@ -212,7 +215,7 @@ class G2Accumulator(Accumulator):
         return {
             "shots": 0,
             "marg_sums": np.zeros((self.n_det, c)),
-            "pair_sums": np.zeros((len(self.pairs), c, c)),
+            "y_sum": np.zeros((c, c)),
             "y_sq_sum": np.zeros((c, c)),
             "front_sq_sum": 0.0,
             "rear_sq_sum": 0.0,
@@ -232,8 +235,11 @@ class G2Accumulator(Accumulator):
         (n_cells, n_cells) map.  The products are taken only over the cells
         that some row of the slice clicked in and scattered into the sums,
         so on a fine grid a slice costs what its clicks touch.  Every sum is
-        over integer products, exact in float64, so it does not depend on how
-        shots are split into blocks or slices.
+        over integer products, so it does not depend on how shots are split
+        into blocks or slices while each partial sum stays below 2**53, exact
+        in float64.  The squares pass it first, alone once a shot's y in a
+        cell or third passes 2**26.5 (some 4000 clicks on each detector): one
+        100000-photon shot in one cell has y = 6 * 25000**2.  Nothing refuses that yet.
         """
         det_bins = np.asarray(det_bins)
         if det_bins.shape[1:] != (self.n_det, self.n_bins):
@@ -298,19 +304,16 @@ class G2Accumulator(Accumulator):
         left, right = stacked.reshape(2, self._n_stack * rows, t + 2)
         self.front_sq_sum += float(left[:, t] @ right[:, t])
         self.rear_sq_sum += float(left[:, t + 1] @ right[:, t + 1])
-        # the products over the touched cells, scattered into the sums a chunk of
-        # their rows at a time, so that a chunk's products and flat indices stay
-        # within _PRODUCT_BYTES
-        step = max(1, _PRODUCT_BYTES // (8 * n_det * max(t, 1)))
+        # y summed over the rows is x[d].T @ later[d] summed over d, one GEMM of
+        # the stacks.  It and the squared map's product are scattered into the
+        # sums in chunks of rows whose product and flat indices fit _PRODUCT_BYTES.
+        x_stack, later_stack = x[:-1].reshape(-1, t + 2), later.reshape(-1, t + 2)
+        step = max(1, _PRODUCT_BYTES // (16 * max(t, 1)))
         for lo in range(0, t, step):
             part = slice(lo, min(lo + step, t))
             where = part if cells is None else (cells[part, None] * c + cells).ravel()
-            k = 0
-            for a in range(n_det - 1):
-                maps = self.pair_sums[k : k + n_det - 1 - a]
-                _scatter_add(maps, where, np.matmul(x[a][:, part].T, x[a + 1 :, :, :t]))
-                k += len(maps)
-            _scatter_add(self.y_sq_sum[None], where, (left[:, part].T @ right[:, :t])[None])
+            _scatter_add(self.y_sum, where, x_stack[:, part].T @ later_stack[:, :t])
+            _scatter_add(self.y_sq_sum, where, left[:, part].T @ right[:, :t])
 
     def _grid(self) -> tuple:
         return (self.n_bins, self.bin_width_us, self.bins_per_cell)
@@ -318,59 +321,42 @@ class G2Accumulator(Accumulator):
     def finalize(self) -> G2Matrix:
         if self.shots == 0:
             raise ValueError("empty ensemble: no shots accumulated")
-        c = self.n_cells
-        marg = self.marg_sums / self.shots
-        y_map = self.pair_sums.sum(axis=0)
-        # one pair's marginal product at a time: it divides the pair's map and, summed, the errors
-        ratio_sum, denom_sum = np.zeros((2, c, c))
-        contrib = np.zeros((c, c), dtype=np.int64)
-        for (a, b), pair_sum in zip(self.pairs, self.pair_sums):
-            denom = np.outer(marg[a], marg[b])
-            defined = denom > 0
-            ratio_sum += np.divide(pair_sum / self.shots, denom, out=np.zeros((c, c)), where=defined)
-            denom_sum += denom
-            contrib += defined
-        values = np.full((c, c), np.nan)
-        any_def = contrib > 0
-        values[any_def] = ratio_sum[any_def] / contrib[any_def]
-        # Per-cell error from the shot-to-shot scatter of the summed pair
-        # products, scaled by the same denominator as the value.
+        n, c = self.shots, self.n_cells
+        marg = self.marg_sums / n
+        # D summed as add sums y, each m_a against the later m_b: no term is < 0,
+        # so D + D^T is 0 only where every pair's marginal product is
+        later = np.cumsum(marg[:0:-1], axis=0)[::-1]
+        denom = marg[:-1].T @ later
+        denom = 0.5 * (denom + denom.T)
+        defined = denom > 0
+        counts = 0.5 * (self.y_sum + self.y_sum.T)
+        values = np.divide(counts / n, denom, out=np.full((c, c), np.nan), where=defined)
         sigma = np.full((c, c), np.nan)
-        if self.shots > 1:
-            y_mean = y_map / self.shots
-            y_var = np.maximum(0.0, self.y_sq_sum / self.shots - y_mean**2)
-            y_var *= self.shots / (self.shots - 1)
-            sigma[any_def] = np.sqrt(y_var[any_def] / self.shots) / denom_sum[any_def]
+        if n > 1:
+            var = np.maximum(0.0, self.y_sq_sum / n - (self.y_sum / n) ** 2) * (n / (n - 1))
+            np.divide(np.sqrt((var + var.T) / (2 * n)), denom, out=sigma, where=defined)
         pooled = []
         for mask, y_sq_total in ((self._front, self.front_sq_sum), (self._rear, self.rear_sq_sum)):
             block = np.ix_(mask, mask)
             # summed pair by pair: one sum over (pairs, block) rounds differently
             block_denom = sum(float(np.outer(marg[a][mask], marg[b][mask]).sum()) for a, b in self.pairs)
-            if block_denom <= 0.0 or self.shots < 2:
+            if block_denom <= 0.0 or n < 2:
                 pooled += [float("nan"), float("nan")]
                 continue
-            block_mean = float(y_map[block].sum()) / self.shots
-            block_var = max(0.0, y_sq_total / self.shots - block_mean**2) * self.shots / (self.shots - 1)
-            pooled += [block_mean / block_denom, math.sqrt(block_var / self.shots) / block_denom]
+            block_mean = float(self.y_sum[block].sum()) / n
+            block_var = max(0.0, y_sq_total / n - block_mean**2) * n / (n - 1)
+            pooled += [block_mean / block_denom, math.sqrt(block_var / n) / block_denom]
         front_g2, front_sigma, rear_g2, rear_sigma = pooled
         return G2Matrix(
             cell_edges_us=self.cell_edges * self.bin_width_us,
-            values=_symmetrize(values, 0.5 * (values + values.T)),
-            # Combining the (t1,t2) and (t2,t1) estimates halves the variance at most;
-            # keeping the quadrature mean is slightly conservative for the diagonal.
-            sigma=_symmetrize(sigma, np.sqrt(0.5 * (sigma**2 + sigma.T**2))),
-            counts=0.5 * (y_map + y_map.T),
+            values=values,
+            sigma=sigma,
+            counts=counts,
             front_g2=front_g2,
             front_sigma=front_sigma,
             rear_g2=rear_g2,
             rear_sigma=rear_sigma,
         )
-
-
-def _symmetrize(matrix: np.ndarray, combined: np.ndarray) -> np.ndarray:
-    """``matrix`` made symmetric: ``combined`` where both (t1, t2) and (t2, t1) are defined, else the defined one."""
-    transposed = matrix.T
-    return np.where(np.isnan(matrix), transposed, np.where(np.isnan(transposed), matrix, combined))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 These deliberately avoid the code paths of the package: the absorber oracle
 walks photon by photon with one uniform draw per decision, the Poisson pmf
-uses the multiplicative recurrence, the subtracted-pulse g2 comes from the
-closed-form moments of the shifted distribution, the dead-time oracle
-walks one detector row click by click, and the g2 sums are built shot by
-shot from explicit outer products.  The dense block functions pin the
+uses the multiplicative recurrence, the dead-time oracle walks one detector
+row click by click, and the g2 sums are built shot by shot from explicit
+outer products.  The dense block functions pin the
 random stream of a block: they decode the raw 64-bit outputs of its bit
 generator by hand, in Python integers, and walk a dense block row by row,
 bin by bin and photon by photon, for the input, each stage, the ion clicks
@@ -255,14 +254,6 @@ def poisson_pmf(mu: float, k_max: int) -> np.ndarray:
     return pmf
 
 
-def subtracted_poisson_g2_closed_form(mu: float) -> float:
-    """Moments of the one-photon-shifted Poisson distribution, in closed form."""
-    e = math.exp(-mu)
-    mean = mu - 1.0 + e
-    fac2 = mu * mu - 2.0 * mu + 2.0 - 2.0 * e
-    return fac2 / mean**2
-
-
 def both_stages_fire_probability(mu: float, k_max: int = 80) -> float:
     """Brute force over Poisson outcomes: two ideal absorbers both fire iff n >= 2."""
     pmf = poisson_pmf(mu, k_max)
@@ -333,19 +324,18 @@ def dead_time_loop(clicks, dead_bins: int) -> np.ndarray:
 def g2_sums_per_shot(det_bins, bins_per_cell: int, front, rear) -> dict:
     """The g2 accumulator's sums, shot by shot.
 
-    Per shot: each detector's cell sums, the product map of every detector
-    pair a < b as an explicit outer product, their sum y, y * y, and the
+    Per shot: each detector's cell sums, the pair-summed map y as a sum of
+    explicit outer products over the detector pairs a < b, y * y, and the
     squares of y's total over the front-third and the rear-third cells.
     """
     det_bins = np.asarray(det_bins)
     n_det, n_bins = det_bins.shape[1:]
     starts = list(range(0, n_bins, bins_per_cell))
-    pairs = [(a, b) for a in range(n_det) for b in range(a + 1, n_det)]
     n_cells = len(starts)
     sums = {
         "shots": 0,
         "marg_sums": np.zeros((n_det, n_cells)),
-        "pair_sums": np.zeros((len(pairs), n_cells, n_cells)),
+        "y_sum": np.zeros((n_cells, n_cells)),
         "y_sq_sum": np.zeros((n_cells, n_cells)),
         "front_sq_sum": 0.0,
         "rear_sq_sum": 0.0,
@@ -353,12 +343,12 @@ def g2_sums_per_shot(det_bins, bins_per_cell: int, front, rear) -> dict:
     for shot in det_bins:
         cells = np.array([[float(row[lo : lo + bins_per_cell].sum()) for lo in starts] for row in shot])
         y = np.zeros((n_cells, n_cells))
-        for k, (a, b) in enumerate(pairs):
-            outer = np.outer(cells[a], cells[b])
-            sums["pair_sums"][k] += outer
-            y += outer
+        for a in range(n_det):
+            for b in range(a + 1, n_det):
+                y += np.outer(cells[a], cells[b])
         sums["shots"] += 1
         sums["marg_sums"] += cells
+        sums["y_sum"] += y
         sums["y_sq_sum"] += y * y
         sums["front_sq_sum"] += float(y[np.ix_(front, front)].sum()) ** 2
         sums["rear_sq_sum"] += float(y[np.ix_(rear, rear)].sum()) ** 2

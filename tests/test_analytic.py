@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsub import mean_out, p_no_absorption, subtracted_poisson_g2_total
-from photonsub.analytic import absorbed_pmf, g2_total_of_pmf, ion_stats, out_bin_means, poisson_pmf, var_out
+from photonsub import mean_out, p_no_absorption
+from photonsub.analytic import absorbed_pmf, ion_stats, out_bin_means, var_out
 from photonsub.pulses import PulseSpec, expected_bin_means
 
 from _oracles import leaky_absorbed_pmf, per_photon_shot
 from _oracles import poisson_pmf as oracle_pmf
-from _oracles import subtracted_poisson_g2_closed_form
 
 
 def test_empty_pulse_transmits_nothing():
@@ -107,33 +106,6 @@ def test_absorbed_pmf_is_the_perfect_blockade_at_no_leakage():
     p0, p1, p2 = absorbed_pmf(35.0, 0.99, 0.35, 0.0)
     assert (p1, p2) == (-math.expm1(-35.0 * 0.99 * 0.35), 0.0)
     assert p0 == p_no_absorption(35.0, 0.99, 0.35)
-
-
-def test_plain_poisson_g2_is_one():
-    for mu in (0.5, 3.0, 15.76, 40.0):
-        pmf = poisson_pmf(mu, int(mu + 20 * math.sqrt(mu)) + 2)
-        assert g2_total_of_pmf(pmf) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_subtracted_poisson_g2_reference_value():
-    value = subtracted_poisson_g2_total(15.76)
-    assert value == pytest.approx(subtracted_poisson_g2_closed_form(15.76), abs=1e-9)
-    assert value == pytest.approx(1.0045901, abs=1e-6)
-
-
-def test_subtracted_poisson_g2_approaches_one():
-    assert subtracted_poisson_g2_total(1e4) == pytest.approx(1.0, abs=1e-3)
-
-
-@given(mu=st.floats(1.001, 500.0))
-@settings(max_examples=100, deadline=None)
-def test_subtracted_pulse_is_super_poissonian(mu):
-    assert subtracted_poisson_g2_total(mu) >= 1.0
-
-
-def test_subtracted_poisson_g2_needs_mu_above_one():
-    with pytest.raises(ValueError):
-        subtracted_poisson_g2_total(0.9)
 
 
 def _enumerated_output_moments(n_in, t, p, p2):

@@ -15,6 +15,7 @@ from photonsub import (
     EnsembleResult,
     G2Accumulator,
     PulseSpec,
+    detect_pulse,
     mandel_q,
     photon_deficit,
     pulse_shape,
@@ -27,7 +28,6 @@ from photonsub import stats
 from photonsub.stats import (
     MAX_CELLS,
     G2Matrix,
-    _symmetrize,
     hist_mean,
     hist_mean_sem,
     mandel_q_sem,
@@ -193,6 +193,41 @@ def test_g2_error_bars_are_the_sample_standard_errors():
     assert mat.rear_sigma == pytest.approx(3 / 2, rel=1e-12)
 
 
+def test_g2_pools_the_pairs_instead_of_averaging_their_ratios():
+    # One one-bin cell, two shots: detectors 0 and 1 click once each in the
+    # first, detectors 2 and 3 twice each in the second.  The marginals are
+    # (1/2, 1/2, 1, 1), so the pairs' marginal products are 1/4 for (0, 1), 1
+    # for (2, 3) and 1/2 for the other four, 13/4 in all, and y is 1, then 4.
+    # The pair ratios 2, 2 and four zeros average 2/3; the pooled ratio is
+    # (5/2) / (13/4) = 10/13.  s^2 of y is 9/2, so sigma is sqrt(9/4) / (13/4).
+    acc = G2Accumulator(1, 0.05, 1)
+    acc.add(np.array([[[1], [1], [0], [0]], [[0], [0], [2], [2]]]))
+    mat = acc.finalize()
+    assert mat.values[0, 0] == 10 / 13
+    assert mat.sigma[0, 0] == pytest.approx(6 / 13, rel=1e-12)
+
+
+def test_g2_map_is_symmetric_where_one_orientation_has_no_marginal_product():
+    # Three one-bin cells: detector 0 clicks only in cell 0, detector 1 only in
+    # cell 1, and cell 2 never.  So D = outer(m_0, m_1) is 1/2 at (0, 1) and 0
+    # at (1, 0), and D + D^T is 0 everywhere else.
+    d0 = [[1, 0, 0], [1, 0, 0]]
+    d1 = [[0, 1, 0], [0, 0, 0]]
+    acc = G2Accumulator(3, 0.05, 1)
+    acc.add(np.array([[a, b, [0] * 3, [0] * 3] for a, b in zip(d0, d1)]))
+    mat = acc.finalize()
+    undefined = np.ones((3, 3), dtype=bool)
+    undefined[0, 1] = undefined[1, 0] = False
+    for estimate in (mat.values, mat.sigma):
+        assert np.array_equal(estimate, estimate.T, equal_nan=True)
+        assert np.array_equal(np.isnan(estimate), undefined)
+    # y[0, 1] is 1, then 0, and y[1, 0] is always 0: the value is (1/2) / (1/2),
+    # and the error, the quadrature mean of the two orientations' errors, is
+    # sqrt((1/2 + 0) / 4) over the symmetric denominator 1/4
+    assert mat.values[0, 1] == 1.0
+    assert mat.sigma[0, 1] == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
 def test_g2_rejects_empty_ensemble():
     acc = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
     acc.add(np.zeros((0, 4, 4), dtype=np.int64))
@@ -229,16 +264,27 @@ def test_g2_grid_is_capped():
         G2Accumulator(MAX_CELLS + 1, 0.05, 1)
 
 
+# the clicks of a detector with dead time and dark counts: 120 ns is 2.4 bins,
+# and each (counter, bin) has 0.01 dark counts on average
+DARK_DEAD = DetectorConfig(dead_time_ns=120.0, dark_cps=2e5)
+
+
 @pytest.mark.parametrize("slice_bytes", [None, 1])
 @pytest.mark.parametrize(
-    "n_bins, bins_per_cell, shots",
-    [(40, 2, 300), (7, 3, 300), (5, 5, 300), (12, 1, 300), (200, 3, 300), (200, 1, 30), (MAX_CELLS, 1, 8)],
+    "n_bins, bins_per_cell, shots, detector",
+    [(40, 2, 300, None), (7, 3, 300, None), (5, 5, 300, None), (12, 1, 300, None), (200, 3, 300, None),
+     (200, 1, 30, None), (MAX_CELLS, 1, 8, None), (40, 2, 300, DARK_DEAD), (200, 1, 30, DARK_DEAD),
+     (MAX_CELLS, 1, 8, DARK_DEAD)],
     ids=["20-cells", "ragged-last-cell", "one-cell", "one-bin-cells", "67-cells-several-slices", "200-cells",
-         "1000-cells"],
+         "1000-cells", "20-cells-darks-dead-time", "200-cells-darks-dead-time", "1000-cells-darks-dead-time"],
 )
-def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, shots, slice_bytes):
+def test_g2_sums_equal_the_per_shot_reference(n_bins, bins_per_cell, shots, detector, slice_bytes):
     rng = np.random.default_rng(n_bins * 10 + bins_per_cell)
-    det = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(shots, 1, 1)), size=(shots, 4, n_bins))
+    if detector is None:
+        det = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(shots, 1, 1)), size=(shots, 4, n_bins))
+    else:
+        light = rng.poisson(rng.choice([0.05, 0.5, 3.0], size=(shots, 1)), size=(shots, n_bins))
+        det = detect_pulse(light.shape, np.flatnonzero(light), light[light != 0], detector, rng, 0.05)
     det[::7] = 0  # shots without a click
     acc = G2Accumulator(n_bins, 0.05, bins_per_cell)
     with mock.patch.object(stats, "_SLICE_BYTES", slice_bytes or stats._SLICE_BYTES):
@@ -317,31 +363,22 @@ def test_g2_sums_are_bit_identical_at_any_slice_budget(n_bins, bins_per_cell):
 
 
 def _reference_finalize(acc):
-    """The g2 estimates as an explicit per-pair loop: one outer product of the
-    marginals per pair for the map, and again per pair for each pooled block."""
+    """The g2 estimates as the literal pooled formula: the pair-summed
+    products and marginal products, each as an explicit sum of outer
+    products over the ordered detector pairs a != b, per cell and per
+    pooled block."""
     shots, n_cells = acc.shots, acc.n_cells
     marg = acc.marg_sums / shots
-    y_map = acc.pair_sums.sum(axis=0)
+    pairs = [(a, b) for a in range(acc.n_det) for b in range(acc.n_det) if a != b]
+    denom = sum(np.outer(marg[a], marg[b]) for a, b in pairs)
+    y_sym = acc.y_sum + acc.y_sum.T
+    defined = denom > 0
     values = np.full((n_cells, n_cells), np.nan)
-    contrib = np.zeros((n_cells, n_cells))
-    ratio_sum = np.zeros((n_cells, n_cells))
-    denom_sum = np.zeros((n_cells, n_cells))
-    for k, (a, b) in enumerate(acc.pairs):
-        denom = np.outer(marg[a], marg[b])
-        defined = denom > 0
-        ratio = np.zeros_like(denom)
-        ratio[defined] = (acc.pair_sums[k][defined] / shots) / denom[defined]
-        ratio_sum += np.where(defined, ratio, 0.0)
-        denom_sum += np.where(defined, denom, 0.0)
-        contrib += defined
-    any_def = contrib > 0
-    values[any_def] = ratio_sum[any_def] / contrib[any_def]
+    values[defined] = y_sym[defined] / shots / denom[defined]
     sigma = np.full((n_cells, n_cells), np.nan)
     if shots > 1:
-        y_mean = y_map / shots
-        y_var = np.maximum(0.0, acc.y_sq_sum / shots - y_mean**2)
-        y_var *= shots / (shots - 1)
-        sigma[any_def] = np.sqrt(y_var[any_def] / shots) / denom_sum[any_def]
+        y_var = np.maximum(0.0, acc.y_sq_sum - acc.y_sum**2 / shots) / (shots - 1)
+        sigma[defined] = np.sqrt((y_var + y_var.T)[defined] / (2 * shots)) / (denom[defined] / 2)
     pooled = {}
     for name, mask, y_sq_total in (("front", acc._front, acc.front_sq_sum), ("rear", acc._rear, acc.rear_sq_sum)):
         denom = 0.0
@@ -349,15 +386,15 @@ def _reference_finalize(acc):
             denom += float(np.outer(marg[a][mask], marg[b][mask]).sum())
         pooled[f"{name}_g2"] = pooled[f"{name}_sigma"] = float("nan")
         if denom > 0.0 and shots >= 2:
-            y_mean = float(y_map[np.ix_(mask, mask)].sum()) / shots
+            y_mean = float(acc.y_sum[np.ix_(mask, mask)].sum()) / shots
             y_var = max(0.0, y_sq_total / shots - y_mean**2) * shots / (shots - 1)
             pooled[f"{name}_g2"] = y_mean / denom
             pooled[f"{name}_sigma"] = math.sqrt(y_var / shots) / denom
     return G2Matrix(
         cell_edges_us=acc.cell_edges * acc.bin_width_us,
-        values=_symmetrize(values, 0.5 * (values + values.T)),
-        sigma=_symmetrize(sigma, np.sqrt(0.5 * (sigma**2 + sigma.T**2))),
-        counts=0.5 * (y_map + y_map.T),
+        values=values,
+        sigma=sigma,
+        counts=y_sym / 2,
         **pooled,
     )
 
@@ -371,7 +408,7 @@ def _reference_finalize(acc):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_finalize_matches_the_per_pair_loop(n_bins, bins_per_cell, shots, mean, dark_frac, seed):
+def test_finalize_matches_the_pooled_formula(n_bins, bins_per_cell, shots, mean, dark_frac, seed):
     rng = np.random.default_rng(seed)
     det = rng.poisson(mean, size=(shots, 4, n_bins))
     # some detectors see nothing in some bins, so some pair products are zero
@@ -383,6 +420,10 @@ def test_finalize_matches_the_per_pair_loop(n_bins, bins_per_cell, shots, mean, 
         got, want = getattr(mat, f.name), getattr(ref, f.name)
         if isinstance(want, float):
             assert got == want or (math.isnan(got) and math.isnan(want)), f.name
+        elif f.name in ("values", "sigma"):
+            # D summed in another order: equal up to rounding, NaN in the same cells, exactly symmetric
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True, err_msg=f.name)
+            assert np.array_equal(got, got.T, equal_nan=True), f.name
         else:
             assert np.array_equal(got, want, equal_nan=True), f.name
 
@@ -458,7 +499,7 @@ def test_photon_deficit_network_bounds():
 def test_g2_equals_compares_every_summed_field():
     clicks = np.array([[1, 2, 0, 1], [0, 1, 1, 1], [2, 0, 1, 0], [0, 0, 1, 3]])
     for name in (
-        "shots", "marg_sums", "pair_sums", "y_sq_sum", "front_sq_sum", "rear_sq_sum",
+        "shots", "marg_sums", "y_sum", "y_sq_sum", "front_sq_sum", "rear_sq_sum",
     ):
         a = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
         b = G2Accumulator(n_bins=4, bin_width_us=0.05, bins_per_cell=2)
