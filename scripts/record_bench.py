@@ -122,7 +122,9 @@ def time_layers() -> dict:
     """µs per shot of each block layer of this checkout, per benchmark workload.
 
     The workloads' parameters are those of ``perfbench/workloads.py``, at
-    ``LAYER_SHOTS`` shots per point.  Each layer is timed around the calls
+    ``LAYER_SHOTS`` shots per point, and each keeps the sums its CLI command
+    requests: no per-bin sums, and outcome counts for ``cascade`` only.
+    Each layer is timed around the calls
     ``experiment._run_batch`` makes, by wrapping them in this process: the
     block substreams, the Poisson input draw (``sample_input``), each stage's absorber, the ion
     clicks, the detection, the sums of each stage's ensemble
@@ -131,7 +133,8 @@ def time_layers() -> dict:
     ``G2Accumulator.add`` (recorded as ``add_block_g2``), then ``finalize``
     of the g2 sums.  The labels are those of the committed ``BENCH_*.json``.  ``rest`` is the run's
     time outside those calls, the ion histograms' ``add_ions`` included.  A
-    layer that a workload never calls raises instead of reading 0.
+    layer that a workload never calls raises instead of reading 0, but for
+    ``outcomes``, which reads 0 where the outcome counts are not requested.
     ``minor_faults_per_shot`` is the process's minor page faults
     (``ru_minflt``) over the workload's run, per shot: pages the allocator
     maps afresh, for example arrays freed back to the system and allocated
@@ -162,9 +165,9 @@ def time_layers() -> dict:
     ideal = AbsorberParams(p_ryd=1.0, p_ryd2=0.0, t=1.0)
     detector = DetectorConfig(eta_ion=0.29)
     workloads = {
-        "sweep": ([(measured,)] * 7, [1.0, 3.0, 5.65, 10.0, 15.76, 20.0, 35.0], None),
-        "g2": ([(measured,)], [15.76], 2),
-        "cascade": ([(ideal,) * 5], [3.0], None),
+        "sweep": ([(measured,)] * 7, [1.0, 3.0, 5.65, 10.0, 15.76, 20.0, 35.0], None, False),
+        "g2": ([(measured,)], [15.76], 2, False),
+        "cascade": ([(ideal,) * 5], [3.0], None, True),
     }
     substream, sample_input, simulate_shot = experiment.substream, experiment.sample_input, experiment.simulate_shot
     detect_ions, detect_pulse = experiment.detect_ions, experiment.detect_pulse
@@ -172,7 +175,7 @@ def time_layers() -> dict:
     outcomes_add = experiment.OutcomeCounts.add
     layers = {}
     try:
-        for workload, (stage_lists, n_ins, g2_cell_bins) in workloads.items():
+        for workload, (stage_lists, n_ins, g2_cell_bins, outcomes) in workloads.items():
             n_stages = len(stage_lists[0])
             spent.clear()
             calls.clear()
@@ -188,13 +191,14 @@ def time_layers() -> dict:
             start = time.perf_counter()
             for stages, n_in in zip(stage_lists, n_ins):
                 result = experiment.simulate_cascade(
-                    stages, PulseSpec(mean_photons=n_in), detector, LAYER_SHOTS, 1, g2_cell_bins=g2_cell_bins
+                    stages, PulseSpec(mean_photons=n_in), detector, LAYER_SHOTS, 1, g2_cell_bins=g2_cell_bins,
+                    bin_sums=False, outcomes=outcomes,
                 )
                 if result.g2 is not None:
                     timed("finalize", result.g2.finalize)()
             total = time.perf_counter() - start
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            expected = ["substream", "input", "ions", "outcomes"] + [
+            expected = ["substream", "input", "ions"] + ["outcomes"] * outcomes + [
                 f"{name}[{k}]" for name in ("stage", "add_block_stage") for k in range(n_stages)
             ]
             if g2_cell_bins is not None:
@@ -202,6 +206,7 @@ def time_layers() -> dict:
             missing = [name for name in expected if name not in spent]
             if missing:
                 raise RuntimeError(f"{workload}: layers never called: {', '.join(missing)}")
+            spent["outcomes"] += 0.0  # the key stays where no outcomes are counted
             spent["rest"] = total - sum(spent.values())
             shots = LAYER_SHOTS * len(n_ins)
             layers[workload] = {name: 1e6 * seconds / shots for name, seconds in sorted(spent.items())}

@@ -10,12 +10,14 @@ draw a photon.  Every variate of a run is such a uniform, taken from the raw
 rests on ``SeedSequence`` and the bit generator alone, never on a
 ``Generator`` distribution method.  A block of pulses is carried as its
 nonzero entries: flat indices into the (B, n_bins) block in row-major order,
-and their counts.  The stage kernel ``simulate_shot`` and the ensemble sums
-``EnsembleResult.add_shot`` touch only those entries.  The block loop, for
-one absorber and for a cascade alike, is in ``experiment``; an ensemble holds
-one stage's sums; the outcome counts and the g2 sums of the detected light
-belong to the run result there.  All three run accumulators follow one
-``Accumulator`` protocol: each lists its summed fields once, in
+and their counts.  The stage kernel ``simulate_shot`` touches only those
+entries, and also returns each row's photons in and out, which it has at
+hand.  An ensemble holds one stage's sums: its totals come from those row
+counts, and only an ensemble made with ``bin_sums`` scatters the entries
+into per-bin sums.  The block loop, for one absorber and for a cascade
+alike, is in ``experiment``; the outcome counts and the g2 sums of the
+detected light belong to the run result there.  All three run accumulators
+follow one ``Accumulator`` protocol: each lists its summed fields once, in
 ``zero_sums``, and ``merge`` adds them exactly.
 """
 
@@ -55,15 +57,17 @@ class AbsorberParams:
 class ShotRecord:
     """A block of pulses of ``shape`` (B, n_bins) through one absorber stage, as the
     block's entries: ascending flat indices ``idx`` into it, the input and output
-    counts there (every other entry is zero in both), and the excitations created
-    in each row.  Totals, positions and the photons lost to background scattering
-    follow from these."""
+    counts there (every other entry is zero in both), and per row the excitations
+    created and the photons in and out.  Positions and the photons lost to
+    background scattering follow from these."""
 
     shape: tuple[int, int]
     idx: np.ndarray
     input_bins: np.ndarray
     output_bins: np.ndarray
     absorbed: np.ndarray
+    input_totals: np.ndarray
+    output_totals: np.ndarray
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -120,10 +124,11 @@ def simulate_shot(
     ``idx`` holds the entries' flat indices into the block, ascending (row-major
     order), and ``counts`` their photon counts; every other entry is zero.
     Returns the block's record: the output count of each entry, zeros
-    included, and the absorbed count of each of the B rows.  Each photon
-    draws one uniform, the photons of the entries in order.  In each row the
-    first photon with u < t*p_ryd is absorbed and then, with leakage, the
-    first later one with u < t*p_ryd2; the photons with u >= t are lost.
+    included, and the absorbed count and the photons in and out of each of
+    the B rows.  Each photon draws one uniform, the photons of the entries
+    in order.  In each row the first photon with u < t*p_ryd is absorbed
+    and then, with leakage, the first later one with u < t*p_ryd2; the
+    photons with u >= t are lost.
     Photons of one entry share a bin, so their order within it does not
     matter.  The entry of photon k is the number of entries that end at or
     before it, so no array is as long as the photons but the positions of
@@ -153,7 +158,10 @@ def simulate_shot(
         rows = np.flatnonzero((absorbed == held) & (after < bounds[1:]))
         output[np.searchsorted(ends, after[rows], side="right")] -= 1
         absorbed[rows] += 1
-    return ShotRecord(shape, idx, counts, output, absorbed)
+    input_totals = np.diff(bounds)
+    # a row's photons out: in, less those absorbed and those lost, which ascend
+    output_totals = input_totals - absorbed - np.diff(np.searchsorted(lost, bounds))
+    return ShotRecord(shape, idx, counts, output, absorbed, input_totals, output_totals)
 
 
 class Accumulator:
@@ -181,50 +189,59 @@ class Accumulator:
 
 class EnsembleResult(Accumulator):
     """Mergeable accumulator of per-shot absorber statistics: integer sums of
-    fixed shape over shots, on a grid of ``n_bins`` bins of ``bin_width_us``."""
+    fixed shape over shots, on a grid of ``n_bins`` bins of ``bin_width_us``.
 
-    def __init__(self, n_bins: int, bin_width_us: float) -> None:
+    The totals and histograms are always kept; the five per-bin sums that
+    ``stats.pulse_shape`` reads only with ``bin_sums``.
+    """
+
+    def __init__(self, n_bins: int, bin_width_us: float, bin_sums: bool = True) -> None:
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         self.n_bins = n_bins
         self.bin_width_us = bin_width_us
+        self.bin_sums = bin_sums
         vars(self).update(self.zero_sums())
 
     def zero_sums(self) -> dict[str, Any]:
         bins = ("in_bin_sums", "out_bin_sums", "in_bin_sq_sums", "out_bin_sq_sums", "inout_bin_sums")
         return {
             "shots": 0,
+            "in_total_sum": 0,
+            "out_total_sum": 0,
             "out_total_sq_sum": 0,
-            **{name: np.zeros(self.n_bins, dtype=np.int64) for name in bins},
+            **{name: np.zeros(self.n_bins, dtype=np.int64) for name in bins if self.bin_sums},
             **{name: np.zeros(MAX_EXCITATIONS + 1, dtype=np.int64) for name in ("absorbed_hist", "ion_hist")},
         }
 
     def _grid(self) -> tuple:
-        return (self.n_bins, self.bin_width_us)
+        return (self.n_bins, self.bin_width_us, self.bin_sums)
 
     def add_shot(self, rec: ShotRecord) -> None:
-        """Add the block of ``rec``, one shot a row: the input and output counts
-        of its entries, every other entry zero in both, and per shot the absorbed
-        count (``add_ions`` adds the ion clicks).
+        """Add the block of ``rec``, one shot a row: per shot its photons in and
+        out and its absorbed count (``add_ions`` adds the ion clicks) and, with
+        ``bin_sums``, the input and output counts of its entries, every other
+        entry zero in both.
 
-        Every sum is an int64 scatter-add, exact however large the counts.
+        The totals come from the record's row counts, so only the per-bin sums
+        touch the entries, as int64 scatter-adds; every sum is exact however
+        large the counts.
         """
-        n_rows = rec.shape[0]
-        inp, out = rec.input_bins, rec.output_bins
-        rows = rec.idx // self.n_bins
-        total_out = np.zeros(n_rows, dtype=np.int64)
-        np.add.at(total_out, rows, out)
-        # each entry's bin, in the rows' array
-        bins = np.subtract(rec.idx, rows * self.n_bins, out=rows)
-        self.shots += n_rows
+        total_out = rec.output_totals
+        self.shots += rec.shape[0]
+        self.in_total_sum += int(rec.input_totals.sum())
+        self.out_total_sum += int(total_out.sum())
         self.out_total_sq_sum += int((total_out * total_out).sum())
-        # one product at a time: each is as long as the entries
-        np.add.at(self.in_bin_sums, bins, inp)
-        np.add.at(self.out_bin_sums, bins, out)
-        np.add.at(self.in_bin_sq_sums, bins, inp * inp)
-        np.add.at(self.out_bin_sq_sums, bins, out * out)
-        np.add.at(self.inout_bin_sums, bins, inp * out)
         self.absorbed_hist += np.bincount(rec.absorbed, minlength=MAX_EXCITATIONS + 1)
+        if self.bin_sums:
+            inp, out = rec.input_bins, rec.output_bins
+            bins = rec.idx % self.n_bins
+            # one product at a time: each is as long as the entries
+            np.add.at(self.in_bin_sums, bins, inp)
+            np.add.at(self.out_bin_sums, bins, out)
+            np.add.at(self.in_bin_sq_sums, bins, inp * inp)
+            np.add.at(self.out_bin_sq_sums, bins, out * out)
+            np.add.at(self.inout_bin_sums, bins, inp * out)
 
     def add_ions(self, ions: np.ndarray) -> None:
         """Add the ion clicks of shots added through ``add_shot``, one count per shot."""
@@ -232,11 +249,11 @@ class EnsembleResult(Accumulator):
 
     @property
     def mean_in(self) -> float:
-        return int(self.in_bin_sums.sum()) / self.shots
+        return self.in_total_sum / self.shots
 
     @property
     def mean_out(self) -> float:
-        return int(self.out_bin_sums.sum()) / self.shots
+        return self.out_total_sum / self.shots
 
     @property
     def sem_out(self) -> float:

@@ -11,14 +11,19 @@ for g2 only, the detection of the last stage's output in row slices of
 ``detect_rows`` rows, each slice one uniform per photon and then its dark
 counts, so g2 leaves the stages unchanged.  A block passes through the
 stages and on to detection as its nonzero entries in row-major order.  A
-stage's entries join its ensemble as the stage runs, and its ion clicks
+stage's record joins its ensemble as the stage runs, and its ion clicks
 after the block's one ion draw.  The block size, its byte bound and the
 detection slices live here.  Results never depend on batching, worker count
 or execution order.  Every sum an output reads is taken from a block's
 entries or rows in whole-block calls, over integers, so it is exact; the
-run result holds one ensemble per stage, the ``OutcomeCounts`` and, if
-requested, the g2 sums of the detected light.  Batches are whole blocks and
-reduce as they arrive through ``absorber.merge``.
+run result holds one ensemble per stage and, each only if requested, the
+ensembles' per-bin sums, the ``OutcomeCounts`` and the g2 sums of the
+detected light.  An ensemble's totals come from the stage kernel's per-row
+counts; only per-bin sums touch the entries.  Of the CLI commands, only
+``pulse`` requests per-bin sums and only ``cascade`` the outcome counts;
+``sweep``, ``validate`` and ``g2`` request neither.  A request never
+changes the draws.  Batches are whole blocks and reduce as they arrive
+through ``absorber.merge``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from multiprocessing import Pool
 
@@ -93,10 +99,10 @@ class OutcomeCounts(Accumulator):
 
 @dataclass
 class CascadeResult:
-    """Per-stage ensembles, the outcome counts and, if requested, the g2 sums of the detected output."""
+    """Per-stage ensembles and, if requested, the outcome counts and the g2 sums of the detected output."""
 
     stages: list[EnsembleResult]
-    outcomes: OutcomeCounts
+    outcomes: OutcomeCounts | None = None
     g2: G2Accumulator | None = None
 
     @property
@@ -106,7 +112,8 @@ class CascadeResult:
     def merged(self, other: "CascadeResult") -> "CascadeResult":
         stages = [merge(a, b) for a, b in zip(self.stages, other.stages)]
         g2 = None if self.g2 is None else merge(self.g2, other.g2)
-        return CascadeResult(stages, merge(self.outcomes, other.outcomes), g2)
+        outcomes = None if self.outcomes is None else merge(self.outcomes, other.outcomes)
+        return CascadeResult(stages, outcomes, g2)
 
 
 def block_rows(pulse: PulseSpec) -> int:
@@ -154,27 +161,28 @@ def sample_input(n_rows: int, n_in_law: InverseCDF, bin_law: InverseCDF, rng: np
     return n_in, keys[starts].astype(np.int64), np.diff(starts, append=keys.size)
 
 
-def _run_batch(args) -> CascadeResult:
+def _run_batch(args, bin_sums: bool = True, outcomes: bool = True) -> CascadeResult:
     (stages, pulse, detector, seed, stream_key, shots, blocks, g2_cell_bins) = args
     rows, slice_rows, n_bins = block_rows(pulse), detect_rows(pulse), pulse.n_bins
     bin_cdf = np.cumsum(tukey_envelope(pulse))
     bin_cdf[-1] = np.inf
     n_in_law, bin_law = InverseCDF(poisson_cdf(pulse.mean_photons)), InverseCDF(bin_cdf)
-    per_stage = [EnsembleResult(n_bins, pulse.bin_width_us) for _ in stages]
+    per_stage = [EnsembleResult(n_bins, pulse.bin_width_us, bin_sums) for _ in stages]
     acc = None if g2_cell_bins is None else G2Accumulator(n_bins, pulse.bin_width_us, g2_cell_bins)
-    outcomes = OutcomeCounts(*(3 if params.p_ryd2 else 2 for params in stages))
+    counted = OutcomeCounts(*(3 if params.p_ryd2 else 2 for params in stages)) if outcomes else None
     for b in blocks:
         rng = substream(seed, *stream_key, b)
         shape = (min(rows, shots - b * rows), n_bins)
         n_in, idx, counts = sample_input(shape[0], n_in_law, bin_law, rng)
         absorbed = np.empty((len(stages), shape[0]), dtype=np.int64)
-        # each stage's nonzero outputs are the next stage's input
+        # each stage's nonzero outputs are the next stage's input, and the last one's the detectors'
         for k, (params, ens) in enumerate(zip(stages, per_stage)):
             rec = simulate_shot(params, shape, idx, counts, rng)
             absorbed[k] = rec.absorbed
             ens.add_shot(rec)
-            live = rec.output_bins > 0
-            idx, counts = idx[live], rec.output_bins[live]
+            if k + 1 < len(stages) or acc is not None:
+                live = rec.output_bins > 0
+                idx, counts = idx[live], rec.output_bins[live]
         for ens, ions in zip(per_stage, detect_ions(absorbed, detector.eta_ion, rng)):
             ens.add_ions(ions)
         if acc is not None:
@@ -183,8 +191,9 @@ def _run_batch(args) -> CascadeResult:
                 part = slice(*np.searchsorted(idx, (lo * n_bins, hi * n_bins)))
                 acc.add(detect_pulse((hi - lo, n_bins), idx[part] - lo * n_bins, counts[part],
                                      detector, rng, pulse.bin_width_us))
-        outcomes.add(n_in, absorbed)
-    return CascadeResult(per_stage, outcomes, acc)
+        if counted is not None:
+            counted.add(n_in, absorbed)
+    return CascadeResult(per_stage, counted, acc)
 
 
 def simulate_cascade(
@@ -196,13 +205,16 @@ def simulate_cascade(
     *,
     stream_key: tuple[int, ...] = (),
     g2_cell_bins: int | None = None,
+    bin_sums: bool = True,
+    outcomes: bool = True,
     workers: int = 1,
 ) -> CascadeResult:
     """Run Poisson pulses through a chain of absorbers.
 
     With ``g2_cell_bins`` set, the result's ``g2`` holds the intensity
     correlations of the last stage's detected output on cells of that many
-    bins.
+    bins.  ``bin_sums`` keeps each stage's per-bin sums, and ``outcomes``
+    the outcome counts, else ``outcomes`` is None; neither changes a draw.
     """
     if len(stages) == 0:
         raise ValueError("cascade needs at least one stage")
@@ -218,8 +230,9 @@ def simulate_cascade(
         for b in range(0, n_blocks, per_batch)
     ]
     parallel = workers > 1 and len(batches) > 1
+    run = partial(_run_batch, bin_sums=bin_sums, outcomes=outcomes)
     with Pool(processes=min(workers, len(batches))) if parallel else nullcontext() as pool:
-        results = pool.imap(_run_batch, batches) if parallel else map(_run_batch, batches)
+        results = pool.imap(run, batches) if parallel else map(run, batches)
         # merged as they arrive: functools.reduce would hold two results while the next runs
         total = next(results)
         for result in results:
@@ -235,9 +248,13 @@ def run_point(
     seed: int,
     *,
     stream_key: tuple[int, ...] = (),
+    bin_sums: bool = True,
     workers: int = 1,
 ) -> EnsembleResult:
-    """Simulate one experimental setting including the detection chain."""
+    """Simulate one experimental setting including the detection chain, with
+    per-bin sums if ``bin_sums``; no outcomes are counted, as only the
+    ensemble is returned."""
     return simulate_cascade(
-        (absorber,), pulse, detector, shots, seed, stream_key=stream_key, workers=workers
+        (absorber,), pulse, detector, shots, seed, stream_key=stream_key, bin_sums=bin_sums, outcomes=False,
+        workers=workers,
     ).stages[0]

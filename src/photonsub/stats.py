@@ -388,7 +388,10 @@ class PulseShape:
 
 
 def pulse_shape(ens: EnsembleResult) -> PulseShape:
-    """Mean photon rates per bin with the per-bin transmission and its error."""
+    """Mean photon rates per bin with the per-bin transmission and its error;
+    ``ens`` must keep per-bin sums."""
+    if not ens.bin_sums:
+        raise ValueError("ensemble keeps no per-bin sums")
     if ens.shots < 1:
         raise ValueError("ensemble holds no shots")
     n = ens.shots
@@ -426,7 +429,9 @@ def photon_deficit(ens: EnsembleResult, t: float) -> tuple[float, float]:
     overstates the scatter about tenfold (seed-to-seed sd / reported error
     0.10 at n = 35).  The exact variance needs the input-total square and
     in-out sums, which the ensemble does not keep yet; the error-bar item of
-    ROADMAP.md adds them.
+    ROADMAP.md adds them.  Both can come from the stage's row totals
+    (``ShotRecord.input_totals`` and ``output_totals``), as ``in_total_sum``
+    and ``out_total_sum`` do, with no per-entry work.
     """
     if ens.shots < 2:
         raise ValueError("need at least two shots for a deficit estimate")

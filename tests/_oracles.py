@@ -114,12 +114,12 @@ def rows_record(inp, out=None, absorbed=0) -> ShotRecord:
     """The ``ShotRecord`` of dense rows: a (B, n_bins) input block, or one
     (n_bins,) pulse as a block of one row, with its output rows (all zero if
     None) and the absorbed count of each row, as the entries where the input
-    or the output is nonzero."""
+    or the output is nonzero, and the rows' totals."""
     inp = np.atleast_2d(np.asarray(inp, dtype=np.int64))
     out = np.zeros_like(inp) if out is None else np.asarray(out, dtype=np.int64).reshape(inp.shape)
     idx = np.flatnonzero((inp != 0) | (out != 0))
     absorbed = np.zeros(len(inp), dtype=np.int64) + absorbed
-    return ShotRecord(inp.shape, idx, inp.ravel()[idx], out.ravel()[idx], absorbed)
+    return ShotRecord(inp.shape, idx, inp.ravel()[idx], out.ravel()[idx], absorbed, inp.sum(axis=1), out.sum(axis=1))
 
 
 def dense_block_sums(inp, out, absorbed, ions, size: int) -> dict:
@@ -127,6 +127,8 @@ def dense_block_sums(inp, out, absorbed, ions, size: int) -> dict:
     total_out = out.sum(axis=1)
     return {
         "shots": len(inp),
+        "in_total_sum": int(inp.sum()),
+        "out_total_sum": int(total_out.sum()),
         "out_total_sq_sum": int((total_out * total_out).sum()),
         "in_bin_sums": inp.sum(axis=0),
         "out_bin_sums": out.sum(axis=0),

@@ -56,6 +56,12 @@ def _absorb_rows(params, rows, rng):
     return rec, out.reshape(np.shape(rows))
 
 
+def _assert_row_totals(rec, inp, out):
+    """The record's row totals are the row sums of its dense input and output rows."""
+    np.testing.assert_array_equal(rec.input_totals, inp.sum(axis=1))
+    np.testing.assert_array_equal(rec.output_totals, out.sum(axis=1))
+
+
 def test_transparent_medium_passes_everything():
     params = AbsorberParams(p_ryd=0.0, p_ryd2=0.0, t=1.0)
     rng = substream(1, 0)
@@ -119,6 +125,7 @@ def test_matches_per_photon_reference_distribution():
     counts = np.array([3, 2, 0, 4])
     shots = 20000
     rec, out = _absorb_rows(params, np.tile(counts, (shots, 1)), substream(21, 0))
+    _assert_row_totals(rec, np.tile(counts, (shots, 1)), out)
     fast_abs = np.bincount(rec.absorbed, minlength=3)
     fast_out = out.sum(axis=0)
     fast_lost = rec.input_bins.sum() - rec.output_bins.sum() - rec.absorbed.sum()
@@ -151,6 +158,7 @@ def test_block_absorber_matches_per_photon_chi2():
     shots = 20000
     inp = np.tile(counts, (shots, 1))
     rec, out = _absorb_rows(params, inp, substream(23, 0))
+    _assert_row_totals(rec, inp, out)
     short = inp > out
     first_bin = np.where(short.any(axis=1), short.argmax(axis=1), counts.size)
     block = np.zeros((3, counts.size + 1))
@@ -229,9 +237,12 @@ def test_merge_equals_sequential_accumulation():
 def test_merge_rejects_mismatched_bin_structure():
     a = run_point(PulseSpec(mean_photons=1.0, duration_us=2.0), MEASURED, DET, 5, 1)
     b = run_point(PulseSpec(mean_photons=1.0, duration_us=1.0), MEASURED, DET, 5, 1)
+    lean = run_point(PulseSpec(mean_photons=1.0, duration_us=2.0), MEASURED, DET, 5, 1, bin_sums=False)
     fine = G2Accumulator(8, 0.05, 2)
-    # g2 sums on other cells or bins, and an accumulator of another type
-    for x, y in ((a, b), (fine, G2Accumulator(8, 0.05, 4)), (fine, G2Accumulator(8, 0.1, 2)), (a, fine)):
+    # per-bin sums with totals only, g2 sums on other cells or bins, and an accumulator of another type
+    for x, y in (
+        (a, b), (a, lean), (lean, a), (fine, G2Accumulator(8, 0.05, 4)), (fine, G2Accumulator(8, 0.1, 2)), (a, fine),
+    ):
         with pytest.raises(ValueError, match="different types or grids"):
             merge(x, y)
 
@@ -304,9 +315,9 @@ def test_batch_results_reduce_as_they_arrive():
     alive, earlier = [], []
     run_batch = experiment._run_batch
 
-    def tracked(args):
+    def tracked(args, **requests):
         earlier.append(sum(ref() is not None for ref in alive))
-        result = run_batch(args)
+        result = run_batch(args, **requests)
         alive.append(weakref.ref(result))
         return result
 
@@ -454,7 +465,8 @@ def _reference_sums(inp, out, absorbed, ions):
     sums = EnsembleResult(inp.shape[1], 0.05).zero_sums()
     for i, o, a, n in zip(inp, out, absorbed, ions):
         for name, value in (
-            ("shots", 1), ("out_total_sq_sum", int(o.sum()) ** 2), ("in_bin_sums", i), ("out_bin_sums", o),
+            ("shots", 1), ("in_total_sum", int(i.sum())), ("out_total_sum", int(o.sum())),
+            ("out_total_sq_sum", int(o.sum()) ** 2), ("in_bin_sums", i), ("out_bin_sums", o),
             ("in_bin_sq_sums", i * i), ("out_bin_sq_sums", o * o), ("inout_bin_sums", i * o),
             ("absorbed_hist", np.eye(MAX_EXCITATIONS + 1, dtype=np.int64)[a]),
             ("ion_hist", np.eye(MAX_EXCITATIONS + 1, dtype=np.int64)[n]),
@@ -619,11 +631,21 @@ STREAM_DIGESTS = {
 }
 
 
+# The ensemble fields the digests hash, in order: every summed field but the
+# two totals, which equal the totals of the per-bin sums.
+DIGEST_FIELDS = (
+    "shots", "out_total_sq_sum", "in_bin_sums", "out_bin_sums", "in_bin_sq_sums", "out_bin_sq_sums",
+    "inout_bin_sums", "absorbed_hist", "ion_hist",
+)
+
+
 def _run_digest(result):
     """sha256 of every summed field of each stage, the g2 sums, the sorted confusion counts and the joint table."""
     digest = hashlib.sha256()
     for ens in result.stages:
-        for name in ens.zero_sums():
+        assert set(ens.zero_sums()) == {*DIGEST_FIELDS, "in_total_sum", "out_total_sum"}
+        assert ens.in_total_sum == ens.in_bin_sums.sum() and ens.out_total_sum == ens.out_bin_sums.sum()
+        for name in DIGEST_FIELDS:
             digest.update(np.asarray(getattr(ens, name), dtype=np.int64).tobytes())
     for name in result.g2.zero_sums():
         digest.update(np.asarray(getattr(result.g2, name), dtype=np.float64).tobytes())
@@ -645,6 +667,16 @@ def test_fixed_seed_runs_draw_the_recorded_stream(label, duration_us, shots, bin
     spec = PulseSpec(mean_photons=6.0, duration_us=duration_us)
     result = simulate_cascade(stages, spec, detector, shots, 2024, g2_cell_bins=bins_per_cell)
     assert _run_digest(result) == STREAM_DIGESTS[label]
+    # a run without per-bin sums, or without outcome counts too, draws the same stream
+    for outcomes in (True, False):
+        lean = simulate_cascade(stages, spec, detector, shots, 2024, g2_cell_bins=bins_per_cell, bin_sums=False,
+                                outcomes=outcomes)
+        for full, ens in zip(result.stages, lean.stages, strict=True):
+            assert not ens.bin_sums and not hasattr(ens, "in_bin_sums")
+            for name in ens.zero_sums():
+                np.testing.assert_array_equal(getattr(ens, name), getattr(full, name), err_msg=name)
+        assert lean.outcomes.equals(result.outcomes) if outcomes else lean.outcomes is None
+        assert lean.g2.equals(result.g2)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +721,7 @@ def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
         np.testing.assert_array_equal(rec.absorbed, dense_absorbed)
         lost = dense.sum(axis=1) - scattered.sum(axis=1) - rec.absorbed
         np.testing.assert_array_equal(lost, dense_lost)
+        _assert_row_totals(rec, dense, dense_out)
         ions = data.binomial(dense_absorbed, 0.5)
         from_entries, from_rows = (EnsembleResult(n_bins, 0.05) for _ in range(2))
         from_entries.add_shot(rec)
@@ -761,7 +794,13 @@ def test_run_batch_draws_the_input_decoded_by_hand_from_raw_bits():
     # Poisson CDF, then each photon's bin from one more against the envelope's running sum
     spec = PulseSpec(mean_photons=7.5, duration_us=1.0, taper=0.6)
     shots, seed, key = 300, 11, (2, 5)
-    with mock.patch.object(experiment, "simulate_shot", wraps=simulate_shot) as traced:
+    records = []
+
+    def recorded(*args):
+        records.append(simulate_shot(*args))
+        return records[-1]
+
+    with mock.patch.object(experiment, "simulate_shot", side_effect=recorded) as traced:
         experiment._run_batch(((MEASURED,), spec, DET, seed, key, shots, range(1), None))
     _, shape, idx, counts, _ = traced.call_args.args
     rng = substream(seed, *key, 0)
@@ -783,6 +822,7 @@ def test_run_batch_draws_the_input_decoded_by_hand_from_raw_bits():
     np.testing.assert_array_equal(idx, np.flatnonzero(block))
     np.testing.assert_array_equal(counts, block.ravel()[idx])
     assert sum(totals) == counts.sum() > 0
+    assert records[0].input_totals.tolist() == totals
 
 
 def test_input_bins_are_independent_poisson_of_the_bin_means():

@@ -449,9 +449,9 @@ def test_pulse_shape_never_shows_gain():
     assert (shape.transmission[ok] <= MEASURED.t + 3 * shape.transmission_sem[ok]).all()
 
 
-def _ensemble(inputs, outputs):
+def _ensemble(inputs, outputs, bin_sums=True):
     """An ensemble of hand-written shots, nothing absorbed."""
-    ens = EnsembleResult(len(inputs[0]), 0.05)
+    ens = EnsembleResult(len(inputs[0]), 0.05, bin_sums)
     for inp, out in zip(inputs, outputs):
         ens.add_shot(rows_record(inp, out))
         ens.add_ions(np.zeros(1, dtype=np.int64))
@@ -459,10 +459,19 @@ def _ensemble(inputs, outputs):
 
 
 def test_sem_out_is_the_sample_standard_error():
-    # output totals 1, 2 and 6: mean 3, squared deviations 14, sample variance 14 / 2
-    ens = _ensemble([[1, 0], [1, 1], [2, 4]], [[1, 0], [1, 1], [2, 4]])
-    assert ens.sem_out == pytest.approx(math.sqrt(7 / 3), rel=1e-12)
-    assert photon_deficit(ens, 1.0) == (0.0, ens.sem_out)
+    # output totals 1, 2 and 6: mean 3, squared deviations 14, sample variance 14 / 2;
+    # the totals are the same with per-bin sums and without
+    for bin_sums in (True, False):
+        ens = _ensemble([[1, 0], [1, 1], [2, 4]], [[1, 0], [1, 1], [2, 4]], bin_sums)
+        assert ens.mean_in == ens.mean_out == 3.0
+        assert ens.sem_out == pytest.approx(math.sqrt(7 / 3), rel=1e-12)
+        assert photon_deficit(ens, 1.0) == (0.0, ens.sem_out)
+
+
+def test_pulse_shape_needs_per_bin_sums():
+    ens = _ensemble([[1, 0], [2, 0]], [[1, 0], [1, 0]], bin_sums=False)
+    with pytest.raises(ValueError, match="per-bin sums"):
+        pulse_shape(ens)
 
 
 def test_transmission_sem_is_the_delta_method_error():
