@@ -14,26 +14,29 @@ alternate between the trees at seeds 101 to 110, parent first in odd pairs
 and change first in even ones, so slow drift of a shared machine falls on
 both sides alike.  Then each tree makes one ``--trace 1 --seed 1`` run per
 workload for the per-layer metrics.  Then each tree runs its Tier-1 test
-suite once with the verify command of ROADMAP.md, parent first.  Then the
-block layers of this checkout are timed in this process (``time_layers``),
-and so are whole ``cli.main`` calls of each workload (``time_calls``).  Last,
-each tree times its g2 sums on grids finer than the benchmark's, its
-detection on a 1000-bin pulse with dead time and dark counts, and
-``run_point`` at 3 photons on a 100000-bin pulse, in ``G2_GRID_ROUNDS``
-fresh interpreters per tree, alternating, keeping the least value of each
-(``time_g2_grids``).
+suite once with the verify command of ROADMAP.md, parent first.  Then each
+tree times its block layers (``time_layers``) and whole ``cli.main`` calls
+of each workload (``time_calls``) in ``LAYER_ROUNDS`` fresh interpreters per
+tree, alternating, keeping the least value of each.  Last, each tree times
+its g2 sums on grids finer than the benchmark's, its detection on a
+1000-bin pulse with dead time and dark counts, and ``run_point`` at 3
+photons on a 100000-bin pulse, in ``G2_GRID_ROUNDS`` fresh interpreters per
+tree, alternating, keeping the least value of each (``time_g2_grids``).
 
 The record holds the machine, every run's JSON result line, per workload
 and end-to-end metric both sides' medians and quartiles, the ratio of the
 medians and the number of pairs the change won, per tree the Tier-1 wall
-time and its passed and failed counts, and per workload this checkout's µs
-per shot in each block layer, its minor page faults per shot and the median
+time and its passed and failed counts, and per tree and workload the µs
+per shot in each block layer, the minor page faults per shot and the median
 wall time of one call at a few shots and at its own shot count, and per
 tree the g2 sums' µs per shot and tracemalloc peak on each grid.
 
+    python scripts/record_bench.py --layers
     python scripts/record_bench.py --g2-grids
 
-prints ``time_g2_grids()`` of the ``photonsub`` on ``PYTHONPATH`` as JSON.
+print ``{"layers": time_layers(), "calls": time_calls()}`` and
+``time_g2_grids()`` of the ``photonsub`` on ``PYTHONPATH``, with the
+``perfbench`` of the working directory, as JSON.
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ ROOT = Path(__file__).resolve().parents[1]
 FIRST_SEED = 101
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-# Shots per simulated point when timing the block layers.
+# Shots per simulated point when timing the block layers, and fresh
+# interpreters per tree, alternating, of which the least value counts.
 LAYER_SHOTS = 20000
+LAYER_ROUNDS = 3
 # Timed cli.main calls per workload and shot count, and the shot count at
 # which a call is nearly all fixed cost.
 CALL_REPEATS = 40
@@ -119,7 +124,7 @@ def run_tier1(tree: Path) -> dict:
 
 
 def time_layers() -> dict:
-    """µs per shot of each block layer of this checkout, per benchmark workload.
+    """µs per shot of each block layer of the ``photonsub`` on the path, per benchmark workload.
 
     The workloads' parameters are those of ``perfbench/workloads.py``, at
     ``LAYER_SHOTS`` shots per point, and each keeps the sums its CLI command
@@ -140,7 +145,6 @@ def time_layers() -> dict:
     maps afresh, for example arrays freed back to the system and allocated
     again every block.
     """
-    sys.path.insert(0, str(ROOT / "src"))
     from photonsub import AbsorberParams, DetectorConfig, PulseSpec, absorber, experiment, stats
 
     spent: Counter = Counter()
@@ -222,16 +226,16 @@ def time_layers() -> dict:
 
 
 def time_calls() -> dict:
-    """Median wall ms of one in-process ``cli.main`` call of this checkout, per benchmark workload.
+    """Median wall ms of one in-process ``cli.main`` call of the ``photonsub`` on the path, per benchmark workload.
 
-    Each workload runs with the argv and config of ``perfbench/workloads.py``,
+    Each workload runs with the argv and config of the working directory's
+    ``perfbench/workloads.py``,
     at ``FEW_SHOTS`` shots and at its own shot count, ``CALL_REPEATS`` times
     each after one warm-up call, with standard output discarded and every
     run directory removed.  The ``FEW_SHOTS`` time is nearly all the call's
     fixed cost: parsing, config, run directory, statistics and output files.
     """
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(Path.cwd() / "perfbench"))
     from photonsub import cli
     from workloads import CONFIG_TEXT, WORKLOADS
 
@@ -318,23 +322,25 @@ def time_g2_grids() -> dict:
     return out
 
 
-def run_g2_grids(trees: dict[str, Path]) -> dict:
-    """``time_g2_grids`` of each tree's sources in ``G2_GRID_ROUNDS`` fresh
-    interpreters, alternating between the trees; per tree the least value of each entry."""
-    least: dict[str, dict] = {side: {} for side in trees}
-    for _ in range(G2_GRID_ROUNDS):
+def least(a: dict, b: dict) -> dict:
+    """The entry-wise least of two nested dicts of numbers, over the keys of ``b``; ``a`` may lack any."""
+    return {key: (least(a.get(key, {}), value) if isinstance(value, dict) else min(value, a.get(key, math.inf)))
+            for key, value in b.items()}
+
+
+def run_fresh(trees: dict[str, Path], flag: str, rounds: int) -> dict:
+    """This script's ``flag`` mode run on each tree's sources, in its working
+    directory, in ``rounds`` fresh interpreters, alternating between the
+    trees; per tree the least value of each entry."""
+    out: dict[str, dict] = {side: {} for side in trees}
+    for _ in range(rounds):
         for side, tree in trees.items():
             proc = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--g2-grids"], cwd=tree,
+                [sys.executable, str(Path(__file__).resolve()), flag], cwd=tree,
                 env=dict(os.environ, PYTHONPATH=str(tree / "src")), stdout=subprocess.PIPE, text=True, check=True,
             )
-            for key, value in json.loads(proc.stdout).items():
-                if isinstance(value, dict):
-                    value = {k: min(v, least[side].get(key, {}).get(k, math.inf)) for k, v in value.items()}
-                else:
-                    value = min(value, least[side].get(key, math.inf))
-                least[side][key] = value
-    return least
+            out[side] = least(out[side], json.loads(proc.stdout))
+    return out
 
 
 def summarize(lines: list[dict], metric: str, better: str) -> dict:
@@ -356,6 +362,9 @@ def summarize(lines: list[dict], metric: str, better: str) -> dict:
 
 
 def main() -> int:
+    if sys.argv[1:] == ["--layers"]:
+        print(json.dumps({"layers": time_layers(), "calls": time_calls()}))
+        return 0
     if sys.argv[1:] == ["--g2-grids"]:
         print(json.dumps(time_g2_grids()))
         return 0
@@ -392,9 +401,8 @@ def main() -> int:
         tier1[side] = run_tier1(trees[side])
         print(f"tier-1 {side}: {tier1[side]['last_line']}", file=sys.stderr, flush=True)
 
-    layers = time_layers()
-    calls = time_calls()
-    g2_grids = run_g2_grids(trees)
+    timed = run_fresh(trees, "--layers", LAYER_ROUNDS)
+    g2_grids = run_fresh(trees, "--g2-grids", G2_GRID_ROUNDS)
 
     summary = {
         bench["name"]: {
@@ -432,17 +440,20 @@ def main() -> int:
             **tier1,
         },
         "layers": {
-            "command": f"time_layers(): in process, {LAYER_SHOTS} shots per point, change tree only",
+            "command": (
+                f"time_layers(): {LAYER_SHOTS} shots per point, least of {LAYER_ROUNDS} fresh interpreters "
+                "per tree, alternating"
+            ),
             "unit": "us/shot, but minor_faults_per_shot in faults/shot",
-            "workloads": layers,
+            **{side: timed[side]["layers"] for side in trees},
         },
         "calls": {
             "command": (
-                f"time_calls(): in process, {CALL_REPEATS} cli.main calls per workload at "
-                f"{FEW_SHOTS} shots and at its own shot count, change tree only"
+                f"time_calls(): {CALL_REPEATS} cli.main calls per workload at {FEW_SHOTS} shots and at its "
+                f"own shot count, least median of {LAYER_ROUNDS} fresh interpreters per tree, alternating"
             ),
             "unit": "ms per call, median",
-            "workloads": calls,
+            **{side: timed[side]["calls"] for side in trees},
         },
         "g2_grids": {
             "command": (

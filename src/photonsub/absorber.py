@@ -10,15 +10,20 @@ draw a photon.  Every variate of a run is such a uniform, taken from the raw
 rests on ``SeedSequence`` and the bit generator alone, never on a
 ``Generator`` distribution method.  A block of pulses is carried as its
 nonzero entries: flat indices into the (B, n_bins) block in row-major order,
-and their counts.  The stage kernel ``simulate_shot`` touches only those
-entries, and also returns each row's photons in and out, which it has at
-hand.  An ensemble holds one stage's sums: its totals come from those row
-counts, and only an ensemble made with ``bin_sums`` scatters the entries
-into per-bin sums.  The block loop, for one absorber and for a cascade
-alike, is in ``experiment``; the outcome counts and the g2 sums of the
-detected light belong to the run result there.  All three run accumulators
-follow one ``Accumulator`` protocol: each lists its summed fields once, in
-``zero_sums``, and ``merge`` adds them exactly.
+and their counts, with each row's photon total.  The stage kernel
+``simulate_shot`` touches only those entries and row totals, and returns the
+row totals out, which the next stage takes in: the first stage takes the
+input's photon numbers, so no stage derives its rows' bounds from the
+entries.  Of the photons' uniforms it keeps the positions of only the
+classes its parameters can produce: lost photons where t < 1, first and
+second conversions where t*p_ryd and t*p_ryd2 are above 0.  An ensemble
+holds one stage's sums: its totals come from the row totals, and only an
+ensemble made with ``bin_sums`` scatters the entries into per-bin sums.  The
+block loop, for one absorber and for a cascade alike, is in ``experiment``;
+the outcome counts and the g2 sums of the detected light belong to the run
+result there.  All three run accumulators follow one ``Accumulator``
+protocol: each lists its summed fields once, in ``zero_sums``, and
+``merge`` adds them exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from ._checks import check_unit_interval
 MAX_EXCITATIONS = 2
 # Uniforms a stage draws at a time: 64 KiB.
 _CHUNK = 1 << 13
+# The positions of a photon class a stage cannot produce.
+_NONE = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,9 @@ class ShotRecord:
     """A block of pulses of ``shape`` (B, n_bins) through one absorber stage, as the
     block's entries: ascending flat indices ``idx`` into it, the input and output
     counts there (every other entry is zero in both), and per row the excitations
-    created and the photons in and out.  Positions and the photons lost to
-    background scattering follow from these."""
+    created and the photons in and out.  The photons in are the row totals the
+    stage was given, and the photons out those the next stage is given.
+    Positions and the photons lost to background scattering follow from these."""
 
     shape: tuple[int, int]
     idx: np.ndarray
@@ -117,51 +125,80 @@ class InverseCDF:
 
 
 def simulate_shot(
-    params: AbsorberParams, shape: tuple[int, int], idx: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+    params: AbsorberParams,
+    shape: tuple[int, int],
+    idx: np.ndarray,
+    counts: np.ndarray,
+    totals: np.ndarray,
+    rng: np.random.Generator,
 ) -> ShotRecord:
     """One absorber stage on a block of ``shape`` (B, n_bins), given as its nonzero entries.
 
     ``idx`` holds the entries' flat indices into the block, ascending (row-major
-    order), and ``counts`` their photon counts; every other entry is zero.
-    Returns the block's record: the output count of each entry, zeros
-    included, and the absorbed count and the photons in and out of each of
-    the B rows.  Each photon draws one uniform, the photons of the entries
+    order), ``counts`` their photon counts, and ``totals`` the photons of each
+    of the B rows, the sums of its entries' counts; every other entry is
+    zero.  Returns the block's record: the output count of each entry, zeros
+    included, and the absorbed count and the photons in (``totals``) and out
+    of each row.  Each photon draws one uniform, the photons of the entries
     in order.  In each row the first photon with u < t*p_ryd is absorbed
     and then, with leakage, the first later one with u < t*p_ryd2; the
     photons with u >= t are lost.
     Photons of one entry share a bin, so their order within it does not
     matter.  The entry of photon k is the number of entries that end at or
     before it, so no array is as long as the photons but the positions of
-    the candidates.
+    the photons of each class the parameters can produce: lost ones only if
+    t < 1, and first and second conversions only where t*p_ryd and t*p_ryd2
+    are above 0.
     """
-    n_rows, n_bins = shape
-    ends = np.cumsum(counts)
-    n = int(ends[-1]) if ends.size else 0
-    # the photons lost, and those that may convert first and second: the
-    # uniforms are drawn a chunk at a time and only these positions are kept
-    found = ([], [], [])
-    for lo in range(0, max(n, 1), _CHUNK):
-        u = uniforms(rng, min(_CHUNK, n - lo))
-        for positions, where in zip(found, (u >= params.t, u < params.t * params.p_ryd, u < params.t * params.p_ryd2)):
-            positions.append(np.flatnonzero(where) + lo)
-    lost, *candidates = (np.concatenate(positions) for positions in found)
+    n_rows = shape[0]
     # the photons of row r are [bounds[r], bounds[r + 1])
-    bounds = np.concatenate(([0], ends))[np.searchsorted(idx, np.arange(n_rows + 1) * n_bins)]
-    output = np.bincount(np.searchsorted(ends, lost, side="right"), minlength=idx.size)
-    np.subtract(counts, output, out=output)
+    bounds = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(totals, out=bounds[1:])
+    n = int(bounds[-1])
+    # the photons lost, and those that may convert first and second: the
+    # uniforms are drawn a chunk at a time and only these positions are kept,
+    # each class's by its test, None where the parameters cannot produce it
+    t = params.t
+    tests = (
+        (np.greater_equal, t) if t < 1 else None,
+        (np.less, t * params.p_ryd) if t * params.p_ryd > 0 else None,
+        (np.less, t * params.p_ryd2) if t * params.p_ryd2 > 0 else None,
+    )
+    found = ([], [], [])
+    for lo in range(0, n, _CHUNK):
+        u = uniforms(rng, min(_CHUNK, n - lo))
+        for positions, test in zip(found, tests):
+            if test is not None:
+                where = test[0](u, test[1]).nonzero()[0]
+                positions.append(where + lo if lo else where)
+    lost, *candidates = (
+        np.concatenate(positions) if len(positions) > 1 else positions[0] if positions else _NONE
+        for positions in found
+    )
+    ends = np.cumsum(counts)
+    if lost.size:
+        output = np.bincount(np.searchsorted(ends, lost, side="right"), minlength=idx.size)
+        np.subtract(counts, output, out=output)
+    else:
+        output = np.array(counts, dtype=np.int64)
     absorbed = np.zeros(n_rows, dtype=np.int64)
     # where each row's next absorbed photon may lie: from its first photon, then past the one absorbed
     after = bounds[:-1]
     for held, hit in enumerate(candidates):
+        if not hit.size:
+            # no row converts at this number held, nor at the next
+            break
         # each row's first candidate from ``after`` on, or past every photon where none is
         after = np.append(hit, n)[np.searchsorted(hit, after, side="right" if held else "left")]
-        rows = np.flatnonzero((absorbed == held) & (after < bounds[1:]))
+        # a row that held fewer has its ``after`` past its photons already
+        rows = np.flatnonzero(after < bounds[1:])
         output[np.searchsorted(ends, after[rows], side="right")] -= 1
         absorbed[rows] += 1
-    input_totals = np.diff(bounds)
     # a row's photons out: in, less those absorbed and those lost, which ascend
-    output_totals = input_totals - absorbed - np.diff(np.searchsorted(lost, bounds))
-    return ShotRecord(shape, idx, counts, output, absorbed, input_totals, output_totals)
+    output_totals = totals - absorbed
+    if lost.size:
+        output_totals -= np.diff(np.searchsorted(lost, bounds))
+    return ShotRecord(shape, idx, counts, output, absorbed, totals, output_totals)
 
 
 class Accumulator:

@@ -10,7 +10,9 @@ uniform per photon), every stage's ion clicks (one per excitation), then,
 for g2 only, the detection of the last stage's output in row slices of
 ``detect_rows`` rows, each slice one uniform per photon and then its dark
 counts, so g2 leaves the stages unchanged.  A block passes through the
-stages and on to detection as its nonzero entries in row-major order.  A
+stages and on to detection as its nonzero entries in row-major order, and
+from stage to stage with its rows' photon totals, the input's photon
+numbers first and then each stage's output totals.  A
 stage's record joins its ensemble as the stage runs, and its ion clicks
 after the block's one ion draw.  The block size, its byte bound and the
 detection slices live here.  Results never depend on batching, worker count
@@ -174,15 +176,17 @@ def _run_batch(args, bin_sums: bool = True, outcomes: bool = True) -> CascadeRes
         rng = substream(seed, *stream_key, b)
         shape = (min(rows, shots - b * rows), n_bins)
         n_in, idx, counts = sample_input(shape[0], n_in_law, bin_law, rng)
+        totals = n_in
         absorbed = np.empty((len(stages), shape[0]), dtype=np.int64)
-        # each stage's nonzero outputs are the next stage's input, and the last one's the detectors'
+        # each stage's nonzero outputs and row totals are the next stage's input, and the last one's
+        # entries the detectors'
         for k, (params, ens) in enumerate(zip(stages, per_stage)):
-            rec = simulate_shot(params, shape, idx, counts, rng)
+            rec = simulate_shot(params, shape, idx, counts, totals, rng)
             absorbed[k] = rec.absorbed
             ens.add_shot(rec)
             if k + 1 < len(stages) or acc is not None:
                 live = rec.output_bins > 0
-                idx, counts = idx[live], rec.output_bins[live]
+                idx, counts, totals = idx[live], rec.output_bins[live], rec.output_totals
         for ens, ions in zip(per_stage, detect_ions(absorbed, detector.eta_ion, rng)):
             ens.add_ions(ions)
         if acc is not None:

@@ -9,7 +9,9 @@ pairs: (Y + Y^T)/n / (D + D^T), defined at ``G2Matrix``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -33,25 +35,41 @@ class HistStats(NamedTuple):
     q_over_mean_sem: float
 
 
+# The exponents of the third and fourth moments, one row each.
+_CUBE_FOURTH = np.array([[3.0], [4.0]])
+
+
+def _sum(values: list[float]) -> float:
+    """``values`` added left to right; -0.0 is the exact identity of float addition."""
+    return reduce(operator.add, values, -0.0)
+
+
 def hist_stats(hist: np.ndarray) -> HistStats:
     """All six statistics from one moments pass.
 
     Mandel-Q = Var(n)/<n> - 1 (unbiased variance) and Q/mean divide by the
     mean, so those four are nan for zero-mean counts.  The errors are
     delta-method standard errors.
+
+    The pass runs over the bins as Python floats, since the histograms are
+    short.  Its sums add left to right, numpy's order up to seven terms, and
+    the deviations' cubes and fourth powers come from numpy's ``power``,
+    which rounds unlike C's ``pow``; so up to seven bins every moment equals
+    that of the same formulas on numpy arrays bit for bit.
     """
     hist = np.asarray(hist, dtype=float)
-    if hist.ndim != 1 or (hist < 0).any():
+    counts = hist.tolist()
+    if hist.ndim != 1 or any(c < 0 for c in counts):
         raise ValueError("histogram must be a 1-D array of non-negative counts")
-    n = float(hist.sum())
+    n = _sum(counts)
     if n < 1:
         raise ValueError("empty histogram")
-    k = np.arange(hist.size)
-    mean = float((k * hist).sum() / n)
-    d = k - mean
-    mu2 = float((hist * d**2).sum() / n)
-    mu3 = float((hist * d**3).sum() / n)
-    mu4 = float((hist * d**4).sum() / n)
+    mean = _sum([k * c for k, c in enumerate(counts)]) / n
+    d = [k - mean for k in range(len(counts))]
+    cubes, fourths = np.power(d, _CUBE_FOURTH).tolist()
+    mu2 = _sum([c * (x * x) for c, x in zip(counts, d)]) / n
+    mu3 = _sum([c * x for c, x in zip(counts, cubes)]) / n
+    mu4 = _sum([c * x for c, x in zip(counts, fourths)]) / n
     var = mu2 * n / (n - 1) if n > 1 else 0.0
     # sampling (co)variances of the mean and variance estimates
     var_mean = mu2 / n

@@ -11,7 +11,8 @@ bin by bin and photon by photon, for the input, each stage, the ion clicks
 and detection; the ensemble sums are whole-row and whole-column
 reductions.  The histogram statistics keep the
 package's earlier one-moments-pass-per-value functions, frozen, so that the
-one-pass ``stats.hist_stats`` is pinned bit for bit against them.
+one-pass ``stats.hist_stats`` is pinned bit for bit against them, and
+``numpy_hist_stats`` is that one pass as it ran on numpy arrays.
 ``rows_record`` hands dense rows to the package's entry-taking calls.
 """
 
@@ -238,6 +239,22 @@ def frozen_q_over_mean_sem(hist) -> float:
     d_var = 1.0 / mean**2
     d_mean = (mean - 2.0 * var) / mean**3
     return math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+
+
+def numpy_hist_stats(hist) -> tuple:
+    """The six fields of ``stats.hist_stats`` as its moments pass ran on numpy arrays."""
+    n, mean, var, var_mean, var_var, cov = _frozen_mean_var_cov(hist)
+    mean_sem = math.sqrt(var / n)
+    if mean == 0.0:
+        return (mean, mean_sem, math.nan, math.nan, math.nan, math.nan)
+    q = var / mean - 1.0
+    d_var = 1.0 / mean
+    d_mean = -var / mean**2
+    q_sem = math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+    d_var = 1.0 / mean**2
+    d_mean = (mean - 2.0 * var) / mean**3
+    ratio_sem = math.sqrt(max(0.0, d_var**2 * var_var + d_mean**2 * var_mean + 2 * d_var * d_mean * cov))
+    return (mean, mean_sem, q, q_sem, q / mean, ratio_sem)
 
 
 # The package's six single-value histogram statistics before hist_stats, in

@@ -25,7 +25,7 @@ from photonsub import (
     substream,
 )
 from photonsub import experiment, stats
-from photonsub.absorber import MAX_EXCITATIONS
+from photonsub.absorber import _CHUNK, MAX_EXCITATIONS
 from photonsub.analytic import absorbed_pmf, out_bin_means
 from photonsub.pulses import MAX_BINS, MAX_PHOTONS, expected_bin_means, tukey_envelope
 
@@ -50,7 +50,7 @@ DET = DetectorConfig()
 def _absorb_rows(params, rows, rng):
     """``simulate_shot`` on dense rows, a block or one pulse: its record and the output rows, shaped as ``rows``."""
     block = rows_record(rows)
-    rec = simulate_shot(params, block.shape, block.idx, block.input_bins, rng)
+    rec = simulate_shot(params, block.shape, block.idx, block.input_bins, block.input_totals, rng)
     out = np.zeros(rec.shape, dtype=np.int64)
     out.ravel()[rec.idx] = rec.output_bins
     return rec, out.reshape(np.shape(rows))
@@ -105,6 +105,26 @@ def test_shot_conservation_properties(p_ryd, p_ryd2, t, n_bins, rows, data, seed
     assert ((0 <= absorbed) & (absorbed <= 2)).all()
     if p_ryd2 == 0.0:
         assert (absorbed <= 1).all()
+
+
+@pytest.mark.parametrize(
+    "p_ryd, p_ryd2, t", [(1, 0, 1), (0.5, 0.05, 1), (0.7, 0, 0.95), (0, 0, 0.9), (0.35, 0.001, 0.99), (0, 0, 1)]
+)
+def test_a_stage_draws_one_raw_output_per_photon(p_ryd, p_ryd2, t):
+    # a stage keeps only the photon classes its parameters can produce, none for the
+    # last, but every photon draws
+    params = AbsorberParams(p_ryd=p_ryd, p_ryd2=p_ryd2, t=t)
+    data = np.random.default_rng(39)
+    one = np.zeros((3, 4), dtype=np.int64)
+    one[1, 2] = 1
+    # the last block draws its uniforms in several chunks
+    blocks = (np.zeros((3, 4), dtype=np.int64), one, data.poisson(3000.0, size=(5, 4)))
+    for k, block in enumerate(blocks):
+        rng, twin = substream(k, 39), substream(k, 39)
+        _absorb_rows(params, block, rng)
+        twin.bit_generator.random_raw(int(block.sum()))
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+    assert blocks[2].sum() > 2 * _CHUNK
 
 
 @given(
@@ -710,10 +730,10 @@ def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
     counts[data.random(rows) < 0.3] = 0  # rows without photons
     rng_entries, rng_dense = (substream(seed, 5) for _ in range(2))
     idx = np.flatnonzero(counts)
-    entries, dense = counts.ravel()[idx], counts
+    entries, totals, dense = counts.ravel()[idx], counts.sum(axis=1), counts
     for t, p_ryd, p_ryd2 in chain:
         params = _params(t, p_ryd, p_ryd2)
-        rec = simulate_shot(params, counts.shape, idx, entries, rng_entries)
+        rec = simulate_shot(params, counts.shape, idx, entries, totals, rng_entries)
         dense_out, dense_absorbed, dense_lost = uniform_stage(p_ryd, p_ryd2, t, dense, rng_dense)
         scattered = np.zeros_like(counts)
         scattered.ravel()[idx] = rec.output_bins
@@ -733,7 +753,7 @@ def test_entry_stages_draw_the_dense_stream(rows, n_bins, mean, chain, seed):
             np.testing.assert_array_equal(getattr(from_entries, name), value, err_msg=name)
             np.testing.assert_array_equal(getattr(from_rows, name), value, err_msg=name)
         live = rec.output_bins > 0
-        idx, entries, dense = idx[live], rec.output_bins[live], dense_out
+        idx, entries, totals, dense = idx[live], rec.output_bins[live], rec.output_totals, dense_out
     assert rng_entries.random() == rng_dense.random()
 
 
@@ -802,7 +822,7 @@ def test_run_batch_draws_the_input_decoded_by_hand_from_raw_bits():
 
     with mock.patch.object(experiment, "simulate_shot", side_effect=recorded) as traced:
         experiment._run_batch(((MEASURED,), spec, DET, seed, key, shots, range(1), None))
-    _, shape, idx, counts, _ = traced.call_args.args
+    _, shape, idx, counts, _, _ = traced.call_args.args
     rng = substream(seed, *key, 0)
     raw = rng.bit_generator.random_raw(shots)
     totals = []

@@ -243,11 +243,11 @@ def test_criterion_10_cascade_number_resolution():
     rng = substream(SEED, 10, 0)
     miscounts = 0
     for _ in range(2000):
-        idx, counts, fired = np.arange(3), np.ones(3, dtype=np.int64), 0
+        idx, counts, totals, fired = np.arange(3), np.ones(3, dtype=np.int64), np.array([3]), 0
         for _stage in range(5):
-            rec = simulate_shot(IDEAL, (1, 3), idx, counts, rng)
+            rec = simulate_shot(IDEAL, (1, 3), idx, counts, totals, rng)
             live = rec.output_bins > 0
-            idx, counts = idx[live], rec.output_bins[live]
+            idx, counts, totals = idx[live], rec.output_bins[live], rec.output_totals
             fired += int(rec.absorbed[0]) > 0
         miscounts += fired != 3
     # two ideal stages sample the Poisson tail probability P(n >= 2)

@@ -488,8 +488,8 @@ def test_validate_fails_when_the_stage_ignores_the_leak(tmp_path, capsys):
     # the configured leak moves the output mean at 5.65 photons by about 4 tolerances
     simulate_shot = experiment.simulate_shot
 
-    def no_leak(params, shape, idx, counts, rng):
-        return simulate_shot(replace(params, p_ryd2=0.0), shape, idx, counts, rng)
+    def no_leak(params, shape, idx, counts, totals, rng):
+        return simulate_shot(replace(params, p_ryd2=0.0), shape, idx, counts, totals, rng)
 
     cfg = tmp_path / "leaky.cfg"
     cfg.write_text("absorber.p_ryd2 = 0.3\n")

@@ -35,7 +35,7 @@ from photonsub.stats import (
     q_over_mean_sem,
 )
 
-from _oracles import FROZEN_HIST_STATS, g2_sums_per_shot, rows_record
+from _oracles import FROZEN_HIST_STATS, g2_sums_per_shot, numpy_hist_stats, rows_record
 
 MEASURED = AbsorberParams()
 DET = DetectorConfig()
@@ -118,6 +118,25 @@ def test_one_pass_statistics_equal_the_single_value_functions_bit_for_bit(counts
             assert one_pass.mean == 0.0 and math.isnan(value)
         else:
             assert np.float64(value).tobytes() == out
+
+
+def test_hist_stats_equals_the_numpy_moment_pass_exactly():
+    # one to three bins, as the command histograms have, and their edge cases:
+    # one bin, one shot, zero mean; equal to the last bit, nan where the mean is 0
+    rng = np.random.default_rng(39)
+    hists = [[1], [9], [1, 0], [0, 1], [1, 0, 0], [0, 0, 1], [4, 0, 0], [10**12, 1, 1]]
+    for _ in range(4000):
+        hist = rng.integers(0, 10 ** int(rng.integers(1, 13)), size=int(rng.integers(1, 4)))
+        hist[0] += hist.sum() == 0
+        hists.append(hist.tolist())
+    for counts in hists:
+        hist = np.array(counts, dtype=np.int64)
+        assert np.array(stats.hist_stats(hist)).tobytes() == np.array(numpy_hist_stats(hist)).tobytes(), counts
+    for bad in ([], [0], [0, 0, 0], [-1, 2], [3, -1, 0], [[1, 2]]):
+        with pytest.raises(ValueError) as want:
+            numpy_hist_stats(np.array(bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            stats.hist_stats(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
