@@ -21,6 +21,9 @@ a 1000-bin pulse in one-bin cells, with the same dead time and dark counts, at
 ``FINE_SHOTS`` shots.  A ``cascade-mixed`` run passes three stages that each
 lack one class of photon, so the stage kernel skips it: no loss (t = 1), no
 second conversion (p_ryd2 = 0) and no conversion at all (p_ryd = 0).  A
+``cascade-decided`` run puts stages whose every photon class is impossible or
+certain, which draw nothing, between ones that draw, and ends on one that
+loses every photon (t = 0).  A
 ``pulse-empty`` run sends a pulse of no photons, whose
 transmissions and ideal-absorber overlay are undefined.  A ``cascade-long`` run
 sends 20 photons through 20 leaky stages, whose 3**20 absorbed patterns exceed
@@ -50,6 +53,7 @@ run.workers = {workers}
 """
 IDEAL_FIVE = "1,0,1;1,0,1;1,0,1;1,0,1;1,0,1"
 MIXED_THREE = "0.5,0.05,1;0.7,0,0.95;0,0,0.9"
+DECIDED_FIVE = "1,0.3,1;1,1,1;0,0,1;0.4,0.05,0.9;0.3,0.1,0"
 LEAKY_TWENTY = ";".join(["0.3,0.05,0.999"] * 20)
 # The default 2 us pulse in 2 ns bins: the largest g2 map, 1000 one-bin cells.
 # Few shots, so that sums dense in cells squared finish in seconds.
@@ -74,6 +78,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
         ("fit-gamma", cfg + ["fit-gamma", str(out / "runs" / "spectrum-001" / "spectrum.csv")]),
         ("cascade-ideal", cfg + ["cascade", "--stages", IDEAL_FIVE, "--n-in", "3"]),
         ("cascade-mixed", cfg + ["cascade", "--stages", MIXED_THREE, "--n-in", "3"]),
+        ("cascade-decided", cfg + ["cascade", "--stages", DECIDED_FIVE, "--n-in", "3"]),
         ("cascade-leaky", cfg + ["cascade"]),
         ("cascade-long", cfg + ["cascade", "--stages", LEAKY_TWENTY, "--n-in", "20"]),
         ("validate", cfg + ["validate"]),

@@ -14,9 +14,13 @@ and their counts, with each row's photon total.  The stage kernel
 ``simulate_shot`` touches only those entries and row totals, and returns the
 row totals out, which the next stage takes in: the first stage takes the
 input's photon numbers, so no stage derives its rows' bounds from the
-entries.  Of the photons' uniforms it keeps the positions of only the
-classes its parameters can produce: lost photons where t < 1, first and
-second conversions where t*p_ryd and t*p_ryd2 are above 0.  An ensemble
+entries.  Each photon class (lost, first and second conversion) is
+impossible where no uniform passes its test (t = 1, t*p_ryd = 0, t*p_ryd2 =
+0), certain where every uniform does (t = 0, t*p_ryd = 1, t*p_ryd2 = 1),
+and partial otherwise; the kernel keeps the uniforms' positions of the
+partial classes only, and where none is partial it draws nothing but
+advances the bit generator past the photons' raw outputs
+(``PCG64.advance``), so the stream is the same either way.  An ensemble
 holds one stage's sums: its totals come from the row totals, and only an
 ensemble made with ``bin_sums`` scatters the entries into per-bin sums.  The
 block loop, for one absorber and for a cascade alike, is in ``experiment``;
@@ -41,6 +45,8 @@ MAX_EXCITATIONS = 2
 _CHUNK = 1 << 13
 # The positions of a photon class a stage cannot produce.
 _NONE = np.empty(0, dtype=np.intp)
+# Stands for the positions of a class every photon of a stage belongs to, which are never listed.
+_ALL = object()
 
 
 @dataclass(frozen=True)
@@ -146,35 +152,48 @@ def simulate_shot(
     Photons of one entry share a bin, so their order within it does not
     matter.  The entry of photon k is the number of entries that end at or
     before it, so no array is as long as the photons but the positions of
-    the photons of each class the parameters can produce: lost ones only if
-    t < 1, and first and second conversions only where t*p_ryd and t*p_ryd2
-    are above 0.
+    the photons of each partial class: a class no uniform can pass (lost if
+    t = 1, a conversion if t*p_ryd or t*p_ryd2 is 0) is skipped, and one
+    every uniform passes (lost if t = 0, a conversion if t*p_ryd or t*p_ryd2
+    is 1) takes every photon without a test: a row's first photon converts
+    first, and the one after a first conversion second.  Where no class is
+    partial no uniform is drawn, and the bit generator advances by one raw
+    output a photon instead, as the draw would have.
     """
     n_rows = shape[0]
     # the photons of row r are [bounds[r], bounds[r + 1])
     bounds = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(totals, out=bounds[1:])
     n = int(bounds[-1])
-    # the photons lost, and those that may convert first and second: the
-    # uniforms are drawn a chunk at a time and only these positions are kept,
-    # each class's by its test, None where the parameters cannot produce it
-    t = params.t
-    tests = (
-        (np.greater_equal, t) if t < 1 else None,
-        (np.less, t * params.p_ryd) if t * params.p_ryd > 0 else None,
-        (np.less, t * params.p_ryd2) if t * params.p_ryd2 > 0 else None,
-    )
-    found = ([], [], [])
-    for lo in range(0, n, _CHUNK):
-        u = uniforms(rng, min(_CHUNK, n - lo))
-        for positions, test in zip(found, tests):
-            if test is not None:
-                where = test[0](u, test[1]).nonzero()[0]
-                positions.append(where + lo if lo else where)
-    lost, *candidates = (
-        np.concatenate(positions) if len(positions) > 1 else positions[0] if positions else _NONE
-        for positions in found
-    )
+    # the photons lost (u >= t), and those that may convert first (u < t*p_ryd)
+    # and second (u < t*p_ryd2): a class no uniform on [0, 1) passes has no
+    # positions, one every uniform passes has all (_ALL), and of the others
+    # only the positions that pass are kept, the uniforms drawn a chunk at a time
+    t, first, second = params.t, params.t * params.p_ryd, params.t * params.p_ryd2
+    classes = [
+        _NONE if t >= 1 else _ALL if t <= 0 else (np.greater_equal, t),
+        _NONE if first <= 0 else _ALL if first >= 1 else (np.less, first),
+        _NONE if second <= 0 else _ALL if second >= 1 else (np.less, second),
+    ]
+    partial = [k for k, test in enumerate(classes) if type(test) is tuple]
+    if partial:
+        found = {k: [] for k in partial}
+        for lo in range(0, n, _CHUNK):
+            u = uniforms(rng, min(_CHUNK, n - lo))
+            for k in partial:
+                test, x = classes[k]
+                where = test(u, x).nonzero()[0]
+                found[k].append(where + lo if lo else where)
+        for k, positions in found.items():
+            classes[k] = np.concatenate(positions) if len(positions) > 1 else positions[0] if positions else _NONE
+    else:
+        # nothing to test: leave the stream where drawing the n uniforms would
+        rng.bit_generator.advance(n)
+    lost, *candidates = classes
+    if lost is _ALL:
+        # t = 0: every photon is lost, and none converts
+        zeros = np.zeros(n_rows, dtype=np.int64)
+        return ShotRecord(shape, idx, counts, np.zeros(idx.size, dtype=np.int64), zeros, totals, zeros.copy())
     ends = np.cumsum(counts)
     if lost.size:
         output = np.bincount(np.searchsorted(ends, lost, side="right"), minlength=idx.size)
@@ -185,11 +204,15 @@ def simulate_shot(
     # where each row's next absorbed photon may lie: from its first photon, then past the one absorbed
     after = bounds[:-1]
     for held, hit in enumerate(candidates):
-        if not hit.size:
+        if hit is _ALL:
+            # every photon converts: the row's first, or the one after that absorbed
+            after = after + held
+        elif not hit.size:
             # no row converts at this number held, nor at the next
             break
-        # each row's first candidate from ``after`` on, or past every photon where none is
-        after = np.append(hit, n)[np.searchsorted(hit, after, side="right" if held else "left")]
+        else:
+            # each row's first candidate from ``after`` on, or past every photon where none is
+            after = np.append(hit, n)[np.searchsorted(hit, after, side="right" if held else "left")]
         # a row that held fewer has its ``after`` past its photons already
         rows = np.flatnonzero(after < bounds[1:])
         output[np.searchsorted(ends, after[rows], side="right")] -= 1

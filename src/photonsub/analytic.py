@@ -136,7 +136,7 @@ def poisson_pmf(mu: float, k_max: int) -> np.ndarray:
         pmf = np.zeros(k_max + 1)
         pmf[0] = 1.0
         return pmf
-    logs = k * math.log(mu) - mu - np.array([math.lgamma(j + 1) for j in k])
+    logs = k * math.log(mu) - mu - np.fromiter(map(math.lgamma, range(1, k_max + 2)), float, k_max + 1)
     return np.exp(logs)
 
 

@@ -273,6 +273,19 @@ def poisson_pmf(mu: float, k_max: int) -> np.ndarray:
     return pmf
 
 
+def lgamma_poisson_pmf(mu: float, k_max: int) -> np.ndarray:
+    """Poisson probabilities P(0..k_max) in log space, with the lgamma column
+    listed one numpy integer at a time; ``analytic.poisson_pmf`` builds the
+    same column from Python ints and must equal this bit for bit."""
+    k = np.arange(k_max + 1)
+    if mu == 0.0:
+        pmf = np.zeros(k_max + 1)
+        pmf[0] = 1.0
+        return pmf
+    logs = k * math.log(mu) - mu - np.array([math.lgamma(j + 1) for j in k])
+    return np.exp(logs)
+
+
 def both_stages_fire_probability(mu: float, k_max: int = 80) -> float:
     """Brute force over Poisson outcomes: two ideal absorbers both fire iff n >= 2."""
     pmf = poisson_pmf(mu, k_max)

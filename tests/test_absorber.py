@@ -107,24 +107,70 @@ def test_shot_conservation_properties(p_ryd, p_ryd2, t, n_bins, rows, data, seed
         assert (absorbed <= 1).all()
 
 
-@pytest.mark.parametrize(
-    "p_ryd, p_ryd2, t", [(1, 0, 1), (0.5, 0.05, 1), (0.7, 0, 0.95), (0, 0, 0.9), (0.35, 0.001, 0.99), (0, 0, 1)]
-)
-def test_a_stage_draws_one_raw_output_per_photon(p_ryd, p_ryd2, t):
-    # a stage keeps only the photon classes its parameters can produce, none for the
-    # last, but every photon draws
-    params = AbsorberParams(p_ryd=p_ryd, p_ryd2=p_ryd2, t=t)
-    data = np.random.default_rng(39)
+def _raw_blocks():
+    """Dense blocks of 0, 1 and about 60000 photons, the last drawn in several chunks."""
     one = np.zeros((3, 4), dtype=np.int64)
     one[1, 2] = 1
-    # the last block draws its uniforms in several chunks
-    blocks = (np.zeros((3, 4), dtype=np.int64), one, data.poisson(3000.0, size=(5, 4)))
-    for k, block in enumerate(blocks):
+    blocks = (np.zeros((3, 4), dtype=np.int64), one, np.random.default_rng(39).poisson(3000.0, size=(5, 4)))
+    assert blocks[2].sum() > 2 * _CHUNK
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "p_ryd, p_ryd2, t",
+    [
+        (1, 0, 1),
+        (0.5, 0.05, 1),
+        (0.7, 0, 0.95),
+        (0, 0, 0.9),
+        (0.35, 0.001, 0.99),
+        (0, 0, 1),
+        (1, 1, 1),
+        (1, 0.3, 1),
+        (0.5, 1, 1),
+        (0.3, 0.1, 0),
+    ],
+)
+def test_a_stage_draws_one_raw_output_per_photon(p_ryd, p_ryd2, t):
+    # a stage keeps only the photon classes its parameters can produce, none for
+    # (0, 0, 1), and takes every photon of a certain class without a test, but the
+    # stream moves on by one raw output a photon
+    params = _params(t, p_ryd, p_ryd2)
+    for k, block in enumerate(_raw_blocks()):
         rng, twin = substream(k, 39), substream(k, 39)
         _absorb_rows(params, block, rng)
         twin.bit_generator.random_raw(int(block.sum()))
         assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
-    assert blocks[2].sum() > 2 * _CHUNK
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its ``random_raw`` calls."""
+
+    calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.calls += 1
+        return super().random_raw(size, output)
+
+
+@pytest.mark.parametrize("p_ryd, p_ryd2, t", [(1, 0, 1), (0, 0, 1), (1, 1, 1), (0.3, 0.1, 0)])
+def test_a_decided_stage_draws_nothing_and_equals_the_drawing_walk(p_ryd, p_ryd2, t):
+    # each photon class is impossible or certain: the stage draws no raw output, yet
+    # leaves the stream and its record as the photon-by-photon walk that draws them
+    params = _params(t, p_ryd, p_ryd2)
+    for k, block in enumerate(_raw_blocks()):
+        rng = np.random.Generator(_CountingPCG64(np.random.SeedSequence(entropy=k, spawn_key=(40,))))
+        twin = substream(k, 40)
+        rec, out = _absorb_rows(params, block, rng)
+        assert rng.bit_generator.calls == 0
+        walk_out, walk_absorbed, walk_lost = uniform_stage(p_ryd, p_ryd2, t, block, twin)
+        np.testing.assert_array_equal(out, walk_out)
+        np.testing.assert_array_equal(rec.input_bins, block.ravel()[rec.idx])
+        np.testing.assert_array_equal(rec.output_bins, walk_out.ravel()[rec.idx])
+        np.testing.assert_array_equal(rec.absorbed, walk_absorbed)
+        _assert_row_totals(rec, block, walk_out)
+        np.testing.assert_array_equal(rec.input_totals - rec.output_totals - rec.absorbed, walk_lost)
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
 
 @given(
@@ -705,7 +751,7 @@ def test_fixed_seed_runs_draw_the_recorded_stream(label, duration_us, shots, bin
 STAGE = st.tuples(
     st.sampled_from([0.0, 0.5, 0.99, 1.0]),  # t
     st.sampled_from([0.0, 0.35, 1.0]),  # p_ryd
-    st.sampled_from([0.0, 0.001, 0.2, 0.6]),  # p_ryd2
+    st.sampled_from([0.0, 0.001, 0.2, 0.6, 1.0]),  # p_ryd2
 )
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import mean_out, p_no_absorption
-from photonsub.analytic import absorbed_pmf, ion_stats, out_bin_means, var_out
+from photonsub.analytic import absorbed_pmf, ion_stats, out_bin_means, poisson_cut, poisson_pmf, var_out
 from photonsub.pulses import PulseSpec, expected_bin_means
 
-from _oracles import leaky_absorbed_pmf, per_photon_shot
+from _oracles import leaky_absorbed_pmf, lgamma_poisson_pmf, per_photon_shot
 from _oracles import poisson_pmf as oracle_pmf
 
 
@@ -106,6 +106,14 @@ def test_absorbed_pmf_is_the_perfect_blockade_at_no_leakage():
     p0, p1, p2 = absorbed_pmf(35.0, 0.99, 0.35, 0.0)
     assert (p1, p2) == (-math.expm1(-35.0 * 0.99 * 0.35), 0.0)
     assert p0 == p_no_absorption(35.0, 0.99, 0.35)
+
+
+def test_poisson_pmf_is_bit_equal_to_the_listed_lgamma_column():
+    # the lgamma table built from Python ints gives the bytes of the one listed from numpy integers
+    means = [0.0, 1e-300, 0.5, 1.0, 2.0, 3.0, 15.76, 35.0, *np.geomspace(1e-6, 1e5, 300).tolist()]
+    for mu in means:
+        for k_max in (0, 1, 7, poisson_cut(mu)):
+            assert np.array_equal(poisson_pmf(mu, k_max), lgamma_poisson_pmf(mu, k_max)), (mu, k_max)
 
 
 def _enumerated_output_moments(n_in, t, p, p2):
